@@ -38,11 +38,7 @@ def pair_two() -> None:
     print(f"screen over {len(screen.family)} polynomials: {screen.outcome}")
     I, v, nf = ideals.eigen_ideal(A2)
     J, w, _ = ideals.eigen_ideal(B2)
-    scale = 1
-    I2 = I
-    while not I2.is_subset(J):
-        scale += 1
-        I2 = I.scale_int(scale)
+    _, I2 = ideals.nest_inside(I, J)
     OI = ideals.multiplier_ring(I2)
     print("multiplier rings equal Z[beta]:", OI == ideals.FractionalIdeal.z_beta(nf))
     we = ideals.weak_equivalence(I2, J)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import exact_linalg as xl
 from . import polys
-from .errors import ToralConjError
+from .errors import InternalInconsistencyError, ToralConjError
 from .finite_modules import FiniteModulePresentation, IsoResult, module_iso_exists, quotient
 
 Mat = xl.Mat
@@ -63,7 +63,7 @@ def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
     module = quotient(gA, A)
     expected = abs(xl.resultant(xl.char_poly(A), g))
     if module.order != expected:
-        raise AssertionError("BF order disagrees with the resultant")
+        raise InternalInconsistencyError("BF order disagrees with the resultant")
     return BFGroup(g=g, base=A, module=module)
 
 
@@ -78,7 +78,7 @@ def tower_group(A: Mat, k: int, cap: int = 6) -> BFGroup:
     module = quotient(M, A)
     expected = abs(xl.resultant(xl.char_poly(A), g))
     if module.order != expected:
-        raise AssertionError("tower group order disagrees with the resultant")
+        raise InternalInconsistencyError("tower group order disagrees with the resultant")
     return BFGroup(g=g, base=A, module=module)
 
 

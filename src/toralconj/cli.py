@@ -244,11 +244,7 @@ def cmd_ideal(args) -> int:
         B = load_matrix(args.matrix_b)
         inputs_b = _matrix_data(B)
         J, w, _ = ideals.eigen_ideal(B)
-        scale = 1
-        I2 = I
-        while not I2.is_subset(J):
-            scale += 1
-            I2 = I.scale_int(scale)
+        _, I2 = ideals.nest_inside(I, J)
         result["ideal_left_scaled"] = I2.to_data()
         result["ideal_right"] = J.to_data()
         if args.sub == "weak-equiv":

@@ -16,7 +16,7 @@ from . import ideal_theory as ideals
 from . import polys
 from .bf_invariants import default_family, hyperbolicity_check, strong_bf_screen
 from .errors import InternalInconsistencyError
-from .finite_modules import module_iso_exists, quotient
+from .finite_modules import intertwiner_kernel, module_iso_exists, quotient
 from .tower import build_tower, classify_delta, delta_lattice, level_iso_family
 
 Mat = xl.Mat
@@ -33,7 +33,6 @@ class PipelineConfig:
     unimodular_bound: int = 5
     search_max_candidates: int = 200_000
     principal_bound: int = 8
-    two_generator_bound: int = 6
     power_cap: int = 6
 
     def to_data(self) -> dict:
@@ -46,7 +45,6 @@ class PipelineConfig:
             "unimodular_bound": self.unimodular_bound,
             "search_max_candidates": self.search_max_candidates,
             "principal_bound": self.principal_bound,
-            "two_generator_bound": self.two_generator_bound,
             "power_cap": self.power_cap,
         }
 
@@ -128,28 +126,13 @@ class IntertwinerBasis:
         return len(self.basis)
 
     def matrix(self, coeffs: Vec) -> Mat:
-        v = xl.vec_mat(coeffs, self.basis)
-        return tuple(tuple(v[i * self.n + j] for j in range(self.n)) for i in range(self.n))
+        return xl.unvec(xl.vec_mat(coeffs, self.basis), self.n)
 
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:
-    """Integer kernel of C -> A C - C B, rows verified to intertwine."""
-    n = len(A)
-    rows = []
-    for k in range(n):
-        for l in range(n):
-            row = [0] * (n * n)
-            for i in range(n):
-                for j in range(n):
-                    row[i * n + j] = (A[i][k] if l == j else 0) - (B[l][j] if i == k else 0)
-            rows.append(tuple(row))
-    basis = xl.left_kernel(tuple(rows))
-    out = IntertwinerBasis(n=n, basis=basis)
-    for r in range(out.rank):
-        K = out.matrix(tuple(1 if i == r else 0 for i in range(out.rank)))
-        if xl.mat_mul(A, K) != xl.mat_mul(K, B):
-            raise InternalInconsistencyError("intertwiner basis row fails A K = K B")
-    return out
+    """Integer kernel of C -> A C - C B, rows verified to intertwine; the
+    lattice the BF screen already built for this pair."""
+    return IntertwinerBasis(n=len(A), basis=intertwiner_kernel(xl.mat(A), xl.mat(B)))
 
 
 @dataclass(frozen=True)
@@ -270,12 +253,13 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
     # (1) similarity
     similar = similarity_check(A, B)
+    pa, pb = xl.char_poly(A), xl.char_poly(B)
     evidence.append(
         {
             "stage": "similarity",
             "similar": similar,
-            "char_poly_left": polys.to_str(xl.char_poly(A)),
-            "char_poly_right": polys.to_str(xl.char_poly(B)),
+            "char_poly_left": polys.to_str(pa),
+            "char_poly_right": polys.to_str(pb),
         }
     )
     if not similar:
@@ -284,8 +268,8 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
             B,
             {
                 "kind": "similarity",
-                "char_poly_left": polys.to_str(xl.char_poly(A)),
-                "char_poly_right": polys.to_str(xl.char_poly(B)),
+                "char_poly_left": polys.to_str(pa),
+                "char_poly_right": polys.to_str(pb),
             },
             evidence,
             config,
@@ -328,8 +312,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         return _emit_conjugate(A, B, search.conjugator, evidence, config)
 
     # (5) ideal route (irreducible characteristic polynomial only)
-    p = xl.char_poly(A)
-    irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(p)
+    irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa)
     if irreducible and hyp:
         verdict = _ideal_route(A, B, evidence, config)
         if verdict is not None:
@@ -348,14 +331,8 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
     I, v, nf = ideals.eigen_ideal(A)
     J, w, _ = ideals.eigen_ideal(B)
     # arrange I <= J inside Z[beta], rescaling the eigenvector to match
-    scale = 1
-    I2, v2 = I, v
-    while not I2.is_subset(J):
-        scale += 1
-        I2 = I.scale_int(scale)
-        v2 = tuple(x.mul_int(scale) for x in v)
-        if scale > 10_000:
-            raise InternalInconsistencyError("could not nest I inside J")
+    scale, I2 = ideals.nest_inside(I, J)
+    v2 = tuple(x.mul_int(scale) for x in v)
     OI = ideals.multiplier_ring(I2)
     OJ = ideals.multiplier_ring(J)
     rings_equal = (OI.mat, OI.den) == (OJ.mat, OJ.den)

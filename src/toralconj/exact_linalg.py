@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polys
-from .errors import ResourceLimitError
+from .errors import InternalInconsistencyError, ResourceLimitError
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -91,6 +91,11 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     )
 
 
+def unvec(v: Vec, n: int) -> Mat:
+    """The n x n matrix whose rows, concatenated, are v."""
+    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+
+
 def vec_mat(v: Vec, M: Mat) -> Vec:
     if len(v) != len(M):
         raise ValueError("dimension mismatch")
@@ -150,13 +155,13 @@ def _faddeev_leverrier(M: Mat) -> tuple[polys.Poly, Mat]:
         C = mat_mul(M, prev)
         t = sum(C[i][i] for i in range(n))
         if t % k != 0:
-            raise AssertionError("Faddeev-LeVerrier trace division not exact")
+            raise InternalInconsistencyError("Faddeev-LeVerrier trace division not exact")
         coeffs[n - k] = -(t // k)
         B = prev
         prev = mat_add(C, mat_scale(identity(n), coeffs[n - k]))
     # prev is now p(M), which must vanish by Cayley-Hamilton
     if any(any(x != 0 for x in row) for row in prev):
-        raise AssertionError("Cayley-Hamilton verification failed")
+        raise InternalInconsistencyError("Cayley-Hamilton verification failed")
     return tuple(coeffs), B
 
 
@@ -178,7 +183,7 @@ def adjugate(M: Mat) -> Mat:
     adj = B if (n + 1) % 2 == 0 else mat_neg(B)
     d = det(M)
     if mat_mul(M, adj) != mat_scale(identity(n), d):
-        raise AssertionError("adjugate identity failed")
+        raise InternalInconsistencyError("adjugate identity failed")
     return adj
 
 
@@ -245,7 +250,7 @@ def discriminant(p: polys.Poly) -> int:
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     val = sign * r
     if val % p[-1] != 0:
-        raise AssertionError("discriminant division not exact")
+        raise InternalInconsistencyError("discriminant division not exact")
     return val // p[-1]
 
 

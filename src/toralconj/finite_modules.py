@@ -7,6 +7,7 @@ relation matrix: an element is a tuple (c_1, ..., c_r) with 0 <= c_i < d_i
 over the nontrivial invariant factors d_i > 1.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -80,6 +81,7 @@ def quotient(M: Mat, A: Mat, check_action: bool = True) -> FiniteModulePresentat
     """Present Z^n / Z^n M with action A in SNF-canonical coordinates."""
     if not xl.is_square(M) or not xl.is_square(A) or len(M) != len(A):
         raise ValueError("relations and action must be square of equal size")
+    A = xl.mat(A)  # hashable, as intertwiner_kernel's cache needs
     n = len(M)
     xl.guard_bits(M)
     if xl.det(M) == 0:
@@ -308,8 +310,15 @@ class IsoResult:
         return out
 
 
+@functools.lru_cache(maxsize=1)
 def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
-    """HNF basis of {W : A W = W B} in row-vectorized form."""
+    """HNF basis of {W : A W = W B} in row-vectorized form, each row
+    verified to intertwine.
+
+    The only builder of this lattice.  Every stage of one decision asks for
+    the same pair, so the last result is kept and the system is solved once;
+    A and B must therefore be hashable tuple matrices.
+    """
     n = len(A)
     rows = []
     for k in range(n):
@@ -320,11 +329,12 @@ def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
                     coeff = (A[i][k] if l == j else 0) - (B[l][j] if i == k else 0)
                     row[i * n + j] = coeff
             rows.append(tuple(row))
-    return xl.left_kernel(tuple(rows))
-
-
-def _unvec(v: Vec, n: int) -> Mat:
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+    basis = xl.left_kernel(tuple(rows))
+    for v in basis:
+        K = xl.unvec(v, n)
+        if xl.mat_mul(A, K) != xl.mat_mul(K, B):
+            raise InternalInconsistencyError("intertwiner basis row fails A K = K B")
+    return basis
 
 
 def _hom_lattice_quotient(S: FiniteModulePresentation, T: FiniteModulePresentation):
@@ -477,7 +487,7 @@ def module_iso_exists(
             if not any(c):
                 continue
             tried += 1
-            W = _unvec(xl.vec_mat(c, kern), PA.n)
+            W = xl.unvec(xl.vec_mat(c, kern), PA.n)
             m = map_from_ambient(PA, PB, W)
             if m is None:
                 continue

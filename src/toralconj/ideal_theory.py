@@ -249,6 +249,21 @@ class FractionalIdeal:
         return {"basis": [list(r) for r in self.mat], "den": self.den}
 
 
+NEST_SCALE_LIMIT = 10_000
+
+
+def nest_inside(I: FractionalIdeal, J: FractionalIdeal) -> tuple[int, FractionalIdeal]:
+    """The least integer s >= 1 with s I <= J, and s I.  Such an s always
+    exists for full-rank lattices; past NEST_SCALE_LIMIT the search stops."""
+    scale, sI = 1, I
+    while not sI.is_subset(J):
+        scale += 1
+        if scale > NEST_SCALE_LIMIT:
+            raise InternalInconsistencyError("could not nest I inside J")
+        sI = I.scale_int(scale)
+    return scale, sI
+
+
 def ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     """HNF span of all pairwise basis products."""
     prods = [a.mul(b) for a in I.basis_elements() for b in J.basis_elements()]
@@ -286,7 +301,8 @@ def colon_ideal(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
                 for x in r:
                     g2 = gcd(g2, x)
             current = (tuple(tuple(x // g2 for x in r) for r in inter), cd // g2)
-    assert current is not None
+    if current is None:
+        raise InternalInconsistencyError("colon ideal by an ideal with an empty basis")
     return FractionalIdeal.normalize(I.nf, current[0], current[1], check_beta=False)
 
 

@@ -7,6 +7,7 @@ All arithmetic is exact over Z; rational work uses fractions.Fraction.
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalInconsistencyError
 from .intfactor import divisors
 
 Poly = tuple[int, ...]
@@ -164,20 +165,9 @@ def cyclotomic(d: int) -> Poly:
     for e in divisors(d):
         if e < d:
             p, r = divmod_exact(p, cyclotomic(e))
-            assert r == ()
+            if r != ():
+                raise InternalInconsistencyError("cyclotomic division is not exact")
     return p
-
-
-def monic_divisors_of_x_pow_minus_one(m: int) -> list[Poly]:
-    """Cyclotomic building blocks Phi_d (d | m) followed by x^e - 1 (e | m)."""
-    out: list[Poly] = []
-    for d in divisors(m):
-        out.append(cyclotomic(d))
-    for e in divisors(m):
-        q = x_pow_minus_one(e)
-        if q not in out:
-            out.append(q)
-    return out
 
 
 def _sign_variations(values: list[Fraction]) -> int:
@@ -262,7 +252,7 @@ def has_root_on_unit_circle(p: Poly) -> bool:
     # g has root set closed under z -> 1/z and no root at +-1, hence it is
     # self-reciprocal of even degree.
     if g != reverse(g) or degree(g) % 2 != 0:
-        raise AssertionError("reciprocal gcd lost self-reciprocality")
+        raise InternalInconsistencyError("reciprocal gcd lost self-reciprocality")
     half = _even_reciprocal_to_half(g)
     return count_real_roots_open(half, Fraction(-2), Fraction(2)) > 0
 

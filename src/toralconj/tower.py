@@ -18,6 +18,7 @@ from .finite_modules import (
     FiniteModulePresentation,
     IsoResult,
     ModuleMap,
+    intertwiner_kernel,
     invariant_mismatch,
     module_iso_exists,
     quotient,
@@ -84,7 +85,7 @@ def build_tower(A: Mat, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> Tower:
         for l in range(1, k + 1):
             epis[(k, l)] = _canonical_epi(levels[k - 1].module, levels[l - 1].module)
     _verify_epi_compatibility(levels, epis)
-    return Tower(base=A, depth=depth, levels=tuple(levels), epis=epis)
+    return Tower(base=xl.mat(A), depth=depth, levels=tuple(levels), epis=epis)
 
 
 def _canonical_epi(Gk: FiniteModulePresentation, Gl: FiniteModulePresentation) -> ModuleMap:
@@ -343,7 +344,8 @@ def level_iso_family(
             )
         if k == K:
             deepest = res
-    assert deepest is not None and deepest.iso is not None
+    if deepest is None or deepest.iso is None:
+        raise InternalInconsistencyError("deepest level gave no isomorphism")
     maps = _family_by_projection(towA, towB, K, deepest.iso)
     family = LevelIsoFamily(source=towA, target=towB, maps=maps)
     if not family.verify():
@@ -455,15 +457,14 @@ def classify_delta(
     The family induces an integer matrix C~ per level with Delta_k =
     graph(C~) + {0} x N_k; a conjugacy certificate is an exact intertwiner
     C (A C = C B) congruent to C~ row-wise mod N_k with det C = +-1.
-    Existence of any such intertwiner is decided by an exact affine solve;
+    Existence of any such intertwiner is one membership test in the
+    intertwiner lattice plus the row blocks of N_k;
     the unimodular one is then sought over small coefficient shells of the
     intertwiner lattice, filtered by the congruence.  The per-level record
     keeps the smallest |det| among intertwiners whose graph lies in
     Delta_k; strict growth of that index (an unsolvable level counting as
     infinite) is reported as shrinking.
     """
-    from .finite_modules import intertwiner_kernel
-
     A, B = towA.base, towB.base
     n = towA.n
     for d1, d2 in zip(deltas, deltas[1:]):
@@ -483,7 +484,7 @@ def classify_delta(
             for i in range(n)
         )
         Nb = towB.level(k).lattice
-        solvable = _graph_repr_solvable(A, B, ctil, Nb, n)
+        solvable = _graph_repr_solvable(kern, ctil, Nb)
         rec: dict = {"level": k, "solvable": solvable}
         best = None
         found = None
@@ -495,7 +496,7 @@ def classify_delta(
                 if not any(c):
                     continue
                 tried += 1
-                C = _unflatten(xl.vec_mat(c, kern), n)
+                C = xl.unvec(xl.vec_mat(c, kern), n)
                 if any(
                     xl.lattice_membership(Nb, row) is None
                     for row in xl.mat_sub(C, ctil)
@@ -526,21 +527,17 @@ def classify_delta(
     return DeltaClassification("indeterminate", None, tuple(per_level))
 
 
-def _graph_repr_solvable(A: Mat, B: Mat, ctil: Mat, Nb: Mat, n: int) -> bool:
-    """Whether any integer intertwiner is row-congruent to C~ mod N: solve
-    A (C~ + E N) = (C~ + E N) B for integer E."""
-    R = xl.mat_sub(xl.mat_mul(ctil, B), xl.mat_mul(A, ctil))
-    NbB = xl.mat_mul(Nb, B)
-    rows = []
-    for kk in range(n):
-        for ll in range(n):
-            row = [0] * (n * n)
-            for i in range(n):
-                for j in range(n):
-                    row[i * n + j] = A[i][kk] * Nb[ll][j] - (NbB[ll][j] if i == kk else 0)
-            rows.append(tuple(row))
-    rvec = tuple(R[i][j] for i in range(n) for j in range(n))
-    return xl.solve_left(tuple(rows), rvec) is not None
+def _graph_repr_solvable(kern: Mat, ctil: Mat, Nb: Mat) -> bool:
+    """Whether any integer intertwiner is row-congruent to C~ mod N.
+
+    C~ + E N intertwines for some integer E iff vec(C~) lies in the
+    intertwiner lattice plus {vec(E N)}, the row span of I_n (x) N."""
+    n = len(ctil)
+    blocks = tuple(
+        (0,) * (i * n) + nu + (0,) * ((n - 1 - i) * n) for i in range(n) for nu in Nb
+    )
+    vec = tuple(x for row in ctil for x in row)
+    return xl.lattice_membership(xl.lattice_sum(kern, blocks), vec) is not None
 
 
 def _strictly_growing(vals: list) -> bool:
@@ -550,8 +547,3 @@ def _strictly_growing(vals: list) -> bool:
         if b is not None and b <= a:
             return False
     return True
-
-
-def _unflatten(v: Vec, n: int) -> Mat:
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-

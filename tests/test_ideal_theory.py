@@ -155,6 +155,15 @@ def _nested_pair(pair):
     return I2, v2, J, w, nf_
 
 
+def test_nest_inside_matches_scaling_loop(pair):
+    I, v, J, _, _ = pair
+    I2, v2, _, _, _ = _nested_pair(pair)
+    scale, sI = it.nest_inside(I, J)
+    assert scale == 2 and sI == I2
+    assert tuple(x.mul_int(scale) for x in v) == v2
+    assert it.nest_inside(J, J) == (1, J)
+
+
 def test_weak_equivalence_self(pair):
     I, _, _, _, _ = pair
     we = it.weak_equivalence(I, I)

@@ -10,6 +10,7 @@ from toralconj.conjugacy_pipeline import (
     similarity_check,
     unimodular_search,
 )
+from toralconj.finite_modules import intertwiner_kernel
 
 from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
 
@@ -59,6 +60,26 @@ def test_intertwiner_lattice_contains_conjugator(rng):
     C = xl.unimodular_inverse(U)  # A C = C B
     flat = tuple(x for row in C for x in row)
     assert xl.lattice_membership(lat.basis, flat) is not None
+
+
+def test_decide_solves_intertwiner_system_once(rng):
+    U = random_unimodular(rng)
+    B = xl.mat_mul(xl.mat_mul(U, A1), xl.unimodular_inverse(U))
+    intertwiner_kernel.cache_clear()
+    v = decide(A1, B)
+    assert v.outcome == "conjugate"
+    screen = next(e for e in v.evidence if e["stage"] == "bf_screen")
+    assert screen["report"]["outcome"] != "not_equivalent"
+    info = intertwiner_kernel.cache_info()
+    # the BF screen builds the lattice; the unimodular search reuses it
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_decide_accepts_list_matrices(rng):
+    U = random_unimodular(rng)
+    B = xl.mat_mul(xl.mat_mul(U, A1), xl.unimodular_inverse(U))
+    as_lists = decide([list(r) for r in A1], [list(r) for r in B])
+    assert as_lists.to_data() == decide(A1, B).to_data()
 
 
 def test_intertwiner_lattice_dissimilar_rank_zero():

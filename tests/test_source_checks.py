@@ -1,0 +1,26 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import toralconj
+
+SRC = Path(toralconj.__file__).resolve().parent
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assert_based_runtime_checks():
+    # `assert` vanishes under `python -O`, and an AssertionError escapes the
+    # CLI as a traceback; runtime checks raise InternalInconsistencyError.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

@@ -3,6 +3,7 @@ import pytest
 from toralconj import exact_linalg as xl
 from toralconj import tower as tw
 from toralconj.errors import ResourceLimitError, ToralConjError
+from toralconj.finite_modules import intertwiner_kernel
 
 from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
 
@@ -233,3 +234,48 @@ def test_classify_identity_certificate_is_identity(towA1):
     cls = tw.classify_delta(towA1, towA1, fam, deltas, search_bound=2)
     assert cls.kind == "graph_of_conjugator"
     assert cls.conjugator == I3
+
+
+# ------------------------------------------------------------------ graph solvability oracle
+
+def _graph_repr_solvable_affine(A, B, ctil, Nb):
+    """Reference oracle: solve A (C~ + E N) = (C~ + E N) B for an integer E
+    as one affine system in the n^2 entries of E."""
+    n = len(A)
+    R = xl.mat_sub(xl.mat_mul(ctil, B), xl.mat_mul(A, ctil))
+    NbB = xl.mat_mul(Nb, B)
+    rows = []
+    for kk in range(n):
+        for ll in range(n):
+            row = [0] * (n * n)
+            for i in range(n):
+                for j in range(n):
+                    row[i * n + j] = A[i][kk] * Nb[ll][j] - (NbB[ll][j] if i == kk else 0)
+            rows.append(tuple(row))
+    rvec = tuple(R[i][j] for i in range(n) for j in range(n))
+    return xl.solve_left(tuple(rows), rvec) is not None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_graph_solvability_matches_affine_oracle(rng, n):
+    answers = {False: 0, True: 0}
+    for _ in range(6):
+        A = random_hyperbolic(rng, n, 2)
+        U = random_unimodular(rng, n)
+        B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+        tA, tB = tw.build_tower(A, 3), tw.build_tower(B, 3)
+        fam = tw.transport_family(tA, tB, xl.unimodular_inverse(U))
+        kern = intertwiner_kernel(A, B)
+        for k in (1, 2, 3):
+            GA, GB = tA.level(k).module, tB.level(k).module
+            ctil = tuple(
+                GB.lift(fam.maps[k - 1].apply(GA.reduce(e))) for e in xl.identity(n)
+            )
+            shifted = ((ctil[0][0] + 1,) + ctil[0][1:],) + ctil[1:]
+            Nb = tB.level(k).lattice
+            assert tw._graph_repr_solvable(kern, ctil, Nb)
+            assert _graph_repr_solvable_affine(A, B, ctil, Nb)
+            got = tw._graph_repr_solvable(kern, shifted, Nb)
+            assert got == _graph_repr_solvable_affine(A, B, shifted, Nb)
+            answers[got] += 1
+    assert answers[False] and answers[True]
