@@ -73,6 +73,13 @@ def load_matrix(path: str) -> Mat:
     return parse_matrix_text(text, origin=path)
 
 
+def load_pair(path_a: str, path_b: str) -> tuple[Mat, Mat]:
+    A, B = load_matrix(path_a), load_matrix(path_b)
+    if len(A) != len(B):
+        raise InputError(f"{path_a} is {len(A)} x {len(A)} but {path_b} is {len(B)} x {len(B)}")
+    return A, B
+
+
 def parse_poly_arg(text: str) -> polys.Poly:
     try:
         g = polys.parse(text)
@@ -130,8 +137,7 @@ def cmd_bf(args) -> int:
 
 def cmd_screen(args) -> int:
     started = time.monotonic()
-    A = load_matrix(args.matrix_a)
-    B = load_matrix(args.matrix_b)
+    A, B = load_pair(args.matrix_a, args.matrix_b)
     config = {"family_c": args.family_c, "family_m": args.family_m, "budget": args.budget}
     if not similarity_check(A, B):
         report = {
@@ -241,7 +247,7 @@ def cmd_ideal(args) -> int:
         lines.append(f"multiplier ring basis: {[list(r) for r in O.mat]} / {O.den}")
         lines.append(f"equals Z[beta]: {full}")
     else:
-        B = load_matrix(args.matrix_b)
+        _, B = load_pair(args.matrix, args.matrix_b)
         inputs_b = _matrix_data(B)
         J, w, _ = ideals.eigen_ideal(B)
         _, I2 = ideals.nest_inside(I, J)
@@ -277,8 +283,7 @@ def cmd_ideal(args) -> int:
 
 def cmd_decide(args) -> int:
     started = time.monotonic()
-    A = load_matrix(args.matrix_a)
-    B = load_matrix(args.matrix_b)
+    A, B = load_pair(args.matrix_a, args.matrix_b)
     config = PipelineConfig(
         family_max_shift=args.family_c,
         family_max_power=args.family_m,

@@ -152,23 +152,16 @@ class SearchOutcome:
 def unimodular_search(
     basis: IntertwinerBasis, bound: int, max_candidates: int = 200_000
 ) -> SearchOutcome:
-    """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound and return
-    the first C with det C = +-1, re-verified."""
-    tried = 0
-    for c in xl.shell_vectors(basis.rank, bound):
-        if not any(c):
-            continue
-        nz = next(x for x in c if x)
-        if nz < 0:
-            continue  # -C is unimodular iff C is
-        if tried >= max_candidates:
-            break
-        tried += 1
-        C = basis.matrix(c)
-        if xl.det(C) in (1, -1):
-            return SearchOutcome(True, C, bound, tried)
-    return SearchOutcome(False, None, bound, tried)
+    """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound, one of
+    each +-c since -C is unimodular iff C is, and return the first C with
+    det C = +-1."""
 
+    def accept(c):
+        C = basis.matrix(c)
+        return C if xl.det(C) in (1, -1) else None
+
+    C, tried = xl.bounded_search(basis.rank, bound, accept, max_candidates, up_to_sign=True)
+    return SearchOutcome(C is not None, C, bound, tried)
 
 
 @dataclass(frozen=True)
@@ -363,8 +356,9 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
             z = pr.generator
             zI = I2.scale(z)
             if zI == J:
-                zv = tuple(x.mul(z) for x in v2)
-                T = _change_of_basis(zv, w, J)
+                T = ideals.xg_matrix(A, B, z, v2, w)
+                if xl.det(T) not in (1, -1):
+                    raise InternalInconsistencyError("change of basis is not unimodular")
                 record["conjugator_from_generator"] = [list(r) for r in T]
                 evidence.append(record)
                 C = xl.unimodular_inverse(T)
@@ -372,29 +366,6 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
             record["generator_rejected"] = "z I != J"
     evidence.append(record)
     return None
-
-
-def _change_of_basis(zv, w, J: ideals.FractionalIdeal) -> Mat:
-    """Unimodular T with z v = w T for two eigenvector bases of the same
-    ideal J; satisfies T A = B T by the eigenvector identities."""
-    from math import gcd as _gcd
-
-    n = len(w)
-    wden = 1
-    for e in w:
-        wden = wden * e.den // _gcd(wden, e.den)
-    wmat = tuple(tuple(x * (wden // e.den) for x in e.num) for e in w)
-    cols = []
-    for j in range(n):
-        target = tuple(x * wden for x in zv[j].num)
-        num, den = xl.solve_right_rational(xl.transpose(wmat), target)
-        if any(x % (den * zv[j].den) for x in num):
-            raise InternalInconsistencyError("change of basis is not integral")
-        cols.append(tuple(x // (den * zv[j].den) for x in num))
-    T = xl.transpose(tuple(cols))
-    if xl.det(T) not in (1, -1):
-        raise InternalInconsistencyError("change of basis is not unimodular")
-    return T
 
 
 def _tower_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verdict | None:

@@ -568,13 +568,28 @@ def solve_right_rational(M: Mat, rhs: Vec) -> tuple[Vec, int]:
     return num, den
 
 
-def shell_vectors(rank: int, radius: int):
-    """Integer coefficient vectors ordered by max-norm shells (deterministic:
-    shell radius ascending, lexicographic within a shell)."""
-    for rho in range(radius + 1):
+def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
+    """Nonzero integer coefficient vectors of max-norm <= radius, by shell
+    radius ascending and lexicographically within a shell.  With up_to_sign,
+    only the member of each pair +-c whose first nonzero entry is positive."""
+    zero = (0,) * rank
+    for rho in range(1, radius + 1):
         for c in itertools.product(range(-rho, rho + 1), repeat=rank):
-            if c and max(abs(x) for x in c) != rho:
-                continue
-            if not c and rho != 0:
-                continue
-            yield c
+            if (rho in c or -rho in c) and (c > zero or not up_to_sign):
+                yield c
+
+
+def bounded_search(
+    rank: int, bound: int, accept, max_candidates: int | None = None, up_to_sign: bool = False
+):
+    """(first non-None accept(c), tried) over shell_vectors(rank, bound,
+    up_to_sign); (None, tried) when the shells or max_candidates run out."""
+    tried = 0
+    for c in shell_vectors(rank, bound, up_to_sign):
+        if max_candidates is not None and tried >= max_candidates:
+            break
+        tried += 1
+        hit = accept(c)
+        if hit is not None:
+            return hit, tried
+    return None, tried

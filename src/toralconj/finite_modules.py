@@ -198,10 +198,6 @@ def map_from_ambient(source: FiniteModulePresentation, target: FiniteModulePrese
     return ModuleMap(source, target, rows)
 
 
-def identity_map(P: FiniteModulePresentation) -> ModuleMap:
-    return ModuleMap(P, P, xl.identity(P.rank))
-
-
 def primary_decompose(P: FiniteModulePresentation) -> list[tuple[int, FiniteModulePresentation]]:
     """Per-prime components with their induced actions; order is the product
     of the component orders."""
@@ -399,20 +395,12 @@ def _component_iso_search(S: FiniteModulePresentation, T: FiniteModulePresentati
         total *= d
     tried = 0
 
-    if total <= budget:
-        for c in itertools.product(*(range(d) for d in diag)):
-            tried += 1
-            F = _hom_from_coords(c, vq_inv, basis, rs, rt, T.factors)
-            m = ModuleMap(S, T, F)
-            if m.is_surjective():
-                return F, tried, True
-        return None, tried, True
-
     # Elementary-abelian components over a large prime: isomorphy is a
     # nonvanishing determinant over F_p, decided on a small grid because the
     # determinant has degree <= rank in each coefficient.
     if (
-        rs == rt
+        total > budget
+        and rs == rt
         and all(d == p for d in S.factors)
         and all(d == p for d in T.factors)
         and p > rt
@@ -437,7 +425,8 @@ def _component_iso_search(S: FiniteModulePresentation, T: FiniteModulePresentati
                     return F, tried, True
             return None, tried, True
 
-    # budget-limited prefix of the full enumeration; honest about incompleteness
+    # the full enumeration, or a budget-limited prefix of it that is honest
+    # about incompleteness
     for c in itertools.product(*(range(d) for d in diag)):
         if tried >= budget:
             return None, tried, False
@@ -449,11 +438,15 @@ def _component_iso_search(S: FiniteModulePresentation, T: FiniteModulePresentati
     return None, tried, True
 
 
+# max-norm radius of the ambient intertwiner candidates when the intertwiner
+# lattice has rank <= 4 (radius 1 above that)
+INTERTWINER_SHELLS = 3
+
+
 def module_iso_exists(
     PA: FiniteModulePresentation,
     PB: FiniteModulePresentation,
     budget: int = 100_000,
-    intertwiner_shells: int = 3,
 ) -> IsoResult:
     """Decide whether the presentations are isomorphic as modules with their
     matrix actions.
@@ -478,21 +471,16 @@ def module_iso_exists(
 
     if PA.n == PB.n:
         kern = intertwiner_kernel(PA.action, PB.action)
-        rank = len(kern)
-        shells = intertwiner_shells if rank <= 4 else 1
-        cap = min(budget, 20_000)
-        for c in xl.shell_vectors(rank, shells):
-            if tried >= cap:
-                break
-            if not any(c):
-                continue
-            tried += 1
-            W = xl.unvec(xl.vec_mat(c, kern), PA.n)
-            m = map_from_ambient(PA, PB, W)
-            if m is None:
-                continue
-            if m.is_isomorphism():
-                return IsoResult("yes", iso=m, tried=tried, complete=True)
+
+        def accept(c):
+            m = map_from_ambient(PA, PB, xl.unvec(xl.vec_mat(c, kern), PA.n))
+            return m if m is not None and m.is_isomorphism() else None
+
+        shells = INTERTWINER_SHELLS if len(kern) <= 4 else 1
+        m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried)
+        tried += t
+        if m is not None:
+            return IsoResult("yes", iso=m, tried=tried, complete=True)
 
     comps_a = {p: _primary_component(PA, p) for p in sorted(factorint(PA.order))}
     comps_b = {p: _primary_component(PB, p) for p in sorted(factorint(PB.order))}

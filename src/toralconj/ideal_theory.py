@@ -8,7 +8,6 @@ Ideals are full-rank Z-lattices in power-basis coordinates, stored as an
 integer HNF matrix over a positive denominator so equality is bit-exact.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -147,6 +146,15 @@ class FieldElement:
             terms.append(sign + body)
         body = "".join(terms) if terms else "0"
         return body if self.den == 1 else f"({body})/{self.den}"
+
+
+def _linear_combination(coeffs, elems: list[FieldElement]) -> FieldElement:
+    """sum c_i b_i over field elements (at least one)."""
+    z = FieldElement.from_int(elems[0].nf, 0)
+    for c, b in zip(coeffs, elems):
+        if c:
+            z = z.add(b.mul_int(c))
+    return z
 
 
 def multiplication_matrix(z: FieldElement) -> tuple[Mat, int]:
@@ -438,27 +446,19 @@ def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     """Bounded search for z with z O(X) = X over integer combinations of the
     basis of X with coefficients in [-bound, bound].
 
-    Absence within the bound is reported as not-found, never as a proof of
-    non-principality.
+    Candidates run by max-norm shells, one of each +-z since z and -z
+    generate the same ideal.  Absence within the bound is reported as
+    not-found, never as a proof of non-principality.
     """
     O = multiplier_ring(X)
     basis = X.basis_elements()
-    n = len(basis)
-    tried = 0
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(coeffs):
-            continue
-        nz = next(c for c in coeffs if c)
-        if nz < 0:
-            continue  # z and -z generate the same ideal
-        tried += 1
-        z = FieldElement.from_int(X.nf, 0)
-        for c, b in zip(coeffs, basis):
-            if c:
-                z = z.add(b.mul_int(c))
-        if O.scale(z) == X:
-            return PrincipalResult(True, z, bound, tried)
-    return PrincipalResult(False, None, bound, tried)
+
+    def accept(coeffs):
+        z = _linear_combination(coeffs, basis)
+        return z if O.scale(z) == X else None
+
+    z, tried = xl.bounded_search(len(basis), bound, accept, up_to_sign=True)
+    return PrincipalResult(z is not None, z, bound, tried)
 
 
 def two_generator_rep(
@@ -477,21 +477,12 @@ def two_generator_rep(
         raise ValueError("X is not invertible in its multiplier ring")
     alpha_O = O.scale(alpha)
     basis = X.basis_elements()
-    for coeffs in xl.shell_vectors(len(basis), bound):
-        if not any(coeffs):
-            continue
-        nz = next(c for c in coeffs if c)
-        if nz < 0:
-            continue
-        gamma = FieldElement.from_int(X.nf, 0)
-        for c, b in zip(coeffs, basis):
-            if c:
-                gamma = gamma.add(b.mul_int(c))
-        if gamma.is_zero():
-            continue
-        if _ideal_sum(alpha_O, O.scale(gamma)) == X:
-            return gamma
-    return None
+
+    def accept(coeffs):
+        gamma = _linear_combination(coeffs, basis)
+        return gamma if _ideal_sum(alpha_O, O.scale(gamma)) == X else None
+
+    return xl.bounded_search(len(basis), bound, accept, up_to_sign=True)[0]
 
 
 def _ideal_sum(a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
@@ -521,14 +512,8 @@ def solve_bezout(
         )
     coeffs = sol[0]
     n = len(obasis)
-    a = FieldElement.from_int(nf, 0)
-    bb = FieldElement.from_int(nf, 0)
-    for c, b in zip(coeffs[:n], obasis):
-        if c:
-            a = a.add(b.mul_int(c))
-    for c, b in zip(coeffs[n:], obasis):
-        if c:
-            bb = bb.add(b.mul_int(c))
+    a = _linear_combination(coeffs[:n], obasis)
+    bb = _linear_combination(coeffs[n:], obasis)
     check = a.mul(alpha).add(bb.mul(gamma))
     if not check.sub(FieldElement.from_int(nf, 1)).is_zero():
         raise InternalInconsistencyError("Bezout solution failed verification")
@@ -538,9 +523,6 @@ def solve_bezout(
 def xg_matrix(
     A: Mat,
     B: Mat,
-    I: FractionalIdeal,
-    J: FractionalIdeal,
-    g: polys.Poly,
     gamma: FieldElement,
     v: tuple[FieldElement, ...],
     w: tuple[FieldElement, ...],

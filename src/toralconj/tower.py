@@ -487,27 +487,20 @@ def classify_delta(
         solvable = _graph_repr_solvable(kern, ctil, Nb)
         rec: dict = {"level": k, "solvable": solvable}
         best = None
+
+        def accept(c):
+            nonlocal best
+            C = xl.unvec(xl.vec_mat(c, kern), n)
+            if any(xl.lattice_membership(Nb, row) is None for row in xl.mat_sub(C, ctil)):
+                return None
+            d = abs(xl.det(C))
+            if d and (best is None or d < best):
+                best = d
+            return C if d == 1 else None
+
         found = None
-        tried = 0
         if solvable:
-            for c in xl.shell_vectors(len(kern), search_bound):
-                if tried >= max_candidates:
-                    break
-                if not any(c):
-                    continue
-                tried += 1
-                C = xl.unvec(xl.vec_mat(c, kern), n)
-                if any(
-                    xl.lattice_membership(Nb, row) is None
-                    for row in xl.mat_sub(C, ctil)
-                ):
-                    continue
-                d = abs(xl.det(C))
-                if d and (best is None or d < best):
-                    best = d
-                if d == 1:
-                    found = C
-                    break
+            found, _ = xl.bounded_search(len(kern), search_bound, accept, max_candidates)
         rec["min_abs_det"] = best
         per_level.append(rec)
         if k == deltas[-1].depth and found is not None:

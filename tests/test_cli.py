@@ -209,6 +209,15 @@ def test_missing_file_exit(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cmd", [["decide"], ["screen"], ["ideal", "principal"], ["ideal", "weak-equiv"]])
+def test_size_mismatch_exits_1(capsys, mats, tmp_path, cmd):
+    small = write(tmp_path, "S.txt", ((2, 1), (1, 1)))
+    code, out, err = run(capsys, [cmd[0], small, *cmd[1:], mats["A1"]])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_json_reports_are_deterministic(capsys, mats):
     outs = []
     for _ in range(2):

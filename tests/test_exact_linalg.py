@@ -259,3 +259,38 @@ def test_inverse_norm_bound_exact_value():
 
     M = xl.mat_sub(xl.mat_mul(A1, A1), I3)
     assert xl.inverse_infinity_norm_bound(M) == Fraction(8, 11)
+
+
+def test_shell_vectors_rank_zero_is_empty():
+    assert list(xl.shell_vectors(0, 3)) == []
+    assert list(xl.shell_vectors(0, 3, up_to_sign=True)) == []
+    assert xl.bounded_search(0, 3, lambda c: c) == (None, 0)
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 3), (2, 3), (3, 2)])
+def test_shell_vectors_order_and_signs(rank, radius):
+    import itertools
+
+    box = [c for c in itertools.product(range(-radius, radius + 1), repeat=rank) if any(c)]
+    both = list(xl.shell_vectors(rank, radius))
+    # every nonzero vector of the box once, by shell, then lexicographic
+    assert both == sorted(box, key=lambda c: (max(map(abs, c)), c))
+    half = list(xl.shell_vectors(rank, radius, up_to_sign=True))
+    assert len(half) == len(box) // 2
+    assert set(half) | {tuple(-x for x in c) for c in half} == set(box)
+    assert half == [c for c in both if next(x for x in c if x) > 0]
+
+
+def test_bounded_search_first_hit_and_cap():
+    seen = []
+
+    def accept(c):
+        seen.append(c)
+        return c if c == (2, -1) else None
+
+    hit, tried = xl.bounded_search(2, 3, accept)
+    assert hit == (2, -1) and tried == len(seen)
+    assert seen == list(xl.shell_vectors(2, 3))[:tried]
+    assert xl.bounded_search(2, 3, accept, max_candidates=5) == (None, 5)
+    assert xl.bounded_search(2, 3, lambda c: None, max_candidates=0) == (None, 0)
+    assert xl.bounded_search(2, 3, lambda c: None, up_to_sign=True) == (None, 24)
