@@ -43,8 +43,7 @@ def pair_two() -> None:
     print("multiplier rings equal Z[beta]:", OI == ideals.FractionalIdeal.z_beta(nf))
     we = ideals.weak_equivalence(I2, J)
     print("weakly equivalent:", we.equivalent)
-    X = ideals.colon_ideal(J, I2)
-    pr = ideals.principal_search(X, 8)
+    pr = ideals.principal_search(we.X, 8)
     print(f"principal search on (J:I) at bound 8: found={pr.found} "
           f"({pr.tried} candidates)")
     t0 = time.monotonic()

@@ -7,7 +7,7 @@ fractional-ideal arithmetic in the field defined by the characteristic
 polynomial.  All arithmetic is exact.
 """
 
-from .bf_invariants import bf_group, default_family, hyperbolicity_check, invertibility_check, strong_bf_screen, tower_group
+from .bf_invariants import bf_group, default_family, hyperbolicity_check, invertibility_check, strong_bf_screen
 from .conjugacy_pipeline import PipelineConfig, Verdict, decide, intertwiner_lattice, similarity_check, unimodular_search
 from .finite_modules import FiniteModulePresentation, ModuleMap, module_iso_exists, primary_decompose, quotient
 from .ideal_theory import FractionalIdeal, eigen_ideal, multiplier_ring, principal_search, weak_equivalence
@@ -41,7 +41,6 @@ __all__ = [
     "quotient",
     "similarity_check",
     "strong_bf_screen",
-    "tower_group",
     "transport_family",
     "unimodular_search",
     "weak_equivalence",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import exact_linalg as xl
 from . import polys
-from .errors import InternalInconsistencyError, ToralConjError
+from .errors import InfiniteQuotientError, InternalInconsistencyError, ToralConjError
 from .finite_modules import FiniteModulePresentation, IsoResult, module_iso_exists, quotient
 
 Mat = xl.Mat
@@ -56,37 +56,14 @@ class BFGroup:
 def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
     """BF_g(A) = Z^n / Z^n g(A) with the action of A; the order is
     cross-checked against |res(char_poly(A), g)| at construction."""
-    gA = xl.eval_poly_at_matrix(g, A)
-    d = xl.det(gA)
-    if d == 0:
-        raise BFConstructionError(g, d)
-    module = quotient(gA, A)
+    try:
+        module = quotient(xl.eval_poly_at_matrix(g, A), A)
+    except InfiniteQuotientError:
+        raise BFConstructionError(g, 0) from None
     expected = abs(xl.resultant(xl.char_poly(A), g))
     if module.order != expected:
         raise InternalInconsistencyError("BF order disagrees with the resultant")
     return BFGroup(g=g, base=A, module=module)
-
-
-def tower_group(A: Mat, k: int, cap: int = 6) -> BFGroup:
-    """G_k = BF_{x^(k!)-1}(A), relations built from the factorial power."""
-    P = xl.matrix_power_factorial(A, k, cap=cap)
-    M = xl.mat_sub(P, xl.identity(len(A)))
-    d = xl.det(M)
-    g = polys.x_pow_minus_one(_factorial(k))
-    if d == 0:
-        raise BFConstructionError(g, 0)
-    module = quotient(M, A)
-    expected = abs(xl.resultant(xl.char_poly(A), g))
-    if module.order != expected:
-        raise InternalInconsistencyError("tower group order disagrees with the resultant")
-    return BFGroup(g=g, base=A, module=module)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def default_family(

@@ -94,6 +94,17 @@ def _matrix_data(M: Mat) -> dict:
     return {"n": len(M), "rows": [list(r) for r in M]}
 
 
+def _report(command: str, inputs: dict, config: dict, result: dict, evidence=()) -> dict:
+    """The one report skeleton every command emits, keys in a fixed order."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "config": config,
+        "result": result,
+        "evidence": list(evidence),
+    }
+
+
 def _emit(report: dict, as_json: bool, human_lines: list[str], started: float) -> None:
     if as_json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
@@ -112,16 +123,12 @@ def cmd_bf(args) -> int:
     except BFConstructionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    report = {
-        "command": "bf",
-        "inputs": {"matrix": _matrix_data(A), "g": polys.to_str(g)},
-        "config": {},
-        "result": {
-            "order": group.order,
-            "invariant_factors": list(group.invariant_factors),
-        },
-        "evidence": [],
-    }
+    report = _report(
+        "bf",
+        {"matrix": _matrix_data(A), "g": polys.to_str(g)},
+        {},
+        {"order": group.order, "invariant_factors": list(group.invariant_factors)},
+    )
     _emit(
         report,
         args.json,
@@ -138,30 +145,20 @@ def cmd_bf(args) -> int:
 def cmd_screen(args) -> int:
     started = time.monotonic()
     A, B = load_pair(args.matrix_a, args.matrix_b)
+    inputs = {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)}
     config = {"family_c": args.family_c, "family_m": args.family_m, "budget": args.budget}
     if not similarity_check(A, B):
-        report = {
-            "command": "screen",
-            "inputs": {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)},
-            "config": config,
-            "result": {
-                "outcome": "not_similar",
-                "char_poly_left": polys.to_str(xl.char_poly(A)),
-                "char_poly_right": polys.to_str(xl.char_poly(B)),
-            },
-            "evidence": [],
+        result = {
+            "outcome": "not_similar",
+            "char_poly_left": polys.to_str(xl.char_poly(A)),
+            "char_poly_right": polys.to_str(xl.char_poly(B)),
         }
+        report = _report("screen", inputs, config, result)
         _emit(report, args.json, ["not similar: rational canonical data differ"], started)
         return 0
     family = default_family(A, B, max_shift=args.family_c, max_power=args.family_m)
     rep = strong_bf_screen(A, B, family, budget=args.budget)
-    report = {
-        "command": "screen",
-        "inputs": {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)},
-        "config": config,
-        "result": rep.to_data(),
-        "evidence": [],
-    }
+    report = _report("screen", inputs, config, rep.to_data())
     lines = [f"screen outcome: {rep.outcome}"]
     if rep.witness is not None:
         lines.append(f"witness polynomial: {polys.to_str(rep.witness)}")
@@ -212,13 +209,8 @@ def cmd_tower(args) -> int:
         lines.append(
             f"  injectivity probe (bound {args.probe_bound}): all_escape={probe['all_escape']}"
         )
-    report = {
-        "command": "tower",
-        "inputs": {"matrix": _matrix_data(A)},
-        "config": {"levels": args.levels, "verify": bool(args.verify), "probe_bound": args.probe_bound},
-        "result": result,
-        "evidence": [],
-    }
+    config = {"levels": args.levels, "verify": bool(args.verify), "probe_bound": args.probe_bound}
+    report = _report("tower", {"matrix": _matrix_data(A)}, config, result)
     _emit(report, args.json, lines, started)
     return 0
 
@@ -234,7 +226,7 @@ def cmd_ideal(args) -> int:
     config: dict = {"sub": args.sub}
     result: dict = {"defining_polynomial": polys.to_str(nf.p), "ideal": I.to_data()}
     lines = [f"field: Q(beta), beta root of {polys.to_str(nf.p)}"]
-    exit_code = 0
+    inputs = {"matrix": _matrix_data(A)}
     if args.sub == "show":
         lines.append(f"eigen ideal basis (HNF over den={I.den}): {[list(r) for r in I.mat]}")
         lines.append(f"eigenvector entries: {[c.to_str() for c in v]}")
@@ -248,7 +240,13 @@ def cmd_ideal(args) -> int:
         lines.append(f"equals Z[beta]: {full}")
     else:
         _, B = load_pair(args.matrix, args.matrix_b)
-        inputs_b = _matrix_data(B)
+        pb = xl.char_poly(B)
+        if pb != nf.p:
+            raise InputError(
+                f"{args.matrix} and {args.matrix_b} are not similar: characteristic "
+                f"polynomials {polys.to_str(nf.p)} and {polys.to_str(pb)} differ"
+            )
+        inputs["matrix_b"] = _matrix_data(B)
         J, w, _ = ideals.eigen_ideal(B)
         _, I2 = ideals.nest_inside(I, J)
         result["ideal_left_scaled"] = I2.to_data()
@@ -267,18 +265,8 @@ def cmd_ideal(args) -> int:
                 + ("found " + pr.generator.to_str() if pr.found else "not found within bound")
             )
             config["bound"] = args.bound
-    inputs = {"matrix": _matrix_data(A)}
-    if args.sub in ("weak-equiv", "principal"):
-        inputs["matrix_b"] = inputs_b
-    report = {
-        "command": "ideal",
-        "inputs": inputs,
-        "config": config,
-        "result": result,
-        "evidence": [],
-    }
-    _emit(report, args.json, lines, started)
-    return exit_code
+    _emit(_report("ideal", inputs, config, result), args.json, lines, started)
+    return 0
 
 
 def cmd_decide(args) -> int:
@@ -293,13 +281,14 @@ def cmd_decide(args) -> int:
         principal_bound=args.principal_bound,
     )
     verdict = decide(A, B, config)
-    report = {
-        "command": "decide",
-        "inputs": {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)},
-        "config": config.to_data(),
-        "result": verdict.to_data(),
-        "evidence": verdict.to_data()["evidence"],
-    }
+    data = verdict.to_data()
+    report = _report(
+        "decide",
+        {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)},
+        config.to_data(),
+        data,
+        data["evidence"],
+    )
     lines = [f"verdict: {verdict.outcome}"]
     if verdict.certificate is not None:
         lines.append(f"conjugator C (A C = C B, det C = {xl.det(verdict.certificate)}):")

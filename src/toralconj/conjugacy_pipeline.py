@@ -10,13 +10,14 @@ its budgets.
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
-from .bf_invariants import default_family, hyperbolicity_check, strong_bf_screen
+from .bf_invariants import bf_group, default_family, hyperbolicity_check, strong_bf_screen
 from .errors import InternalInconsistencyError
-from .finite_modules import intertwiner_kernel, module_iso_exists, quotient
+from .finite_modules import intertwiner_kernel, invariant_mismatch, module_iso_exists
 from .tower import build_tower, classify_delta, delta_lattice, level_iso_family
 
 Mat = xl.Mat
@@ -33,7 +34,6 @@ class PipelineConfig:
     unimodular_bound: int = 5
     search_max_candidates: int = 200_000
     principal_bound: int = 8
-    power_cap: int = 6
 
     def to_data(self) -> dict:
         return {
@@ -45,7 +45,6 @@ class PipelineConfig:
             "unimodular_bound": self.unimodular_bound,
             "search_max_candidates": self.search_max_candidates,
             "principal_bound": self.principal_bound,
-            "power_cap": self.power_cap,
         }
 
 
@@ -196,34 +195,23 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
     if kind == "similarity":
         if similarity_check(A, B):
             raise InternalInconsistencyError("similarity witness does not re-verify")
-    elif kind == "bf_screen":
-        g = polys.parse(witness["g"])
-        res = module_iso_exists(
-            quotient(xl.eval_poly_at_matrix(g, A), A),
-            quotient(xl.eval_poly_at_matrix(g, B), B),
-            budget=config.iso_budget,
-        )
-        if res.verdict != "no":
-            raise InternalInconsistencyError("BF witness does not re-verify")
-    elif kind == "tower_level":
-        detail = witness["detail"]
-        if detail["kind"] == "canonical_quotient":
-            from .finite_modules import invariant_mismatch
-
+    elif kind in ("bf_screen", "tower_level"):
+        # rebuild both modules from scratch: BF_g at the screen polynomial,
+        # the tower divisor, or g = x^(k!) - 1 for the level module itself
+        detail = witness.get("detail", {})
+        if kind == "bf_screen":
+            g = polys.parse(witness["g"])
+        elif detail["kind"] == "canonical_quotient":
             g = polys.parse(detail["divisor"])
-            again = invariant_mismatch(
-                quotient(xl.eval_poly_at_matrix(g, A), A),
-                quotient(xl.eval_poly_at_matrix(g, B), B),
-            )
-            if again is None:
-                raise InternalInconsistencyError("tower witness does not re-verify")
         else:
-            k = witness["level"]
-            MA = xl.mat_sub(xl.matrix_power_factorial(A, k, cap=config.power_cap), xl.identity(len(A)))
-            MB = xl.mat_sub(xl.matrix_power_factorial(B, k, cap=config.power_cap), xl.identity(len(B)))
-            res = module_iso_exists(quotient(MA, A), quotient(MB, B), budget=config.iso_budget)
-            if res.verdict != "no":
-                raise InternalInconsistencyError("tower witness does not re-verify")
+            g = polys.x_pow_minus_one(factorial(witness["level"]))
+        GA, GB = bf_group(A, g).module, bf_group(B, g).module
+        if detail.get("kind") == "canonical_quotient":
+            refuted = invariant_mismatch(GA, GB) is not None
+        else:
+            refuted = module_iso_exists(GA, GB, budget=config.iso_budget).verdict == "no"
+        if not refuted:
+            raise InternalInconsistencyError(f"{kind} witness does not re-verify")
     elif kind == "multiplier_ring":
         ra = ideals.multiplier_ring(ideals.eigen_ideal(A)[0])
         rb = ideals.multiplier_ring(ideals.eigen_ideal(B)[0])
@@ -349,8 +337,7 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
     we = ideals.weak_equivalence(I2, J)
     record["weak_equivalence"] = we.to_data()
     if we.equivalent:
-        X = ideals.colon_ideal(J, I2)
-        pr = ideals.principal_search(X, config.principal_bound)
+        pr = ideals.principal_search(we.X, config.principal_bound)
         record["principal_search"] = pr.to_data()
         if pr.found:
             z = pr.generator

@@ -13,7 +13,9 @@ from math import gcd
 
 from . import exact_linalg as xl
 from . import polys
+from .bf_invariants import bf_group
 from .errors import InternalInconsistencyError, UnsupportedError
+from .finite_modules import map_from_ambient
 
 Mat = xl.Mat
 Vec = xl.Vec
@@ -565,10 +567,8 @@ def induced_bf_isomorphism(A: Mat, B: Mat, g: polys.Poly, X: Mat):
     because X g(A) = g(B) X; it is verified bijective and then inverted, so
     the returned map goes A-side -> B-side.
     """
-    from .finite_modules import map_from_ambient, quotient
-
-    PA = quotient(xl.eval_poly_at_matrix(g, A), A)
-    PB = quotient(xl.eval_poly_at_matrix(g, B), B)
+    PA = bf_group(A, g).module
+    PB = bf_group(B, g).module
     back = map_from_ambient(PB, PA, X)
     if back is None or not back.is_isomorphism():
         raise InternalInconsistencyError(

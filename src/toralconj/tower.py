@@ -9,10 +9,11 @@ A^(k!) grow factorially.
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from . import exact_linalg as xl
 from . import polys
-from .bf_invariants import hyperbolicity_check
+from .bf_invariants import bf_group, hyperbolicity_check
 from .errors import InternalInconsistencyError, ResourceLimitError, ToralConjError
 from .finite_modules import (
     FiniteModulePresentation,
@@ -20,8 +21,8 @@ from .finite_modules import (
     ModuleMap,
     intertwiner_kernel,
     invariant_mismatch,
+    map_from_ambient,
     module_iso_exists,
-    quotient,
 )
 from .intfactor import divisors
 
@@ -34,9 +35,7 @@ DEFAULT_DEPTH_CAP = 4
 @dataclass(frozen=True)
 class TowerLevel:
     k: int
-    power: Mat                 # A^(k!)
-    lattice: Mat               # HNF basis of N_k = Z^n (A^(k!) - I)
-    module: FiniteModulePresentation
+    module: FiniteModulePresentation  # BF_g(A) at g = x^(k!) - 1; relations A^(k!) - I
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,21 @@ def build_tower(A: Mat, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> Tower:
         raise ResourceLimitError(f"tower depth cap exceeded: {depth} > {cap}")
     if not hyperbolicity_check(A):
         raise ToralConjError("matrix is not hyperbolic; tower quotients need det(A^r - I) != 0")
-    n = len(A)
-    levels = []
-    P = A
-    for k in range(1, depth + 1):
-        if k > 1:
-            P = xl.mat_pow(P, k)
-            xl.guard_bits(P)
-        M = xl.mat_sub(P, xl.identity(n))
-        levels.append(
-            TowerLevel(k=k, power=P, lattice=xl.hnf_basis(M), module=quotient(M, A))
-        )
-    for k in range(1, depth):
-        upper = levels[k]      # level k+1
-        lower = levels[k - 1]  # level k
-        for row in xl.mat_sub(upper.power, xl.identity(n)):
-            if xl.lattice_membership(lower.lattice, row) is None:
-                raise InternalInconsistencyError(f"nesting N_{k+1} <= N_{k} failed")
+    A = xl.mat(A)
+    levels = [
+        TowerLevel(k=k, module=bf_group(A, polys.x_pow_minus_one(factorial(k))).module)
+        for k in range(1, depth + 1)
+    ]
+    for lower, upper in zip(levels, levels[1:]):
+        for row in upper.module.relations:
+            if xl.lattice_membership(lower.module.relations_hnf, row) is None:
+                raise InternalInconsistencyError(f"nesting N_{upper.k} <= N_{lower.k} failed")
     epis: dict = {}
     for k in range(1, depth + 1):
         for l in range(1, k + 1):
             epis[(k, l)] = _canonical_epi(levels[k - 1].module, levels[l - 1].module)
     _verify_epi_compatibility(levels, epis)
-    return Tower(base=xl.mat(A), depth=depth, levels=tuple(levels), epis=epis)
+    return Tower(base=A, depth=depth, levels=tuple(levels), epis=epis)
 
 
 def _canonical_epi(Gk: FiniteModulePresentation, Gl: FiniteModulePresentation) -> ModuleMap:
@@ -181,7 +172,7 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     inverses = []
     norm_bounds = []
     for lv in tower.levels:
-        M = xl.mat_sub(lv.power, xl.identity(n))
+        M = lv.module.relations
         inv, den = xl.invert_rational(M)
         inverses.append((inv, den))
         norm_bounds.append(xl.inverse_infinity_norm_bound(M))
@@ -196,7 +187,7 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
             continue  # symmetric under negation; mirror below
         least = None
         for lv, (inv, den) in zip(tower.levels, inverses):
-            member_hnf = xl.lattice_membership(lv.lattice, m) is not None
+            member_hnf = xl.lattice_membership(lv.module.relations_hnf, m) is not None
             xi_num = xl.vec_mat(m, inv)
             member_inv = all(x % den == 0 for x in xi_num)
             if member_hnf != member_inv:
@@ -273,9 +264,7 @@ class LevelIsoOutcome:
 
 def _divisor_polynomials(k: int) -> list[polys.Poly]:
     """Cyclotomic divisors and proper x^e - 1 divisors of x^(k!) - 1."""
-    m = 1
-    for i in range(2, k + 1):
-        m *= i
+    m = factorial(k)
     out: list[polys.Poly] = []
     for d in divisors(m):
         out.append(polys.cyclotomic(d))
@@ -295,22 +284,27 @@ def level_iso_family(
 ) -> LevelIsoOutcome:
     """Search for a compatible family of level isomorphisms.
 
-    Per level, first screen the canonical quotients by every divisor g of
-    x^(k!) - 1 (any level isomorphism induces an isomorphism of the
-    corresponding BF_g quotients, so a fingerprint mismatch there refutes the
-    level); then run the module isomorphism search on the level itself.  A
-    family found at the deepest level is pushed down by projection, which is
-    automatically compatible, and re-verified.
+    Per level, first screen the canonical quotients BF_g by every divisor g
+    of x^(k!) - 1 not screened at a lower level (any level isomorphism
+    induces an isomorphism of the corresponding BF_g quotients, so a
+    fingerprint mismatch there refutes the level); then run the module
+    isomorphism search on the level itself.  A family found at the deepest
+    level is pushed down by projection, which is automatically compatible,
+    and re-verified.
     """
     K = depth or min(towA.depth, towB.depth)
     if K > min(towA.depth, towB.depth):
         raise ValueError("requested depth exceeds tower depth")
     progress: list[dict] = []
     deepest: IsoResult | None = None
+    screened: set = set()
     for k in range(1, K + 1):
         for g in _divisor_polynomials(k):
-            qa = quotient(xl.eval_poly_at_matrix(g, towA.base), towA.base)
-            qb = quotient(xl.eval_poly_at_matrix(g, towB.base), towB.base)
+            if g in screened:
+                continue
+            screened.add(g)
+            qa = bf_group(towA.base, g).module
+            qb = bf_group(towB.base, g).module
             mism = invariant_mismatch(qa, qb)
             if mism is not None:
                 return LevelIsoOutcome(
@@ -360,8 +354,6 @@ def transport_family(towA: Tower, towB: Tower, C: Mat, depth: int | None = None)
     K = depth or min(towA.depth, towB.depth)
     if xl.mat_mul(towA.base, C) != xl.mat_mul(C, towB.base):
         raise ValueError("transport matrix does not intertwine")
-    from .finite_modules import map_from_ambient
-
     maps = []
     for k in range(1, K + 1):
         m = map_from_ambient(towA.level(k).module, towB.level(k).module, C)
@@ -424,7 +416,7 @@ def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) 
     basis = xl.congruence_kernel(tuple(rows), GB.factors)
     if len(basis) != 2 * n:
         raise InternalInconsistencyError("pair lattice is not full rank")
-    for nu in towB.level(depth).lattice:
+    for nu in towB.level(depth).module.relations_hnf:
         if xl.lattice_membership(basis, (0,) * n + nu) is None:
             raise InternalInconsistencyError("pair lattice misses {0} x N_K")
     return PairLattice(depth=depth, basis=basis)
@@ -483,7 +475,7 @@ def classify_delta(
             GB.lift(psi.apply(GA.reduce(tuple(1 if j == i else 0 for j in range(n)))))
             for i in range(n)
         )
-        Nb = towB.level(k).lattice
+        Nb = towB.level(k).module.relations_hnf
         solvable = _graph_repr_solvable(kern, ctil, Nb)
         rec: dict = {"level": k, "solvable": solvable}
         best = None

@@ -150,9 +150,9 @@ def test_criterion_5_lemma_suite():
         towers = tw.build_tower(A, 4)
         for k in (1, 2, 3):
             assert tw.verify_factorization(A, k)
-            upper = xl.mat_sub(towers.level(k + 1).power, I3)
+            upper = towers.level(k + 1).module.relations
             for row in upper:
-                assert xl.lattice_membership(towers.level(k).lattice, row) is not None
+                assert xl.lattice_membership(towers.level(k).module.relations_hnf, row) is not None
     for A in (A1, A2):
         for k1, k2 in ((1, 1), (1, 2), (2, 2)):
             assert tw.verify_filtered(A, k1, k2)

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from toralconj import exact_linalg as xl
@@ -9,7 +11,6 @@ from toralconj.bf_invariants import (
     hyperbolicity_check,
     invertibility_check,
     strong_bf_screen,
-    tower_group,
 )
 
 from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
@@ -44,6 +45,11 @@ def test_bf_group_rejects_singular():
     with pytest.raises(BFConstructionError) as ei:
         bf_group(A1, xl.char_poly(A1))
     assert ei.value.determinant == 0
+
+
+def tower_group(A, k):
+    """G_k = BF_g(A) at g = x^(k!) - 1."""
+    return bf_group(A, polys.x_pow_minus_one(factorial(k)))
 
 
 def test_tower_group_orders():

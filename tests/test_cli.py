@@ -162,6 +162,18 @@ def test_ideal_principal(capsys, mats):
     assert rep["result"]["principal_search"]["bound"] == 8
 
 
+@pytest.mark.parametrize("sub", ["principal", "weak-equiv"])
+def test_ideal_rejects_non_similar_pair(capsys, tmp_path, sub):
+    # companions of x^3-3x^2+x-1 and x^3-4x^2+2x-1: both irreducible, but
+    # different fields, so their eigen ideals cannot be compared
+    A = write(tmp_path, "A.txt", ((0, 1, 0), (0, 0, 1), (1, -1, 3)))
+    B = write(tmp_path, "B.txt", ((0, 1, 0), (0, 0, 1), (1, -2, 4)))
+    code, out, err = run(capsys, ["ideal", A, sub, B, "--json"])
+    assert code == 1
+    assert out == ""
+    assert "not similar" in err and err.count("\n") == 1
+
+
 def test_ideal_nesting_guard_exits_1(capsys, mats, monkeypatch):
     # (A2, B2) needs scale 2, so a limit of 1 trips the guard
     monkeypatch.setattr(ideal_theory, "NEST_SCALE_LIMIT", 1)

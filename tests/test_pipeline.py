@@ -5,11 +5,13 @@ from toralconj import polys
 from toralconj.conjugacy_pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
+    _emit_not_conjugate,
     decide,
     intertwiner_lattice,
     similarity_check,
     unimodular_search,
 )
+from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
 
 from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
@@ -146,6 +148,24 @@ def test_decide_conjugate_roundtrip(rng):
         C = v.certificate
         assert xl.mat_mul(A, C) == xl.mat_mul(C, B)
         assert xl.det(C) in (1, -1)
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        {"kind": "bf_screen", "g": "x+1"},
+        {"kind": "tower_level", "level": 2, "detail": {"kind": "canonical_quotient", "divisor": "x+1"}},
+        {"kind": "tower_level", "level": 2, "detail": {"kind": "module_iso_no"}},
+    ],
+    ids=["bf_screen", "canonical_quotient", "module_iso_no"],
+)
+def test_module_witnesses_rebuilt_from_scratch(witness):
+    # BF_{x+1} separates the first worked pair, and so does the level-2 module
+    # G_2 = BF_{x^2-1}, whose (x+1)-quotient is BF_{x+1}; the same witness
+    # for a matrix against itself must fail to re-verify
+    assert _emit_not_conjugate(A1, B1, witness, [], DEFAULT_CONFIG).outcome == "not_conjugate"
+    with pytest.raises(InternalInconsistencyError, match="does not re-verify"):
+        _emit_not_conjugate(A1, A1, witness, [], DEFAULT_CONFIG)
 
 
 def test_decide_symmetry_examples():

@@ -24,3 +24,18 @@ def test_no_assert_based_runtime_checks():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_only_bf_invariants_evaluates_polynomials_at_matrices():
+    # BF_g(A) = Z^n / Z^n g(A) has one builder, bf_invariants.bf_group;
+    # everything else (tower levels, the tower screen, witness re-checks)
+    # gets its modules from there.
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "eval_poly_at_matrix":
+                    callers.add(path.name)
+    assert callers == {"bf_invariants.py"}

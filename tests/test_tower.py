@@ -2,6 +2,7 @@ import pytest
 
 from toralconj import exact_linalg as xl
 from toralconj import tower as tw
+from toralconj.bf_invariants import bf_group
 from toralconj.errors import ResourceLimitError, ToralConjError
 from toralconj.finite_modules import intertwiner_kernel
 
@@ -45,9 +46,10 @@ def test_nesting_on_generators(towA1, towA2):
         for k in range(1, tower.depth):
             upper = tower.level(k + 1)
             lower = tower.level(k)
-            M = xl.mat_sub(upper.power, I3)
-            for row in M:
-                assert xl.lattice_membership(lower.lattice, row) is not None
+            power = xl.matrix_power_factorial(tower.base, k + 1)
+            assert upper.module.relations == xl.mat_sub(power, I3)
+            for row in upper.module.relations:
+                assert xl.lattice_membership(lower.module.relations_hnf, row) is not None
 
 
 def test_epi_compatibility(towA1):
@@ -154,6 +156,22 @@ def test_level_iso_self(towA1):
         assert m.mat == xl.identity(m.source.rank)
 
 
+def test_level_iso_screens_each_divisor_once(towA2, monkeypatch):
+    # x^24 - 1 has 14 distinct screened divisors (8 cyclotomic, 6 more
+    # x^e - 1); a divisor that passed at a lower level is not rebuilt
+    calls = []
+
+    def counting_bf_group(A, g):
+        calls.append(g)
+        return bf_group(A, g)
+
+    monkeypatch.setattr(tw, "bf_group", counting_bf_group)
+    out = tw.level_iso_family(towA2, towA2, 4)
+    assert out.kind == "found"
+    assert len(calls) == 28
+    assert len(set(calls)) == 14 == len(tw._divisor_polynomials(4))
+
+
 def test_level_iso_conjugate_pair(rng):
     A = A1
     U = random_unimodular(rng)
@@ -170,7 +188,7 @@ def test_delta_identity_family(towA1):
     out = tw.level_iso_family(towA1, towA1, 2)
     delta = tw.delta_lattice(towA1, towA1, out.family, 2)
     # Delta = {(m, m~) : m - m~ in N_2}
-    N2 = towA1.level(2).lattice
+    N2 = towA1.level(2).module.relations_hnf
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert xl.lattice_membership(delta.basis, e + e) is not None
@@ -219,7 +237,7 @@ def test_transport_family_identity(towA1):
 
 def test_probe_e1_escapes_at_level_1(towA1):
     # the first standard basis vector is not in N_1 for this matrix
-    assert xl.lattice_membership(towA1.level(1).lattice, (1, 0, 0)) is None
+    assert xl.lattice_membership(towA1.level(1).module.relations_hnf, (1, 0, 0)) is None
 
 
 def test_delta_depth_zero_is_everything(towA1):
@@ -272,7 +290,7 @@ def test_graph_solvability_matches_affine_oracle(rng, n):
                 GB.lift(fam.maps[k - 1].apply(GA.reduce(e))) for e in xl.identity(n)
             )
             shifted = ((ctil[0][0] + 1,) + ctil[0][1:],) + ctil[1:]
-            Nb = tB.level(k).lattice
+            Nb = tB.level(k).module.relations_hnf
             assert tw._graph_repr_solvable(kern, ctil, Nb)
             assert _graph_repr_solvable_affine(A, B, ctil, Nb)
             got = tw._graph_repr_solvable(kern, shifted, Nb)
