@@ -198,11 +198,17 @@ def map_from_ambient(source: FiniteModulePresentation, target: FiniteModulePrese
     return ModuleMap(source, target, rows)
 
 
+def _primes(P: FiniteModulePresentation) -> list[int]:
+    """The primes dividing the order, from the largest invariant factor:
+    every d_i divides d_r, so d_r has the same primes and fewer bits."""
+    return sorted(factorint(P.factors[-1])) if P.factors else []
+
+
 def primary_decompose(P: FiniteModulePresentation) -> list[tuple[int, FiniteModulePresentation]]:
     """Per-prime components with their induced actions; order is the product
     of the component orders."""
     out = []
-    for p in sorted(factorint(P.order)):
+    for p in _primes(P):
         comp, _, _ = _primary_component(P, p)
         out.append((p, comp))
     total = 1
@@ -261,9 +267,8 @@ def _action_char_poly_mod_p(P: FiniteModulePresentation, p: int) -> tuple[int, .
     return tuple(c % p for c in xl.char_poly(sub))
 
 
-def invariant_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentation) -> dict | None:
-    """Cheap decisive obstructions: order, invariant factors, and per-prime
-    characteristic polynomial of the action on G/pG.  None when all agree."""
+def _group_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentation) -> dict | None:
+    """Order and invariant factors, which need no factoring."""
     if PA.order != PB.order:
         return {
             "reason": "order",
@@ -276,7 +281,13 @@ def invariant_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentatio
             "left": list(PA.factors),
             "right": list(PB.factors),
         }
-    for p in sorted(factorint(PA.order)):
+    return None
+
+
+def _action_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentation, primes: list[int]) -> dict | None:
+    """Per-prime characteristic polynomials of the actions on G/pG, for
+    presentations with equal invariant factors."""
+    for p in primes:
         ca = _action_char_poly_mod_p(PA, p)
         cb = _action_char_poly_mod_p(PB, p)
         if ca != cb:
@@ -287,6 +298,15 @@ def invariant_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentatio
                 "right": list(cb),
             }
     return None
+
+
+def invariant_mismatch(PA: FiniteModulePresentation, PB: FiniteModulePresentation) -> dict | None:
+    """Cheap decisive obstructions: order, invariant factors, and per-prime
+    characteristic polynomial of the action on G/pG.  None when all agree."""
+    mismatch = _group_mismatch(PA, PB)
+    if mismatch is None:
+        mismatch = _action_mismatch(PA, PB, _primes(PA))
+    return mismatch
 
 
 @dataclass(frozen=True)
@@ -451,13 +471,16 @@ def module_iso_exists(
     """Decide whether the presentations are isomorphic as modules with their
     matrix actions.
 
-    Ladder: order, invariant factors, per-prime action characteristic
-    polynomials; then candidate maps induced by exact ambient intertwiners;
-    then a per-primary-component search through the full set of intertwining
-    homomorphisms (exhaustion certifies No, budget overflow yields Unknown).
+    Ladder: order and invariant factors; then the identity map and the
+    candidate maps induced by exact ambient intertwiners; only then, with
+    the largest invariant factor factored once, the per-prime action
+    characteristic polynomials and a per-primary-component search through
+    the full set of intertwining homomorphisms (exhaustion certifies No,
+    budget overflow yields Unknown).  Isomorphic modules have equal per-prime polynomials,
+    so trying maps first changes no verdict; it only skips the factoring.
     Any Yes carries a map re-verified exactly before return.
     """
-    mismatch = invariant_mismatch(PA, PB)
+    mismatch = _group_mismatch(PA, PB)
     if mismatch is not None:
         return IsoResult("no", witness=mismatch)
     if PA.order == 1:
@@ -482,8 +505,13 @@ def module_iso_exists(
         if m is not None:
             return IsoResult("yes", iso=m, tried=tried, complete=True)
 
-    comps_a = {p: _primary_component(PA, p) for p in sorted(factorint(PA.order))}
-    comps_b = {p: _primary_component(PB, p) for p in sorted(factorint(PB.order))}
+    primes = _primes(PA)
+    mismatch = _action_mismatch(PA, PB, primes)
+    if mismatch is not None:
+        return IsoResult("no", witness=mismatch, tried=tried)
+
+    comps_a = {p: _primary_component(PA, p) for p in primes}
+    comps_b = {p: _primary_component(PB, p) for p in primes}
     per_prime: dict[int, Mat] = {}
     incomplete = []
     for p in comps_a:

@@ -1,11 +1,16 @@
 """Integer factorization helpers: deterministic Miller-Rabin plus Pollard rho.
 
 Orders of the finite quotient modules can reach ~10^30 for deep tower levels,
-so trial division alone is not enough.  Everything here is deterministic:
-the rho walk uses fixed increments, so repeated runs factor identically.
+so trial division alone is not enough.  The module isomorphism test factors
+only after its cheap candidate maps have failed, and then only the largest
+invariant factor, which has the primes of the order and fewer bits.
+Everything here is deterministic: the rho walk uses fixed increments, so
+repeated runs factor identically.
 """
 
 from math import gcd
+
+from .errors import ResourceLimitError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -41,8 +46,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite, no small prime factors.  Brent's variant with a
-    # deterministic sequence of polynomial increments.
+    # n odd composite, no small prime factors.  Floyd's cycle finding on
+    # x -> x^2 + c, with a deterministic sequence of increments c.
     for c in range(1, 1000):
         x = 2
         y = 2
@@ -54,7 +59,7 @@ def _pollard_rho(n: int) -> int:
             d = gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"pollard rho failed on {n}")
+    raise ResourceLimitError(f"pollard rho found no factor of {n}")
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -4,6 +4,7 @@ Canonical form: no trailing zero coefficients, the zero polynomial is ().
 All arithmetic is exact over Z; rational work uses fractions.Fraction.
 """
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -159,6 +160,7 @@ def x_pow_plus_one(m: int) -> Poly:
     return trim([1] + [0] * (m - 1) + [1])
 
 
+@functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Poly:
     """d-th cyclotomic polynomial via exact division of x^d - 1."""
     p = x_pow_minus_one(d)

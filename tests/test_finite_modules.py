@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from toralconj import exact_linalg as xl
 from toralconj import finite_modules as fm
+from toralconj.bf_invariants import default_family
 from toralconj.errors import IllFormedActionError, InfiniteQuotientError
+from toralconj.intfactor import factorint
 
 from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
 
@@ -169,6 +171,47 @@ def test_action_distinguishes_same_group():
     res = fm.module_iso_exists(ident, twist)
     assert res.verdict == "no"
     assert res.witness["reason"] == "action_char_poly_mod_p"
+
+
+def test_action_refutation_counts_maps_tried_first():
+    # the identity is tried before the per-prime check refutes; the ambient
+    # intertwiners of I and 2I are only 0, so no further candidate exists
+    rel = xl.mat_scale(xl.identity(2), 5)
+    ident = fm.quotient(rel, xl.identity(2))
+    twist = fm.quotient(rel, xl.mat([[2, 0], [0, 2]]))
+    data = fm.module_iso_exists(ident, twist).to_data()
+    assert data["witness"]["reason"] == "action_char_poly_mod_p"
+    assert data["candidates_tried"] == 1
+
+
+def test_iso_yes_passes_skipped_action_check(rng):
+    # a Yes found by a candidate map skips the per-prime G/pG check, so
+    # re-run that check on every module pair of the BF family
+    yes = 0
+    for _ in range(6):
+        A = random_hyperbolic(rng)
+        U = random_unimodular(rng)
+        B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+        for g in default_family(A, B):
+            PA, PB = bf_module(A, g), bf_module(B, g)
+            res = fm.module_iso_exists(PA, PB)
+            assert res.verdict != "no"
+            if res.verdict == "yes":
+                yes += 1
+                assert fm.invariant_mismatch(PA, PB) is None
+    assert yes > 0
+
+
+def test_primes_from_largest_invariant_factor(rng):
+    checked = 0
+    for _ in range(4):
+        A = random_hyperbolic(rng)
+        for g in default_family(A):
+            P = bf_module(A, g)
+            assert fm._primes(P) == sorted(factorint(P.order))
+            checked += P.rank > 1
+    assert checked > 0
+    assert fm._primes(fm.quotient(I3, A1)) == []
 
 
 def test_exhausted_search_is_certified_no():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toralconj import exact_linalg as xl
@@ -148,6 +150,37 @@ def test_decide_conjugate_roundtrip(rng):
         C = v.certificate
         assert xl.mat_mul(A, C) == xl.mat_mul(C, B)
         assert xl.det(C) in (1, -1)
+
+
+@pytest.fixture
+def no_factoring(monkeypatch):
+    def refuse(n):
+        pytest.fail(f"the module isomorphism test factored {n}")
+
+    monkeypatch.setattr("toralconj.finite_modules.factorint", refuse)
+
+
+def _conjugate_by(U, A):
+    return xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+
+
+def test_decide_2x2_large_orders_without_factoring(no_factoring):
+    # BF orders of this pair stall Pollard rho; the identity or an ambient
+    # intertwiner settles every module pair of the screen before factoring
+    A = xl.mat([[1000001, 1000000], [1, 1]])
+    B = _conjugate_by(xl.mat([[2, 1], [1, 1]]), A)
+    v = decide(A, B)
+    assert v.outcome == "conjugate"
+    assert xl.mat_mul(A, v.certificate) == xl.mat_mul(v.certificate, B)
+
+
+def test_decide_4x4_entries_30_without_factoring(no_factoring):
+    rng = random.Random(2)
+    A = random_hyperbolic(rng, 4, 30)
+    B = _conjugate_by(random_unimodular(rng, 4), A)
+    v = decide(A, B)
+    assert v.outcome == "conjugate"
+    assert xl.mat_mul(A, v.certificate) == xl.mat_mul(v.certificate, B)
 
 
 @pytest.mark.parametrize(
