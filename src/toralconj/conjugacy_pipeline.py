@@ -18,7 +18,7 @@ from . import polys
 from .bf_invariants import bf_group, default_family, hyperbolicity_check, strong_bf_screen
 from .errors import InternalInconsistencyError
 from .finite_modules import intertwiner_kernel, invariant_mismatch, module_iso_exists
-from .tower import build_tower, classify_delta, delta_lattice, level_iso_family
+from .tower import build_tower, level_iso_family
 
 Mat = xl.Mat
 Vec = xl.Vec
@@ -299,7 +299,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         if verdict is not None:
             return verdict
 
-    # (6) tower route
+    # (6) tower route: the level-isomorphism screen
     if hyp:
         verdict = _tower_route(A, B, evidence, config)
         if verdict is not None:
@@ -356,12 +356,13 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
 
 
 def _tower_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verdict | None:
+    """Level-isomorphism screen, the one tower output that can refute; a
+    found family adds nothing the unimodular search has not already tried."""
     towA = build_tower(A, config.tower_depth, cap=max(config.tower_depth, 4))
     towB = build_tower(B, config.tower_depth, cap=max(config.tower_depth, 4))
     outcome = level_iso_family(towA, towB, budget=config.iso_budget)
-    record: dict = {"stage": "tower_route", "level_iso": outcome.to_data()}
+    evidence.append({"stage": "tower_route", "level_iso": outcome.to_data()})
     if outcome.kind == "not_found_at_level":
-        evidence.append(record)
         return _emit_not_conjugate(
             A,
             B,
@@ -369,23 +370,4 @@ def _tower_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
             evidence,
             config,
         )
-    if outcome.kind == "unknown":
-        evidence.append(record)
-        return None
-    family = outcome.family
-    deltas = [
-        delta_lattice(towA, towB, family, k) for k in range(1, config.tower_depth + 1)
-    ]
-    cls = classify_delta(
-        towA,
-        towB,
-        family,
-        deltas,
-        search_bound=config.unimodular_bound,
-        max_candidates=config.search_max_candidates,
-    )
-    record["delta"] = cls.to_data()
-    evidence.append(record)
-    if cls.kind == "graph_of_conjugator":
-        return _emit_conjugate(A, B, cls.conjugator, evidence, config)
     return None

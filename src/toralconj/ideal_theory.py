@@ -259,19 +259,17 @@ class FractionalIdeal:
         return {"basis": [list(r) for r in self.mat], "den": self.den}
 
 
-NEST_SCALE_LIMIT = 10_000
-
-
 def nest_inside(I: FractionalIdeal, J: FractionalIdeal) -> tuple[int, FractionalIdeal]:
-    """The least integer s >= 1 with s I <= J, and s I.  Such an s always
-    exists for full-rank lattices; past NEST_SCALE_LIMIT the search stops."""
-    scale, sI = 1, I
-    while not sI.is_subset(J):
-        scale += 1
-        if scale > NEST_SCALE_LIMIT:
-            raise InternalInconsistencyError("could not nest I inside J")
-        sI = I.scale_int(scale)
-    return scale, sI
+    """The least integer s >= 1 with s I <= J, and s I: the lcm of the
+    reduced denominators of I's basis in J's basis,
+    I.mat J.mat^-1 J.den / I.den."""
+    adj, d = xl.invert_rational(J.mat)
+    den = d * I.den
+    s = den // gcd(den, *(x * J.den for r in xl.mat_mul(I.mat, adj) for x in r))
+    sI = I.scale_int(s)
+    if not sI.is_subset(J):
+        raise InternalInconsistencyError("could not nest I inside J")
+    return s, sI
 
 
 def ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:

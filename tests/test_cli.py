@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toralconj import cli, ideal_theory
+from toralconj import cli
 
 from conftest import A1, A2, B1, B2
 
@@ -172,14 +172,6 @@ def test_ideal_rejects_non_similar_pair(capsys, tmp_path, sub):
     assert code == 1
     assert out == ""
     assert "not similar" in err and err.count("\n") == 1
-
-
-def test_ideal_nesting_guard_exits_1(capsys, mats, monkeypatch):
-    # (A2, B2) needs scale 2, so a limit of 1 trips the guard
-    monkeypatch.setattr(ideal_theory, "NEST_SCALE_LIMIT", 1)
-    code, out, err = run(capsys, ["ideal", mats["A2"], "weak-equiv", mats["B2"]])
-    assert code == 1
-    assert "could not nest" in err and not out
 
 
 def test_ideal_reducible_exit(capsys, tmp_path):

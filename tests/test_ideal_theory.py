@@ -155,13 +155,46 @@ def _nested_pair(pair):
     return I2, v2, J, w, nf_
 
 
-def test_nest_inside_matches_scaling_loop(pair):
-    I, v, J, _, _ = pair
+def _scaling_loop(I, J, limit=1000):
+    scale, sI = 1, I
+    while not sI.is_subset(J):
+        scale += 1
+        assert scale <= limit
+        sI = I.scale_int(scale)
+    return scale, sI
+
+
+def test_nest_inside_matches_scaling_loop(pair, rng):
+    I, v, J, _, nf_ = pair
     I2, v2, _, _, _ = _nested_pair(pair)
     scale, sI = it.nest_inside(I, J)
     assert scale == 2 and sI == I2
     assert tuple(x.mul_int(scale) for x in v) == v2
     assert it.nest_inside(J, J) == (1, J)
+    ideals = [I, J]
+    for _ in range(3):
+        U = random_unimodular(rng)
+        ideals.append(it.eigen_ideal(xl.mat_mul(xl.mat_mul(U, A2), xl.unimodular_inverse(U)))[0])
+    for coords, den in (((1, 1, 0), 3), ((2, 0, 1), 5), ((0, 3, 1), 2)):
+        ideals.append(J.scale(it.FieldElement.make(nf_, coords, den)))
+    scales = set()
+    for X in ideals:
+        for Y in ideals:
+            got = it.nest_inside(X, Y)
+            assert got == _scaling_loop(X, Y)
+            scales.add(got[0])
+    assert len(scales) > 3
+
+
+def test_nest_inside_large_scale_is_least():
+    A = xl.mat([[1000001, 1000000], [1, 1]])
+    B = xl.mat([[2, 28169], [71, 1000000]])
+    I, J = it.eigen_ideal(A)[0], it.eigen_ideal(B)[0]
+    scale, sI = it.nest_inside(I, J)
+    assert scale == 28169 == 17 * 1657
+    assert sI == I.scale_int(scale) and sI.is_subset(J)
+    for q in (17, 1657):
+        assert not I.scale_int(scale // q).is_subset(J)
 
 
 def test_weak_equivalence_self(pair):

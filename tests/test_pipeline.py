@@ -132,6 +132,11 @@ def test_decide_example2_unknown():
     assert ideal["weak_equivalence"]["weakly_equivalent"]
     assert not ideal["principal_search"]["principal"]
     assert ideal["principal_search"]["bound"] == 8
+    # the tower route only screens the levels: a conjugator read off the
+    # pair lattices is one unimodular_search has already found
+    tower = stages["tower_route"]
+    assert tower["level_iso"]["kind"] == "found"
+    assert "delta" not in tower
 
 
 def test_decide_dissimilar():
@@ -181,6 +186,16 @@ def test_decide_4x4_entries_30_without_factoring(no_factoring):
     v = decide(A, B)
     assert v.outcome == "conjugate"
     assert xl.mat_mul(A, v.certificate) == xl.mat_mul(v.certificate, B)
+
+
+def test_decide_nests_ideals_at_large_scale():
+    # the eigen ideal of A fits inside that of B only after scaling by
+    # 28169 = 17 * 1657
+    A = xl.mat([[1000001, 1000000], [1, 1]])
+    B = xl.mat([[2, 28169], [71, 1000000]])
+    v = decide(A, B)
+    assert v.outcome == "unknown"
+    assert [e["stage"] for e in v.evidence][-2:] == ["ideal_route", "tower_route"]
 
 
 @pytest.mark.parametrize(

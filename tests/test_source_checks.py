@@ -39,3 +39,14 @@ def test_only_bf_invariants_evaluates_polynomials_at_matrices():
                 if name == "eval_poly_at_matrix":
                     callers.add(path.name)
     assert callers == {"bf_invariants.py"}
+
+
+def test_pipeline_does_not_search_the_pair_lattices():
+    # classify_delta searches the intertwiner lattice that unimodular_search
+    # has already searched with the same bound and shell order, so decide
+    # runs only the tower's level-isomorphism screen.
+    tree = ast.parse((SRC / "conjugacy_pipeline.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"classify_delta", "delta_lattice"}

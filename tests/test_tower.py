@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from toralconj import exact_linalg as xl
 from toralconj import tower as tw
 from toralconj.bf_invariants import bf_group
+from toralconj.conjugacy_pipeline import DEFAULT_CONFIG, intertwiner_lattice, unimodular_search
 from toralconj.errors import ResourceLimitError, ToralConjError
 from toralconj.finite_modules import intertwiner_kernel
 
@@ -252,6 +255,63 @@ def test_classify_identity_certificate_is_identity(towA1):
     cls = tw.classify_delta(towA1, towA1, fam, deltas, search_bound=2)
     assert cls.kind == "graph_of_conjugator"
     assert cls.conjugator == I3
+
+
+def _sublattice_pair(rng, n, bound):
+    """(A, B) with B = U (M A M^-1) U^-1, where the rows of M span an
+    A-invariant sublattice of prime index and U is a random unimodular."""
+    while True:
+        A = random_hyperbolic(rng, n, bound)
+        p = rng.choice((2, 3, 5))
+        for w in product(range(p), repeat=n):
+            k = next((i for i in range(n) if w[i]), None)
+            Aw = tuple(sum(A[i][j] * w[j] for j in range(n)) % p for i in range(n))
+            if k is None or any((Aw[i] * w[k] - Aw[k] * w[i]) % p for i in range(n)):
+                continue
+            # L = {v : v . w = 0 mod p}, with A w = lam w mod p, so L A <= L
+            inv = pow(w[k], -1, p)
+            M = [list(r) for r in xl.identity(n)]
+            for i in range(n):
+                M[i][k] = p if i == k else -w[i] * inv % p
+            adj, d = xl.invert_rational(M)
+            num = xl.mat_mul(xl.mat_mul(M, A), adj)
+            assert not any(x % d for r in num for x in r)
+            S = tuple(tuple(x // d for x in r) for r in num)
+            U = random_unimodular(rng, n)
+            return A, xl.mat_mul(xl.mat_mul(U, S), xl.unimodular_inverse(U))
+
+
+def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
+    # classify_delta walks the same intertwiner lattice, bound and shell order
+    # as unimodular_search, with an extra congruence filter and without the
+    # +-c halving; below rank 6 neither walk reaches the candidate cap, so a
+    # conjugator read off the pair lattices is one the direct search finds.
+    bound = DEFAULT_CONFIG.unimodular_bound
+    pairs = []
+    for n in (2, 3):
+        for _ in range(3):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U)), U))
+        for _ in range(4 if n == 2 else 2):
+            pairs.append(_sublattice_pair(rng, n, 4) + (None,))
+    graphs = 0
+    for A, B, U in pairs:
+        lattice = intertwiner_lattice(A, B)
+        assert (2 * bound + 1) ** lattice.rank <= DEFAULT_CONFIG.search_max_candidates
+        tA, tB = tw.build_tower(A, 3), tw.build_tower(B, 3)
+        families = [tw.level_iso_family(tA, tB, budget=DEFAULT_CONFIG.iso_budget).family]
+        if U is not None:
+            families.append(tw.transport_family(tA, tB, xl.unimodular_inverse(U)))
+        for fam in families:
+            if fam is None:
+                continue
+            deltas = [tw.delta_lattice(tA, tB, fam, k) for k in (1, 2, 3)]
+            cls = tw.classify_delta(tA, tB, fam, deltas, search_bound=bound)
+            if cls.kind == "graph_of_conjugator":
+                graphs += 1
+                assert unimodular_search(lattice, bound).found
+    assert graphs >= 6
 
 
 # ------------------------------------------------------------------ graph solvability oracle
