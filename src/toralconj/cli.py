@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-c", type=int, default=5, dest="family_c")
     p.add_argument("--family-m", type=int, default=6, dest="family_m")
     p.add_argument("--iso-budget", type=int, default=100_000, dest="iso_budget")
-    p.add_argument("--tower-depth", type=int, default=4, dest="tower_depth")
+    depth_help = "screen the divisors of x^(k!)-1 for k <= N (default 4)"
+    p.add_argument("--tower-depth", type=int, default=4, dest="tower_depth", metavar="N", help=depth_help)
     p.add_argument("--search-bound", type=int, default=5, dest="search_bound")
     p.add_argument("--principal-bound", type=int, default=8, dest="principal_bound")
     p.add_argument("--json", action="store_true")
@@ -352,17 +353,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def _check_args(args) -> None:
+    """What argparse leaves unchecked; checked here because argparse exits
+    with 2, which means "unknown"."""
     if args.cmd == "ideal" and args.sub in ("weak-equiv", "principal") and not args.matrix_b:
-        print("error: this ideal subcommand needs a second matrix file", file=sys.stderr)
-        return 1
+        raise InputError("this ideal subcommand needs a second matrix file")
+    for name, value in vars(args).items():
+        if isinstance(value, int) and not isinstance(value, bool) and value < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    if getattr(args, "levels", 1) < 1:
+        raise InputError(f"--levels must be >= 1, got {args.levels}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ToralConjError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Decision pipeline: orchestrates similarity, the BF screen, direct
 unimodular search, the fractional-ideal route, and the tower route into a
-single verdict with machine-checkable evidence.
+single verdict with machine-checkable evidence.  The tower route is one more
+BF screen, over the divisors of x^(k!) - 1 that the first screen skipped.
 
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
@@ -10,15 +11,14 @@ its budgets.
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
-from .bf_invariants import bf_group, default_family, hyperbolicity_check, strong_bf_screen
+from .bf_invariants import ScreenReport, bf_group, default_family, hyperbolicity_check, strong_bf_screen
 from .errors import InternalInconsistencyError
-from .finite_modules import intertwiner_kernel, invariant_mismatch, module_iso_exists
-from .tower import build_tower, level_iso_family
+from .finite_modules import intertwiner_kernel, module_iso_exists
+from .tower import tower_polynomials
 
 Mat = xl.Mat
 Vec = xl.Vec
@@ -190,35 +190,41 @@ def _emit_conjugate(A: Mat, B: Mat, C: Mat, evidence, config) -> Verdict:
     return Verdict("conjugate", C, None, tuple(evidence), config)
 
 
+def _bf_witness(screen: ScreenReport) -> dict:
+    rec = screen.records[-1]
+    return {
+        "kind": "bf_screen",
+        "g": polys.to_str(screen.witness),
+        "left": {"order": rec["order_left"], "invariant_factors": rec["factors_left"]},
+        "right": {"order": rec["order_right"], "invariant_factors": rec["factors_right"]},
+    }
+
+
 def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verdict:
+    """Rebuild the witness from A and B alone: every claim in it must match
+    the rebuilt data, and the rebuilt data must refute."""
     kind = witness.get("kind")
     if kind == "similarity":
-        if similarity_check(A, B):
-            raise InternalInconsistencyError("similarity witness does not re-verify")
-    elif kind in ("bf_screen", "tower_level"):
-        # rebuild both modules from scratch: BF_g at the screen polynomial,
-        # the tower divisor, or g = x^(k!) - 1 for the level module itself
-        detail = witness.get("detail", {})
-        if kind == "bf_screen":
-            g = polys.parse(witness["g"])
-        elif detail["kind"] == "canonical_quotient":
-            g = polys.parse(detail["divisor"])
-        else:
-            g = polys.x_pow_minus_one(factorial(witness["level"]))
+        pa, pb = xl.char_poly(A), xl.char_poly(B)
+        claims = {"char_poly_left": polys.to_str(pa), "char_poly_right": polys.to_str(pb)}
+        refuted = not similarity_check(A, B)
+    elif kind == "bf_screen":
+        g = polys.parse(witness["g"])
         GA, GB = bf_group(A, g).module, bf_group(B, g).module
-        if detail.get("kind") == "canonical_quotient":
-            refuted = invariant_mismatch(GA, GB) is not None
-        else:
-            refuted = module_iso_exists(GA, GB, budget=config.iso_budget).verdict == "no"
-        if not refuted:
-            raise InternalInconsistencyError(f"{kind} witness does not re-verify")
+        claims = {"left": GA.fingerprint(), "right": GB.fingerprint()}
+        refuted = module_iso_exists(GA, GB, budget=config.iso_budget).verdict == "no"
     elif kind == "multiplier_ring":
         ra = ideals.multiplier_ring(ideals.eigen_ideal(A)[0])
         rb = ideals.multiplier_ring(ideals.eigen_ideal(B)[0])
-        if (ra.mat, ra.den) == (rb.mat, rb.den):
-            raise InternalInconsistencyError("ring witness does not re-verify")
+        claims = {"left": ra.to_data(), "right": rb.to_data()}
+        refuted = (ra.mat, ra.den) != (rb.mat, rb.den)
     else:
         raise InternalInconsistencyError(f"unknown witness kind {kind!r}")
+    wrong = [key for key, rebuilt in claims.items() if witness.get(key) != rebuilt]
+    if wrong:
+        raise InternalInconsistencyError(f"{kind} witness claims {wrong} that A and B do not rebuild")
+    if not refuted:
+        raise InternalInconsistencyError(f"{kind} witness does not re-verify")
     return Verdict("not_conjugate", None, witness, tuple(evidence), config)
 
 
@@ -271,19 +277,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     screen = strong_bf_screen(A, B, family, budget=config.iso_budget)
     evidence.append({"stage": "bf_screen", "report": screen.to_data()})
     if screen.outcome == "not_equivalent":
-        rec = screen.records[-1]
-        return _emit_not_conjugate(
-            A,
-            B,
-            {
-                "kind": "bf_screen",
-                "g": polys.to_str(screen.witness),
-                "left": {"order": rec["order_left"], "invariant_factors": rec["factors_left"]},
-                "right": {"order": rec["order_right"], "invariant_factors": rec["factors_right"]},
-            },
-            evidence,
-            config,
-        )
+        return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
     # (4) direct unimodular search in the intertwiner lattice
     lattice = intertwiner_lattice(A, B)
@@ -299,11 +293,15 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         if verdict is not None:
             return verdict
 
-    # (6) tower route: the level-isomorphism screen
+    # (6) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
+    # every quotient BF_g for g | x^(K!) - 1, so screen the tower polynomials
+    # that stage 3 has not
     if hyp:
-        verdict = _tower_route(A, B, evidence, config)
-        if verdict is not None:
-            return verdict
+        extra = [g for g in tower_polynomials(config.tower_depth) if g not in family]
+        screen = strong_bf_screen(A, B, extra, budget=config.iso_budget)
+        evidence.append({"stage": "tower_route", "report": screen.to_data()})
+        if screen.outcome == "not_equivalent":
+            return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
     return Verdict("unknown", None, None, tuple(evidence), config)
 
@@ -352,22 +350,4 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
                 return _emit_conjugate(A, B, C, evidence, config)
             record["generator_rejected"] = "z I != J"
     evidence.append(record)
-    return None
-
-
-def _tower_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verdict | None:
-    """Level-isomorphism screen, the one tower output that can refute; a
-    found family adds nothing the unimodular search has not already tried."""
-    towA = build_tower(A, config.tower_depth, cap=max(config.tower_depth, 4))
-    towB = build_tower(B, config.tower_depth, cap=max(config.tower_depth, 4))
-    outcome = level_iso_family(towA, towB, budget=config.iso_budget)
-    evidence.append({"stage": "tower_route", "level_iso": outcome.to_data()})
-    if outcome.kind == "not_found_at_level":
-        return _emit_not_conjugate(
-            A,
-            B,
-            {"kind": "tower_level", "level": outcome.level, "detail": outcome.witness},
-            evidence,
-            config,
-        )
     return None

@@ -276,6 +276,17 @@ def _divisor_polynomials(k: int) -> list[polys.Poly]:
     return out
 
 
+def tower_polynomials(depth: int) -> list[polys.Poly]:
+    """The divisors of x^(k!) - 1, then x^(k!) - 1, for k = 1..depth, once
+    each: every BF_g that an isomorphism of the levels G_depth induces."""
+    out: list[polys.Poly] = []
+    for k in range(1, depth + 1):
+        for g in _divisor_polynomials(k) + [polys.x_pow_minus_one(factorial(k))]:
+            if g not in out:
+                out.append(g)
+    return out
+
+
 def level_iso_family(
     towA: Tower,
     towB: Tower,

@@ -33,6 +33,11 @@ def random_hyperbolic(rng, n=3, bound=9):
             return M
 
 
+def with_eigenvalue(M, c):
+    """The direct sum M + [c]."""
+    return tuple(tuple(r) + (0,) for r in M) + ((0,) * len(M) + (c,),)
+
+
 def random_unimodular(rng, n=3, entry_bound=3, ops=6):
     """Product of elementary shears and signed swaps, rejected until all
     entries fit the bound."""

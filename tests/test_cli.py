@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,34 @@ def test_tower_single_level(capsys, mats):
     assert code == 0
     rep = json.loads(out)
     assert [lv["order"] for lv in rep["result"]["levels"]] == [16]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", "A1", "--levels", "0"],
+        ["tower", "A1", "--probe-bound", "-1", "--verify"],
+        ["decide", "A2", "B2", "--tower-depth", "-1"],
+        ["decide", "A2", "B2", "--iso-budget", "-5"],
+        ["screen", "A1", "B1", "--budget", "-1"],
+        ["ideal", "A1", "principal", "A1", "--bound", "-2"],
+    ],
+    ids=["levels_0", "probe_bound", "tower_depth", "iso_budget", "screen_budget", "ideal_bound"],
+)
+def test_out_of_range_options_exit_1(mats, argv):
+    # a fresh interpreter, so that a traceback would show on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = [mats.get(a, a) for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "toralconj.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: --")
+
+
+def test_decide_tower_depth_0_screens_nothing(capsys, mats):
+    code, out, _ = run(capsys, ["decide", mats["A2"], mats["B2"], "--tower-depth", "0", "--json"])
+    assert code == 2
+    tower = [e for e in json.loads(out)["evidence"] if e["stage"] == "tower_route"]
+    assert tower[0]["report"] == {"family": [], "outcome": "passed_screen", "records": []}

@@ -16,7 +16,7 @@ from toralconj.conjugacy_pipeline import (
 from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
 
 I3 = xl.identity(3)
 
@@ -132,11 +132,12 @@ def test_decide_example2_unknown():
     assert ideal["weak_equivalence"]["weakly_equivalent"]
     assert not ideal["principal_search"]["principal"]
     assert ideal["principal_search"]["bound"] == 8
-    # the tower route only screens the levels: a conjugator read off the
-    # pair lattices is one unimodular_search has already found
-    tower = stages["tower_route"]
-    assert tower["level_iso"]["kind"] == "found"
-    assert "delta" not in tower
+    # the tower route screens the tower polynomials up to depth 4 that the
+    # default family lacks
+    tower = stages["tower_route"]["report"]
+    assert tower["outcome"] == "passed_screen"
+    assert tower["family"] == ["x^8-x^4+1", "x^8-1", "x^12-1", "x^24-1"]
+    assert "delta" not in stages["tower_route"]
 
 
 def test_decide_dissimilar():
@@ -198,22 +199,72 @@ def test_decide_nests_ideals_at_large_scale():
     assert [e["stage"] for e in v.evidence][-2:] == ["ideal_route", "tower_route"]
 
 
-@pytest.mark.parametrize(
-    "witness",
-    [
-        {"kind": "bf_screen", "g": "x+1"},
-        {"kind": "tower_level", "level": 2, "detail": {"kind": "canonical_quotient", "divisor": "x+1"}},
-        {"kind": "tower_level", "level": 2, "detail": {"kind": "module_iso_no"}},
-    ],
-    ids=["bf_screen", "canonical_quotient", "module_iso_no"],
-)
+WITNESS_1 = {
+    "kind": "bf_screen",
+    "g": "x+1",
+    "left": {"order": 32, "invariant_factors": [4, 8]},
+    "right": {"order": 32, "invariant_factors": [2, 16]},
+}
+
+
+@pytest.mark.parametrize("witness", [WITNESS_1], ids=["bf_screen"])
 def test_module_witnesses_rebuilt_from_scratch(witness):
-    # BF_{x+1} separates the first worked pair, and so does the level-2 module
-    # G_2 = BF_{x^2-1}, whose (x+1)-quotient is BF_{x+1}; the same witness
-    # for a matrix against itself must fail to re-verify
+    # BF_{x+1} separates the first worked pair; the same witness for a matrix
+    # against itself must fail to re-verify
     assert _emit_not_conjugate(A1, B1, witness, [], DEFAULT_CONFIG).outcome == "not_conjugate"
+    self_witness = dict(witness, right=witness["left"])
     with pytest.raises(InternalInconsistencyError, match="does not re-verify"):
-        _emit_not_conjugate(A1, A1, witness, [], DEFAULT_CONFIG)
+        _emit_not_conjugate(A1, A1, self_witness, [], DEFAULT_CONFIG)
+    # the tower's level witnesses are gone; decide refutes there with bf_screen
+    tower_level = {"kind": "tower_level", "level": 2, "detail": {"kind": "module_iso_no"}}
+    with pytest.raises(InternalInconsistencyError, match="unknown witness kind 'tower_level'"):
+        _emit_not_conjugate(A1, B1, tower_level, [], DEFAULT_CONFIG)
+
+
+# the index-2 cubic order pair of test_multiplier_ring_refutation_path
+RING_A = xl.mat([[0, 1, 0], [0, 0, 1], [8, 2, 1]])
+RING_B = xl.mat([[0, 0, 4], [1, -1, 0], [0, 2, 2]])
+Z_BETA = {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "den": 1}
+HALF_RING = {"basis": [[2, 0, 0], [0, 1, 1], [0, 0, 2]], "den": 2}
+SIMILARITY = {"kind": "similarity", "char_poly_left": "x^3-23x^2+7x-1", "char_poly_right": "x^3-2x^2-8x-1"}
+RING = {"kind": "multiplier_ring", "left": Z_BETA, "right": HALF_RING}
+
+
+@pytest.mark.parametrize(
+    "A, B, genuine, tampered",
+    [
+        (A1, B1, WITNESS_1, {"left": WITNESS_1["right"], "right": WITNESS_1["left"]}),
+        (A1, B1, WITNESS_1, {"left": {"order": 7, "invariant_factors": [7]}}),
+        (A1, B1, WITNESS_1, {"right": None}),
+        (A1, A2, SIMILARITY, {"char_poly_left": "x^3-2x^2-8x-1"}),
+        (A1, A2, SIMILARITY, {"char_poly_left": "x^3-2x^2-8x-1", "char_poly_right": "x^3-23x^2+7x-1"}),
+        (RING_A, RING_B, RING, {"left": HALF_RING, "right": Z_BETA}),
+        (RING_A, RING_B, RING, {"right": {"basis": [[2, 0, 0], [0, 1, 1], [0, 0, 1]], "den": 2}}),
+    ],
+    ids=["bf_swapped", "bf_fake_order", "bf_missing", "sim_left", "sim_swapped", "ring_swapped", "ring_fake"],
+)
+def test_witness_recheck_compares_the_claimed_data(A, B, genuine, tampered):
+    # the genuine witness re-verifies; a witness whose claims differ from what
+    # A and B rebuild is refused, even though the rebuilt data still refute
+    assert _emit_not_conjugate(A, B, genuine, [], DEFAULT_CONFIG).outcome == "not_conjugate"
+    with pytest.raises(InternalInconsistencyError, match="witness claims"):
+        _emit_not_conjugate(A, B, dict(genuine, **tampered), [], DEFAULT_CONFIG)
+
+
+def test_decide_tower_route_refutes_with_bf_witness():
+    # with the stage-3 family emptied, BF_{x+1} of the first worked pair plus
+    # a common eigenvalue 2 is first screened by the tower route
+    cfg = PipelineConfig(family_max_shift=0, family_max_power=0, cyclotomic_index=0)
+    v = decide(with_eigenvalue(A1, 2), with_eigenvalue(B1, 2), cfg)
+    assert v.outcome == "not_conjugate"
+    assert v.evidence[-1]["stage"] == "tower_route"
+    assert v.evidence[-1]["report"]["outcome"] == "not_equivalent"
+    assert v.witness == {
+        "kind": "bf_screen",
+        "g": "x+1",
+        "left": {"order": 96, "invariant_factors": [4, 24]},
+        "right": {"order": 96, "invariant_factors": [2, 48]},
+    }
 
 
 def test_decide_symmetry_examples():

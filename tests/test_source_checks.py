@@ -43,10 +43,19 @@ def test_only_bf_invariants_evaluates_polynomials_at_matrices():
 
 def test_pipeline_does_not_search_the_pair_lattices():
     # classify_delta searches the intertwiner lattice that unimodular_search
-    # has already searched with the same bound and shell order, so decide
-    # runs only the tower's level-isomorphism screen.
+    # has already searched with the same bound and shell order, and a level
+    # isomorphism family refutes only where the BF screen over the tower
+    # polynomials does, so decide builds no tower and takes only
+    # tower_polynomials from the tower module.
     tree = ast.parse((SRC / "conjugacy_pipeline.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not names & {"classify_delta", "delta_lattice"}
+    assert not names & {"classify_delta", "delta_lattice", "build_tower", "level_iso_family"}
+    from_tower = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tower"
+        for alias in node.names
+    }
+    assert from_tower == {"tower_polynomials"}

@@ -3,13 +3,14 @@ from itertools import product
 import pytest
 
 from toralconj import exact_linalg as xl
+from toralconj import polys
 from toralconj import tower as tw
-from toralconj.bf_invariants import bf_group
+from toralconj.bf_invariants import bf_group, strong_bf_screen
 from toralconj.conjugacy_pipeline import DEFAULT_CONFIG, intertwiner_lattice, unimodular_search
 from toralconj.errors import ResourceLimitError, ToralConjError
 from toralconj.finite_modules import intertwiner_kernel
 
-from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
 
 I3 = xl.identity(3)
 
@@ -312,6 +313,40 @@ def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
                 graphs += 1
                 assert unimodular_search(lattice, bound).found
     assert graphs >= 6
+
+
+def test_tower_polynomials_depth_4():
+    got = [polys.to_str(g) for g in tw.tower_polynomials(4)]
+    assert got[:3] == ["x-1", "x+1", "x^2-1"]
+    assert got[-1] == "x^24-1"
+    assert len(got) == len(set(got)) == 15
+    assert set(tw._divisor_polynomials(4)) | {polys.x_pow_minus_one(24)} == set(tw.tower_polynomials(4))
+    assert tw.tower_polynomials(0) == []
+
+
+def test_level_iso_family_agrees_with_the_tower_screen(rng):
+    # a level-K isomorphism induces one of every BF_g with g | x^(K!) - 1, so
+    # the BF screen over tower_polynomials(K) passes wherever a family exists;
+    # a refuted level is refuted by some BF_g of the screen
+    K = 3
+    pairs = [(A1, B1), (A2, B2), (with_eigenvalue(A1, 2), with_eigenvalue(B1, 2))]
+    for n in (2, 3):
+        for _ in range(2):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+        for _ in range(6 if n == 2 else 3):
+            pairs.append(_sublattice_pair(rng, n, 4))
+    kinds = []
+    for A, B in pairs:
+        out = tw.level_iso_family(tw.build_tower(A, K), tw.build_tower(B, K), budget=DEFAULT_CONFIG.iso_budget)
+        screen = strong_bf_screen(A, B, tw.tower_polynomials(K), budget=DEFAULT_CONFIG.iso_budget)
+        kinds.append(out.kind)
+        if out.kind == "found":
+            assert screen.outcome != "not_equivalent"
+        elif out.kind == "not_found_at_level":
+            assert screen.outcome == "not_equivalent"
+    assert kinds.count("found") >= 4 and kinds.count("not_found_at_level") >= 2
 
 
 # ------------------------------------------------------------------ graph solvability oracle
