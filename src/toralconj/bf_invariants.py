@@ -5,6 +5,7 @@ A screen pass is a necessary-condition filter only and is reported as
 "passed_screen", never as full equivalence over all polynomials.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from . import exact_linalg as xl
@@ -24,6 +25,22 @@ class BFConstructionError(ToralConjError):
         super().__init__(f"g(A) singular (det={determinant}) for g={polys.to_str(g)}")
 
 
+@functools.lru_cache(maxsize=2)
+def _char_poly_memo(A: Mat) -> polys.Poly:
+    return xl.char_poly(A)
+
+
+def cached_char_poly(A: Mat) -> polys.Poly:
+    """char_poly(A), computed once per matrix.
+
+    Every stage of one decision asks for the polynomials of the same two
+    matrices, so the last two are kept.  The memo is separate from
+    xl.char_poly, whose other callers (sub-matrices of module actions)
+    cannot evict A and B.
+    """
+    return _char_poly_memo(xl.mat(A))
+
+
 def hyperbolicity_check(A: Mat) -> bool:
     """True iff no eigenvalue has modulus one, decided exactly.
 
@@ -31,11 +48,13 @@ def hyperbolicity_check(A: Mat) -> bool:
     caught by the reciprocal-gcd plus Sturm-count test on the characteristic
     polynomial, so no numerical fallback is needed.
     """
-    return not polys.has_root_on_unit_circle(xl.char_poly(A))
+    return not polys.has_root_on_unit_circle(cached_char_poly(A))
 
 
 def invertibility_check(A: Mat, g: polys.Poly) -> bool:
-    return xl.det(xl.eval_poly_at_matrix(g, A)) != 0
+    """det g(A) != 0, read as res(char_poly(A), g) != 0: the two are equal
+    because the characteristic polynomial is monic."""
+    return xl.resultant(cached_char_poly(A), g) != 0
 
 
 @dataclass(frozen=True)
@@ -54,13 +73,19 @@ class BFGroup:
 
 
 def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
-    """BF_g(A) = Z^n / Z^n g(A) with the action of A; the order is
-    cross-checked against |res(char_poly(A), g)| at construction."""
+    """BF_g(A) = Z^n / Z^n g(A) with the action of A.
+
+    g(A) is evaluated as r(A) for r = g mod char_poly(A), of degree < n;
+    the two matrices are equal by Cayley-Hamilton, which char_poly verifies
+    exactly.  The order is cross-checked against |res(char_poly(A), g)| at
+    construction.
+    """
+    chi = cached_char_poly(A)
     try:
-        module = quotient(xl.eval_poly_at_matrix(g, A), A)
+        module = quotient(xl.eval_poly_at_matrix(polys.divmod_exact(g, chi)[1], A), A)
     except InfiniteQuotientError:
         raise BFConstructionError(g, 0) from None
-    expected = abs(xl.resultant(xl.char_poly(A), g))
+    expected = abs(xl.resultant(chi, g))
     if module.order != expected:
         raise InternalInconsistencyError("BF order disagrees with the resultant")
     return BFGroup(g=g, base=A, module=module)

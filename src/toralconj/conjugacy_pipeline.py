@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
-from .bf_invariants import ScreenReport, bf_group, default_family, hyperbolicity_check, strong_bf_screen
+from .bf_invariants import (
+    ScreenReport,
+    bf_group,
+    cached_char_poly,
+    default_family,
+    hyperbolicity_check,
+    strong_bf_screen,
+)
 from .errors import InternalInconsistencyError
 from .finite_modules import intertwiner_kernel, module_iso_exists
 from .tower import tower_polynomials
@@ -60,7 +67,7 @@ def similarity_check(A: Mat, B: Mat) -> bool:
     """
     if len(A) != len(B):
         raise ValueError("dimension mismatch")
-    pa, pb = xl.char_poly(A), xl.char_poly(B)
+    pa, pb = cached_char_poly(A), cached_char_poly(B)
     if pa != pb:
         return False
     n = len(A)
@@ -205,7 +212,7 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
     the rebuilt data, and the rebuilt data must refute."""
     kind = witness.get("kind")
     if kind == "similarity":
-        pa, pb = xl.char_poly(A), xl.char_poly(B)
+        pa, pb = cached_char_poly(A), cached_char_poly(B)
         claims = {"char_poly_left": polys.to_str(pa), "char_poly_right": polys.to_str(pb)}
         refuted = not similarity_check(A, B)
     elif kind == "bf_screen":
@@ -240,7 +247,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
     # (1) similarity
     similar = similarity_check(A, B)
-    pa, pb = xl.char_poly(A), xl.char_poly(B)
+    pa, pb = cached_char_poly(A), cached_char_poly(B)
     evidence.append(
         {
             "stage": "similarity",

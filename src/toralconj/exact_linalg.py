@@ -188,11 +188,19 @@ def adjugate(M: Mat) -> Mat:
 
 
 def eval_poly_at_matrix(g: polys.Poly, M: Mat) -> Mat:
-    """Horner evaluation of g at a square matrix."""
+    """Horner evaluation of g at a square matrix, from the leading
+    coefficient down, each lower coefficient added on the diagonal."""
     n = len(M)
-    acc = zeros(n, n)
-    for c in reversed(g):
-        acc = mat_add(mat_mul(acc, M), mat_scale(identity(n), c))
+    if not g:
+        return zeros(n, n)
+    acc = mat_scale(identity(n), g[-1])
+    for c in reversed(g[:-1]):
+        acc = mat_mul(acc, M)
+        if c:
+            acc = tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(acc)
+            )
     return acc
 
 
@@ -335,26 +343,28 @@ def hnf_basis(M: Mat) -> Mat:
 
 
 def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
-    """Smith normal form of a square matrix: (diag, U, V) with U M V diagonal,
-    entries nonnegative and each dividing the next."""
+    """Smith normal form of a square matrix: (diag, V, Vinv) with U M V
+    diagonal for some unimodular U, entries nonnegative and each dividing
+    the next, and Vinv the exact inverse of V.
+
+    Every column operation on V is applied, inverted, to the rows of Vinv,
+    so no separate inversion is needed.  U itself is not kept."""
     if not is_square(M):
         raise ValueError("snf of non-square matrix")
     n = len(M)
     W = [list(r) for r in M]
-    U = [list(r) for r in identity(n)]
     V = [list(r) for r in identity(n)]
+    Vinv = [list(r) for r in identity(n)]
 
     def row_op(i1, i2, x, y, bg, ag):
         for j in range(n):
             a, b = W[i1][j], W[i2][j]
             W[i1][j] = x * a + y * b
             W[i2][j] = -bg * a + ag * b
-        for j in range(n):
-            a, b = U[i1][j], U[i2][j]
-            U[i1][j] = x * a + y * b
-            U[i2][j] = -bg * a + ag * b
 
     def col_op(j1, j2, x, y, bg, ag):
+        # columns (j1, j2) times [[x, -bg], [y, ag]]; its inverse
+        # [[ag, bg], [-y, x]] acts on rows (j1, j2) of Vinv
         for i in range(n):
             a, b = W[i][j1], W[i][j2]
             W[i][j1] = x * a + y * b
@@ -363,6 +373,9 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
             a, b = V[i][j1], V[i][j2]
             V[i][j1] = x * a + y * b
             V[i][j2] = -bg * a + ag * b
+        r1, r2 = Vinv[j1], Vinv[j2]
+        Vinv[j1] = [ag * a + bg * b for a, b in zip(r1, r2)]
+        Vinv[j2] = [-y * a + x * b for a, b in zip(r1, r2)]
 
     for t in range(n):
         # find a nonzero pivot in the trailing submatrix
@@ -379,12 +392,12 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
         i0, j0 = found
         if i0 != t:
             W[t], W[i0] = W[i0], W[t]
-            U[t], U[i0] = U[i0], U[t]
         if j0 != t:
             for r in range(n):
                 W[r][t], W[r][j0] = W[r][j0], W[r][t]
             for r in range(n):
                 V[r][t], V[r][j0] = V[r][j0], V[r][t]
+            Vinv[t], Vinv[j0] = Vinv[j0], Vinv[t]
         while True:
             for i in range(t + 1, n):
                 if W[i][t] != 0:
@@ -393,8 +406,6 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
                         q = b // a
                         for j in range(n):
                             W[i][j] -= q * W[t][j]
-                        for j in range(n):
-                            U[i][j] -= q * U[t][j]
                     else:
                         x, y, g = _xgcd(a, b)
                         row_op(t, i, x, y, b // g, a // g)
@@ -402,11 +413,13 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
                 if W[t][j] != 0:
                     a, b = W[t][t], W[t][j]
                     if b % a == 0:
+                        # col_j -= q col_t, undone on Vinv by row_t += q row_j
                         q = b // a
                         for i in range(n):
                             W[i][j] -= q * W[i][t]
                         for i in range(n):
                             V[i][j] -= q * V[i][t]
+                        Vinv[t] = [x + q * y for x, y in zip(Vinv[t], Vinv[j])]
                     else:
                         x, y, g = _xgcd(a, b)
                         col_op(t, j, x, y, b // g, a // g)
@@ -426,15 +439,11 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
                     break
                 for j in range(n):
                     W[t][j] += W[bad][j]
-                for j in range(n):
-                    U[t][j] += U[bad][j]
         if W[t][t] < 0:
             for j in range(n):
                 W[t][j] = -W[t][j]
-            for j in range(n):
-                U[t][j] = -U[t][j]
     diag = tuple(W[i][i] for i in range(n))
-    return diag, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
+    return diag, tuple(tuple(r) for r in V), tuple(tuple(r) for r in Vinv)
 
 
 def unimodular_inverse(U: Mat) -> Mat:

@@ -91,11 +91,12 @@ def quotient(M: Mat, A: Mat, check_action: bool = True) -> FiniteModulePresentat
         for row in xl.mat_mul(M, A):
             if xl.lattice_membership(rel_hnf, row) is None:
                 raise IllFormedActionError("action does not preserve the relation lattice")
-    diag, U, V = xl.snf(M)
+    diag, V, vinv = xl.snf(M)
+    if xl.mat_mul(V, vinv) != xl.identity(n):
+        raise InternalInconsistencyError("Smith transform V and its inverse disagree")
     order = 1
     for d in diag:
         order *= d
-    vinv = xl.unimodular_inverse(V)
     abar = xl.mat_mul(xl.mat_mul(vinv, A), V)
     pos = tuple(i for i, d in enumerate(diag) if d > 1)
     factors = tuple(diag[i] for i in pos)
@@ -390,8 +391,8 @@ def _hom_lattice_quotient(S: FiniteModulePresentation, T: FiniteModulePresentati
         if sol is None:
             raise InternalInconsistencyError("hom lattice does not contain the zero maps")
         trows.append(sol[0])
-    diag, _, Vq = xl.snf(tuple(trows))
-    return basis, diag, xl.unimodular_inverse(Vq)
+    diag, _, vq_inv = xl.snf(tuple(trows))
+    return basis, diag, vq_inv
 
 
 def _hom_from_coords(c: Vec, vq_inv: Mat, basis: Mat, rs: int, rt: int, tfactors: Vec) -> Mat:

@@ -13,7 +13,7 @@ from math import gcd
 
 from . import exact_linalg as xl
 from . import polys
-from .bf_invariants import bf_group
+from .bf_invariants import bf_group, cached_char_poly
 from .errors import InternalInconsistencyError, UnsupportedError
 from .finite_modules import map_from_ambient
 
@@ -330,7 +330,7 @@ def eigen_vector(A: Mat, nf: NumberField) -> tuple[FieldElement, ...]:
     """Row vector v over K with v A = beta v: the first nonzero row of
     adj(beta I - A), assembled from the Horner matrices of char_poly(A)."""
     n = len(A)
-    p = xl.char_poly(A)
+    p = cached_char_poly(A)
     if p != nf.p:
         raise ValueError("field polynomial does not match the matrix")
     # adj(xI - A) = sum_j x^j B_j with B_(n-1) = I and B_(j-1) = A B_j + p_j I
@@ -367,7 +367,7 @@ def eigen_ideal(A: Mat, assume_irreducible: bool = False) -> tuple[FractionalIde
     The span of the entries is automatically beta-closed because
     beta v_i = (v A)_i is an integer combination of the entries.
     """
-    p = xl.char_poly(A)
+    p = cached_char_poly(A)
     nf = NumberField.create(p, assume_irreducible=assume_irreducible)
     v = eigen_vector(A, nf)
     den = 1
@@ -447,14 +447,24 @@ def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     basis of X with coefficients in [-bound, bound].
 
     Candidates run by max-norm shells, one of each +-z since z and -z
-    generate the same ideal.  Absence within the bound is reported as
-    not-found, never as a proof of non-principality.
+    generate the same ideal.  Each z lies in X and X is an O(X)-module, so
+    z O(X) <= X, with equality iff the two covolumes agree; that one
+    determinant screens every candidate, and the HNF equality confirms a
+    match.  Absence within the bound is reported as not-found, never as a
+    proof of non-principality.
     """
     O = multiplier_ring(X)
     basis = X.basis_elements()
+    n = X.nf.n
+    # covol(z O) = |det O.mat| |det M| / (O.den zden)^n, covol(X) = |det X.mat| / X.den^n
+    o_side = abs(xl.det(O.mat)) * X.den**n
+    x_side = abs(xl.det(X.mat))
 
     def accept(coeffs):
         z = _linear_combination(coeffs, basis)
+        M, zden = multiplication_matrix(z)
+        if o_side * abs(xl.det(M)) != x_side * (O.den * zden) ** n:
+            return None
         return z if O.scale(z) == X else None
 
     z, tried = xl.bounded_search(len(basis), bound, accept, up_to_sign=True)

@@ -13,7 +13,7 @@ from toralconj.bf_invariants import (
     strong_bf_screen,
 )
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
 
 I3 = xl.identity(3)
 
@@ -39,6 +39,47 @@ def test_bf_group_known_values():
     assert bf_group(A1, (1, 1)).invariant_factors == (4, 8)
     assert bf_group(B1, (1, 1)).invariant_factors == (2, 16)
     assert bf_group(A2, (-1, 1)).order == 10
+
+
+def test_bf_group_relations_are_g_of_a_at_full_degree(rng):
+    # bf_group evaluates g mod char_poly(A); the stored relations must still
+    # be the matrix g(A) that Horner gives at the full degree of g
+    family = (polys.x_pow_minus_one(24), polys.cyclotomic(24), polys.x_pow_minus_one(8))
+    for n in (2, 3, 4):
+        A = random_hyperbolic(rng, n=n)
+        for g in family:
+            assert bf_group(A, g).module.relations == xl.eval_poly_at_matrix(g, A)
+
+
+def _family_candidates():
+    """Every polynomial default_family considers, before its filter."""
+    shifts = [(s * c, 1) for c in range(1, 6) for s in (-1, 1)]
+    powers = [f(m) for m in range(1, 7) for f in (polys.x_pow_minus_one, polys.x_pow_plus_one)]
+    return shifts + powers + [polys.cyclotomic(d) for d in range(1, 13)]
+
+
+def test_invertibility_matches_det_of_g_of_a(rng):
+    # invertibility_check reads det g(A) != 0 off the resultant; compare
+    # with the determinant itself, on matrices whose characteristic
+    # polynomials have factors inside the family (x - 1, x + 1, x^2 + 1)
+    rot = xl.mat([[0, 1], [-1, 0]])
+    cases = [
+        (A1, [xl.char_poly(A1)]),
+        (with_eigenvalue(A2, -1), [xl.char_poly(A2), (1, 1)]),
+        (with_eigenvalue(A1, 3), [xl.char_poly(A1), (-3, 1)]),
+        (with_eigenvalue(rot, 1), [(1, 0, 1), (-1, 1)]),
+    ]
+    M = random_hyperbolic(rng, n=4)
+    cases.append((M, [xl.char_poly(M)]))
+    for A, factors in cases:
+        product = (1,)
+        for f in factors:
+            product = polys.mul(product, f)
+        assert product == xl.char_poly(A)
+        for g in _family_candidates() + factors:
+            assert invertibility_check(A, g) == (xl.det(xl.eval_poly_at_matrix(g, A)) != 0)
+        for f in factors:
+            assert not invertibility_check(A, f)
 
 
 def test_bf_group_rejects_singular():

@@ -158,8 +158,9 @@ def test_hnf_properties(M):
 # ------------------------------------------------------------------ SNF
 
 def test_snf_examples():
-    d, U, V = xl.snf(xl.mat([[2, 0], [0, 3]]))
+    d, V, Vinv = xl.snf(xl.mat([[2, 0], [0, 3]]))
     assert d == (1, 6)
+    assert xl.mat_mul(V, Vinv) == xl.identity(2)
     d, _, _ = xl.snf(xl.mat_add(A1, I3))
     assert d == (1, 4, 8)
     B1 = xl.mat([[0, 1, 12], [1, 0, -4], [0, 2, 23]])
@@ -171,10 +172,13 @@ def test_snf_examples():
 @settings(max_examples=60)
 def test_snf_properties(M):
     n = len(M)
-    d, U, V = xl.snf(M)
+    d, V, Vinv = xl.snf(M)
     D = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n))
-    assert xl.mat_mul(xl.mat_mul(U, M), V) == D
-    assert xl.det(U) in (1, -1) and xl.det(V) in (1, -1)
+    # U M V = D for a unimodular U, stated on row lattices: M V and D span
+    # the same lattice
+    assert xl.hnf_basis(xl.mat_mul(M, V)) == xl.hnf_basis(D)
+    assert xl.det(V) in (1, -1)
+    assert xl.mat_mul(V, Vinv) == xl.identity(n)
     for a, b in zip(d, d[1:]):
         if b != 0:
             assert a != 0 and b % a == 0

@@ -5,7 +5,7 @@ from toralconj import ideal_theory as it
 from toralconj import polys
 from toralconj.errors import UnsupportedError
 
-from conftest import A2, B2, rng, random_unimodular
+from conftest import A1, A2, B1, B2, random_hyperbolic, rng, random_unimodular
 
 P2 = (-1, -8, -2, 1)  # x^3 - 2x^2 - 8x - 1
 
@@ -241,6 +241,64 @@ def test_principal_search_example2_fails(pair):
     assert res.bound == 8
     # one of each +-z over the whole box [-8, 8]^3: the shell walk is exhaustive
     assert res.to_data()["candidates"] == (17**3 - 1) // 2 == 2456
+
+
+def _sublattice_pair(rng):
+    """(A, B): A on Z^3 and B, A acting on an A-invariant sublattice of
+    prime index p, the construction of the similar-but-not-always-conjugate
+    benchmark pairs.  The sublattice Z^3 (A - lam I) + p Z^3 has index p
+    when lam is a simple eigenvalue of A mod p."""
+    while True:
+        A = random_hyperbolic(rng, n=3, bound=4)
+        chi = xl.char_poly(A)
+        if not polys.is_irreducible_deg_le4(chi):
+            continue
+        for p in (2, 3, 5, 7):
+            for lam in range(p):
+                if polys.eval_at(chi, lam) % p:
+                    continue
+                rows = xl.mat_sub(A, xl.mat_scale(xl.identity(3), lam)) + xl.mat_scale(xl.identity(3), p)
+                M = xl.hnf_basis(rows)
+                if xl.det(M) != p:
+                    continue
+                inv, den = xl.invert_rational(M)
+                B = tuple(tuple(x // den for x in r) for r in xl.mat_mul(xl.mat_mul(M, A), inv))
+                assert xl.mat_mul(M, A) == xl.mat_mul(B, M)
+                return A, B
+
+
+def _colon_of_pair(A, B):
+    """The colon ideal X = (J : I) the ideal route searches for a generator."""
+    I, _, _ = it.eigen_ideal(A)
+    J, _, _ = it.eigen_ideal(B)
+    _, I2 = it.nest_inside(I, J)
+    return it.colon_ideal(J, I2)
+
+
+def test_principal_search_covolume_filter_matches_hnf(rng):
+    # z lies in X and z O(X) <= X, so z O(X) = X exactly when the covolumes
+    # agree: the determinant test and the HNF equality give one answer
+    pairs = [(A1, B1), (A2, B2)] + [_sublattice_pair(rng) for _ in range(3)]
+    answers = set()
+    for A, B in pairs:
+        X = _colon_of_pair(A, B)
+        O = it.multiplier_ring(X)
+        n = X.nf.n
+        basis = X.basis_elements()
+        found = False
+        for c in xl.shell_vectors(n, 3, up_to_sign=True):
+            z = it._linear_combination(c, basis)
+            M, zden = it.multiplication_matrix(z)
+            covolumes_agree = (
+                abs(xl.det(O.mat)) * abs(xl.det(M)) * X.den**n
+                == abs(xl.det(X.mat)) * (O.den * zden) ** n
+            )
+            generates = O.scale(z) == X
+            assert covolumes_agree == generates
+            answers.add(generates)
+            found = found or generates
+        assert it.principal_search(X, 3).found == found
+    assert answers == {True, False}
 
 
 # ------------------------------------------------------------------ two generators, bezout, X_g

@@ -79,6 +79,27 @@ def test_decide_solves_intertwiner_system_once(rng):
     assert info.misses == 1 and info.hits >= 1
 
 
+def test_decide_computes_each_char_poly_once(rng, monkeypatch):
+    from toralconj import bf_invariants
+
+    A = random_hyperbolic(rng, n=3, bound=4)
+    U = random_unimodular(rng)
+    B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+    runs = []
+    original = xl._faddeev_leverrier
+
+    def counting(M):
+        runs.append(M)
+        return original(M)
+
+    monkeypatch.setattr(xl, "_faddeev_leverrier", counting)
+    bf_invariants._char_poly_memo.cache_clear()
+    assert decide(A, B).outcome == "conjugate"
+    # similarity, hyperbolicity and every BF module of the screen read
+    # the same two polynomials
+    assert runs.count(A) == 1 and runs.count(B) == 1
+
+
 def test_decide_accepts_list_matrices(rng):
     U = random_unimodular(rng)
     B = xl.mat_mul(xl.mat_mul(U, A1), xl.unimodular_inverse(U))

@@ -41,6 +41,18 @@ def test_only_bf_invariants_evaluates_polynomials_at_matrices():
     assert callers == {"bf_invariants.py"}
 
 
+def test_finite_modules_inverts_no_matrix_outside_the_smith_form():
+    # snf returns V with its exact inverse, so quotient and the hom
+    # lattice build their coordinates without a second inversion
+    tree = ast.parse((SRC / "finite_modules.py").read_text())
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    assert not called & {"unimodular_inverse", "adjugate"}
+
+
 def test_pipeline_does_not_search_the_pair_lattices():
     # classify_delta searches the intertwiner lattice that unimodular_search
     # has already searched with the same bound and shell order, and a level
