@@ -1,7 +1,11 @@
-"""Decision pipeline: orchestrates similarity, the BF screen, direct
-unimodular search, the fractional-ideal route, and the tower route into a
-single verdict with machine-checkable evidence.  The tower route is one more
-BF screen, over the divisors of x^(k!) - 1 that the first screen skipped.
+"""Decision pipeline: orchestrates similarity, the BF screen over the linear
+polynomials x - c, direct unimodular search, the BF screen over the rest of
+the family, the fractional-ideal route, and the tower route into a single
+verdict with machine-checkable evidence.  The search runs before the
+module screen because a certificate makes every BF_g isomorphic, and only
+the module screen needs the intertwiner lattice the search builds anyway.
+The tower route is one more BF screen, over the divisors of x^(k!) - 1
+that the family lacks.
 
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
@@ -61,17 +65,18 @@ DEFAULT_CONFIG = PipelineConfig()
 def similarity_check(A: Mat, B: Mat) -> bool:
     """Similarity over Q via rational canonical data.
 
-    Characteristic polynomials must agree; for an irreducible one that is
-    already decisive, otherwise the full invariant-factor lists of xI - A
-    and xI - B (determinantal-divisor quotients over Z[x]) are compared.
+    Characteristic polynomials must agree.  A squarefree one (gcd with its
+    derivative constant) is already decisive: every matrix with that
+    polynomial is cyclic, so its rational canonical form is the companion
+    matrix.  Otherwise the full invariant-factor lists of xI - A and xI - B
+    (determinantal-divisor quotients over Z[x]) are compared.
     """
     if len(A) != len(B):
         raise ValueError("dimension mismatch")
     pa, pb = cached_char_poly(A), cached_char_poly(B)
     if pa != pb:
         return False
-    n = len(A)
-    if 2 <= n <= 4 and polys.is_irreducible_deg_le4(pa):
+    if polys.degree(polys.poly_gcd(pa, polys.derivative(pa))) == 0:
         return True
     return _poly_invariant_factors(A) == _poly_invariant_factors(B)
 
@@ -136,8 +141,9 @@ class IntertwinerBasis:
 
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:
-    """Integer kernel of C -> A C - C B, rows verified to intertwine; the
-    lattice the BF screen already built for this pair."""
+    """Integer kernel of C -> A C - C B, rows verified to intertwine.  In
+    decide the unimodular search builds it first; the module screen's map
+    candidates reuse it."""
     return IntertwinerBasis(n=len(A), basis=intertwiner_kernel(xl.mat(A), xl.mat(B)))
 
 
@@ -273,7 +279,9 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     hyp = hyperbolicity_check(A)
     evidence.append({"stage": "hyperbolicity", "hyperbolic": hyp})
 
-    # (3) strong BF screen
+    # (3) BF screen over the degree-1 members x - c: BF_{x-c} carries the
+    # scalar action c, so order and invariant factors settle each one (equal
+    # groups make the identity an isomorphism) without the intertwiner lattice
     family = default_family(
         A,
         B,
@@ -281,7 +289,8 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         max_power=config.family_max_power,
         cyclotomic_index=config.cyclotomic_index,
     )
-    screen = strong_bf_screen(A, B, family, budget=config.iso_budget)
+    linear = [g for g in family if polys.degree(g) == 1]
+    screen = strong_bf_screen(A, B, linear, budget=config.iso_budget)
     evidence.append({"stage": "bf_screen", "report": screen.to_data()})
     if screen.outcome == "not_equivalent":
         return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
@@ -293,16 +302,25 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if search.found:
         return _emit_conjugate(A, B, search.conjugator, evidence, config)
 
-    # (5) ideal route (irreducible characteristic polynomial only)
+    # (5) BF screen over the members of degree >= 2.  A unimodular C with
+    # A C = C B induces BF_g(A) = BF_g(B) for every g, so this screen cannot
+    # refute a pair stage 4 certified and runs only when the search failed
+    rest = [g for g in family if polys.degree(g) >= 2]
+    screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
+    evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
+    if screen.outcome == "not_equivalent":
+        return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
+
+    # (6) ideal route (irreducible characteristic polynomial only)
     irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa)
     if irreducible and hyp:
         verdict = _ideal_route(A, B, evidence, config)
         if verdict is not None:
             return verdict
 
-    # (6) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
+    # (7) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
     # every quotient BF_g for g | x^(K!) - 1, so screen the tower polynomials
-    # that stage 3 has not
+    # that stages 3 and 5 have not
     if hyp:
         extra = [g for g in tower_polynomials(config.tower_depth) if g not in family]
         screen = strong_bf_screen(A, B, extra, budget=config.iso_budget)

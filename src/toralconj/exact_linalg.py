@@ -7,6 +7,7 @@ anywhere.
 """
 
 import itertools
+import operator
 import os
 from fractions import Fraction
 from math import gcd
@@ -85,10 +86,8 @@ def mat_scale(A: Mat, c: int) -> Mat:
 def mat_mul(A: Mat, B: Mat) -> Mat:
     if dims(A)[1] != dims(B)[0]:
         raise ValueError("dimension mismatch")
-    Bt = transpose(B)
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A
-    )
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in A)
 
 
 def unvec(v: Vec, n: int) -> Mat:
@@ -99,8 +98,7 @@ def unvec(v: Vec, n: int) -> Mat:
 def vec_mat(v: Vec, M: Mat) -> Vec:
     if len(v) != len(M):
         raise ValueError("dimension mismatch")
-    n = len(M[0]) if M else 0
-    return tuple(sum(v[i] * M[i][j] for i in range(len(v))) for j in range(n))
+    return tuple(sum(map(operator.mul, v, col)) for col in zip(*M))
 
 
 def mat_pow(M: Mat, e: int) -> Mat:

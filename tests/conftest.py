@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,9 +34,15 @@ def random_hyperbolic(rng, n=3, bound=9):
             return M
 
 
+def direct_sum(X, Y):
+    """The block-diagonal matrix X + Y."""
+    n, m = len(X), len(Y)
+    return tuple(tuple(r) + (0,) * m for r in X) + tuple((0,) * n + tuple(r) for r in Y)
+
+
 def with_eigenvalue(M, c):
     """The direct sum M + [c]."""
-    return tuple(tuple(r) + (0,) for r in M) + ((0,) * len(M) + (c,),)
+    return direct_sum(M, ((c,),))
 
 
 def random_unimodular(rng, n=3, entry_bound=3, ops=6):
@@ -60,6 +67,30 @@ def random_unimodular(rng, n=3, entry_bound=3, ops=6):
         M = tuple(tuple(r) for r in U)
         if xl.det(M) in (1, -1) and all(abs(x) <= entry_bound for r in M for x in r):
             return M
+
+
+def sublattice_pair(rng, n, bound):
+    """(A, B) with B = U (M A M^-1) U^-1, where the rows of M span an
+    A-invariant sublattice of prime index and U is a random unimodular."""
+    while True:
+        A = random_hyperbolic(rng, n, bound)
+        p = rng.choice((2, 3, 5))
+        for w in product(range(p), repeat=n):
+            k = next((i for i in range(n) if w[i]), None)
+            Aw = tuple(sum(A[i][j] * w[j] for j in range(n)) % p for i in range(n))
+            if k is None or any((Aw[i] * w[k] - Aw[k] * w[i]) % p for i in range(n)):
+                continue
+            # L = {v : v . w = 0 mod p}, with A w = lam w mod p, so L A <= L
+            inv = pow(w[k], -1, p)
+            M = [list(r) for r in xl.identity(n)]
+            for i in range(n):
+                M[i][k] = p if i == k else -w[i] * inv % p
+            adj, d = xl.invert_rational(M)
+            num = xl.mat_mul(xl.mat_mul(M, A), adj)
+            assert not any(x % d for r in num for x in r)
+            S = tuple(tuple(x // d for x in r) for r in num)
+            U = random_unimodular(rng, n)
+            return A, xl.mat_mul(xl.mat_mul(U, S), xl.unimodular_inverse(U))
 
 
 # ---------------------------------------------------------------- oracles

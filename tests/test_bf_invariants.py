@@ -51,6 +51,23 @@ def test_bf_group_relations_are_g_of_a_at_full_degree(rng):
             assert bf_group(A, g).module.relations == xl.eval_poly_at_matrix(g, A)
 
 
+def test_bf_group_linear_module_has_scalar_action(rng):
+    # A acts on Z^n / Z^n (A - cI) as c, so order and invariant factors
+    # decide every degree-1 member of the screen without a module map
+    for n in (2, 3, 4):
+        for _ in range(3):
+            A = random_hyperbolic(rng, n=n, bound=5)
+            for c in range(-5, 6):
+                if c == 0 or not invertibility_check(A, (-c, 1)):
+                    continue
+                module = bf_group(A, (-c, 1)).module
+                assert all(
+                    (x - (c if i == j else 0)) % d == 0
+                    for i, row in enumerate(module.act_red)
+                    for j, (x, d) in enumerate(zip(row, module.factors))
+                )
+
+
 def _family_candidates():
     """Every polynomial default_family considers, before its filter."""
     shifts = [(s * c, 1) for c in range(1, 6) for s in (-1, 1)]

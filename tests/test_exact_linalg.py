@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,23 @@ mat_small = st.integers(2, 4).flatmap(
 
 
 # ------------------------------------------------------------------ det
+
+def test_products_match_entrywise_sums(rng):
+    assert xl.mat_mul((), ()) == () and xl.vec_mat((), ()) == ()
+    for r, k, c in itertools.product(range(1, 4), range(4), range(4)):
+        A = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(r))
+        B = tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(k))
+        v = tuple(rng.randint(-9, 9) for _ in range(k))
+        # with k = 0, B has no rows and neither product has columns
+        assert xl.mat_mul(A, B) == tuple(
+            tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c if k else 0)) for i in range(r)
+        )
+        assert xl.vec_mat(v, B) == tuple(sum(v[t] * B[t][j] for t in range(k)) for j in range(c if k else 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            xl.vec_mat(v + (1,), B)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            xl.mat_mul(A, B + ((1,) * c,))
+
 
 def test_det_examples():
     assert xl.det(A1) == det_cofactor(A1) == 1

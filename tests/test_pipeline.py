@@ -3,10 +3,13 @@ import random
 import pytest
 
 from toralconj import exact_linalg as xl
-from toralconj import polys
+from toralconj import finite_modules, polys
+from toralconj import conjugacy_pipeline as pipeline
+from toralconj.bf_invariants import default_family, strong_bf_screen
 from toralconj.conjugacy_pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
+    _bf_witness,
     _emit_not_conjugate,
     decide,
     intertwiner_lattice,
@@ -16,7 +19,17 @@ from toralconj.conjugacy_pipeline import (
 from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
+from conftest import (
+    A1,
+    A2,
+    B1,
+    B2,
+    direct_sum,
+    random_hyperbolic,
+    random_unimodular,
+    sublattice_pair,
+    with_eigenvalue,
+)
 
 I3 = xl.identity(3)
 
@@ -47,6 +60,51 @@ def test_similarity_conjugate_invariance(rng):
         assert similarity_check(A, B)
 
 
+def _companion(p):
+    """Companion matrix (row convention) of the monic polynomial p."""
+    n = polys.degree(p)
+    return tuple(
+        tuple(1 if j == i + 1 else 0 for j in range(n)) if i < n - 1 else tuple(-c for c in p[:n])
+        for i in range(n)
+    )
+
+
+def test_similarity_squarefree_shortcut_matches_invariant_factors(rng, monkeypatch):
+    # a squarefree characteristic polynomial makes both matrices cyclic, so
+    # the shortcut answers what the invariant factors of xI - A would
+    squarefree, repeated = [], []
+    for n in (2, 3, 4):
+        A = random_hyperbolic(rng, n, 4)
+        chi = xl.char_poly(A)
+        if polys.degree(polys.poly_gcd(chi, polys.derivative(chi))) > 0:
+            continue
+        U = random_unimodular(rng, n)
+        squarefree.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+        squarefree.append((A, _companion(chi)))
+    squarefree.append((xl.mat([[2, 0], [0, 3]]), xl.mat([[2, 1], [0, 3]])))
+    for n in (1, 2):
+        M = random_hyperbolic(rng, n, 4)
+        MM = direct_sum(M, M)
+        U = random_unimodular(rng, 2 * n)
+        repeated.append((MM, xl.mat_mul(xl.mat_mul(U, MM), xl.unimodular_inverse(U))))
+        repeated.append((MM, _companion(xl.char_poly(MM))))
+        repeated.append((with_eigenvalue(MM, 2), direct_sum(_companion(xl.char_poly(MM)), ((2,),))))
+    answers = set()
+    for A, B in repeated:
+        expected = pipeline._poly_invariant_factors(A) == pipeline._poly_invariant_factors(B)
+        assert similarity_check(A, B) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+    expected = [pipeline._poly_invariant_factors(A) == pipeline._poly_invariant_factors(B) for A, B in squarefree]
+    assert len(expected) >= 4 and all(expected)
+
+    def refuse(M):
+        pytest.fail("a squarefree characteristic polynomial reached the invariant factors")
+
+    monkeypatch.setattr(pipeline, "_poly_invariant_factors", refuse)
+    assert all(similarity_check(A, B) for A, B in squarefree)
+
+
 # ------------------------------------------------------------------ intertwiners
 
 def test_intertwiner_lattice_commutant():
@@ -66,17 +124,102 @@ def test_intertwiner_lattice_contains_conjugator(rng):
     assert xl.lattice_membership(lat.basis, flat) is not None
 
 
-def test_decide_solves_intertwiner_system_once(rng):
+def test_decide_solves_intertwiner_system_once(rng, monkeypatch):
     U = random_unimodular(rng)
     B = xl.mat_mul(xl.mat_mul(U, A1), xl.unimodular_inverse(U))
+    # module_iso_exists reads the kernel through finite_modules; count those
+    # calls apart from the pipeline's own
+    screen_calls = []
+
+    def counting(*args):
+        screen_calls.append(args)
+        return intertwiner_kernel(*args)
+
+    monkeypatch.setattr(finite_modules, "intertwiner_kernel", counting)
     intertwiner_kernel.cache_clear()
     v = decide(A1, B)
     assert v.outcome == "conjugate"
-    screen = next(e for e in v.evidence if e["stage"] == "bf_screen")
-    assert screen["report"]["outcome"] != "not_equivalent"
+    # the search certifies, so the module screen of degree >= 2 never runs
+    stages = [e["stage"] for e in v.evidence]
+    assert stages == ["similarity", "hyperbolicity", "bf_screen", "unimodular_search"]
+    # the system is solved once, by the search: the degree-1 screen needs no map
     info = intertwiner_kernel.cache_info()
-    # the BF screen builds the lattice; the unimodular search reuses it
-    assert info.misses == 1 and info.hits >= 1
+    assert info.misses == 1 and info.hits == 0
+    assert screen_calls == []
+
+
+def _screen_then_search(A, B, config=DEFAULT_CONFIG):
+    """The stage order before the search moved ahead of the module screen:
+    the whole family screened, then the search.  None when both pass."""
+    family = default_family(
+        A,
+        B,
+        max_shift=config.family_max_shift,
+        max_power=config.family_max_power,
+        cyclotomic_index=config.cyclotomic_index,
+    )
+    screen = strong_bf_screen(A, B, family, budget=config.iso_budget)
+    if screen.outcome == "not_equivalent":
+        return "not_conjugate", None, _bf_witness(screen), screen
+    search = unimodular_search(intertwiner_lattice(A, B), config.unimodular_bound, config.search_max_candidates)
+    if search.found:
+        return "conjugate", search.conjugator, None, screen
+    return None, None, None, screen
+
+
+# BF_{x-c} agree for c = +-1..+-5, but BF_{x^3+1} is cyclic of order 882 on
+# the left and Z/7 + Z/126 on the right
+LINEAR_PASS_A = xl.mat([[5, -3], [0, -2]])
+LINEAR_PASS_B = xl.mat([[5, -21], [0, -2]])
+
+
+def test_decide_matches_the_screen_then_search_order(rng):
+    # a certificate makes every BF_g isomorphic and a refutation rules one
+    # out, so screening degree 1, searching, then screening degree >= 2 gives
+    # the outcome, certificate and witness of screening first
+    pairs = []
+    for n in (2, 3):
+        for _ in range(3):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+        pairs += [sublattice_pair(rng, n, 4) for _ in range(8 if n == 2 else 4)]
+    pairs += [(A1, B1), (A2, B2), (RING_A, RING_B), (LINEAR_PASS_A, LINEAR_PASS_B)]
+    ends = set()
+    for A, B in pairs:
+        v = decide(A, B)
+        ends.add((v.outcome, v.evidence[-1]["stage"]))
+        reports = {e["stage"]: e["report"] for e in v.evidence if e["stage"].startswith("bf_")}
+        linear = reports["bf_screen"]
+        module = reports.get("bf_module_screen", {"family": [], "records": []})
+        assert all(polys.degree(polys.parse(g)) == 1 for g in linear["family"])
+        assert all(polys.degree(polys.parse(g)) >= 2 for g in module["family"])
+        outcome, certificate, witness, screen = _screen_then_search(A, B)
+        if outcome is None:
+            # both screens passed, and together they are the old one
+            assert linear["records"] + module["records"] == list(screen.records)
+            assert v.outcome != "conjugate" or v.evidence[-1]["stage"] == "ideal_route"
+            continue
+        assert (v.outcome, v.certificate, v.witness) == (outcome, certificate, witness)
+    assert {
+        ("conjugate", "unimodular_search"),
+        ("not_conjugate", "bf_screen"),
+        ("not_conjugate", "bf_module_screen"),
+        ("unknown", "tower_route"),
+    } <= ends
+
+
+def test_decide_linear_refutation_builds_no_lattice():
+    # BF_{x+1} separates the first worked pair, also inside a direct sum with
+    # a common summand; order and invariant factors settle every x - c, so
+    # neither the screen nor the search solves the intertwiner system
+    for A, B in [(A1, B1), (direct_sum(A1, A1), direct_sum(A1, B1))]:
+        intertwiner_kernel.cache_clear()
+        v = decide(A, B)
+        assert v.outcome == "not_conjugate" and v.witness["g"] == "x+1"
+        assert [e["stage"] for e in v.evidence][-1] == "bf_screen"
+        assert "unimodular_search" not in {e["stage"] for e in v.evidence}
+        assert intertwiner_kernel.cache_info().misses == 0
 
 
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
@@ -273,7 +416,7 @@ def test_witness_recheck_compares_the_claimed_data(A, B, genuine, tampered):
 
 
 def test_decide_tower_route_refutes_with_bf_witness():
-    # with the stage-3 family emptied, BF_{x+1} of the first worked pair plus
+    # with the screening family emptied, BF_{x+1} of the first worked pair plus
     # a common eigenvalue 2 is first screened by the tower route
     cfg = PipelineConfig(family_max_shift=0, family_max_power=0, cyclotomic_index=0)
     v = decide(with_eigenvalue(A1, 2), with_eigenvalue(B1, 2), cfg)

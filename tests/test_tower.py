@@ -1,5 +1,3 @@
-from itertools import product
-
 import pytest
 
 from toralconj import exact_linalg as xl
@@ -10,7 +8,7 @@ from toralconj.conjugacy_pipeline import DEFAULT_CONFIG, intertwiner_lattice, un
 from toralconj.errors import ResourceLimitError, ToralConjError
 from toralconj.finite_modules import intertwiner_kernel
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, sublattice_pair, with_eigenvalue
 
 I3 = xl.identity(3)
 
@@ -258,30 +256,6 @@ def test_classify_identity_certificate_is_identity(towA1):
     assert cls.conjugator == I3
 
 
-def _sublattice_pair(rng, n, bound):
-    """(A, B) with B = U (M A M^-1) U^-1, where the rows of M span an
-    A-invariant sublattice of prime index and U is a random unimodular."""
-    while True:
-        A = random_hyperbolic(rng, n, bound)
-        p = rng.choice((2, 3, 5))
-        for w in product(range(p), repeat=n):
-            k = next((i for i in range(n) if w[i]), None)
-            Aw = tuple(sum(A[i][j] * w[j] for j in range(n)) % p for i in range(n))
-            if k is None or any((Aw[i] * w[k] - Aw[k] * w[i]) % p for i in range(n)):
-                continue
-            # L = {v : v . w = 0 mod p}, with A w = lam w mod p, so L A <= L
-            inv = pow(w[k], -1, p)
-            M = [list(r) for r in xl.identity(n)]
-            for i in range(n):
-                M[i][k] = p if i == k else -w[i] * inv % p
-            adj, d = xl.invert_rational(M)
-            num = xl.mat_mul(xl.mat_mul(M, A), adj)
-            assert not any(x % d for r in num for x in r)
-            S = tuple(tuple(x // d for x in r) for r in num)
-            U = random_unimodular(rng, n)
-            return A, xl.mat_mul(xl.mat_mul(U, S), xl.unimodular_inverse(U))
-
-
 def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
     # classify_delta walks the same intertwiner lattice, bound and shell order
     # as unimodular_search, with an extra congruence filter and without the
@@ -295,7 +269,7 @@ def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
             U = random_unimodular(rng, n)
             pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U)), U))
         for _ in range(4 if n == 2 else 2):
-            pairs.append(_sublattice_pair(rng, n, 4) + (None,))
+            pairs.append(sublattice_pair(rng, n, 4) + (None,))
     graphs = 0
     for A, B, U in pairs:
         lattice = intertwiner_lattice(A, B)
@@ -336,7 +310,7 @@ def test_level_iso_family_agrees_with_the_tower_screen(rng):
             U = random_unimodular(rng, n)
             pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
         for _ in range(6 if n == 2 else 3):
-            pairs.append(_sublattice_pair(rng, n, 4))
+            pairs.append(sublattice_pair(rng, n, 4))
     kinds = []
     for A, B in pairs:
         out = tw.level_iso_family(tw.build_tower(A, K), tw.build_tower(B, K), budget=DEFAULT_CONFIG.iso_budget)
