@@ -4,6 +4,9 @@ the family, the fractional-ideal route, and the tower route into a single
 verdict with machine-checkable evidence.  The search runs before the
 module screen because a certificate makes every BF_g isomorphic, and only
 the module screen needs the intertwiner lattice the search builds anyway.
+Only the first FIRST_SEARCH_CANDIDATES candidates run before the module
+screen; the rest of a longer walk runs after it, so a pair refuted there
+does not pay the whole search first.
 The tower route is one more BF screen, over the divisors of x^(k!) - 1
 that the family lacks.
 
@@ -162,18 +165,24 @@ class SearchOutcome:
 
 
 def unimodular_search(
-    basis: IntertwinerBasis, bound: int, max_candidates: int = 200_000
+    basis: IntertwinerBasis, bound: int, max_candidates: int = 200_000, start: int = 0
 ) -> SearchOutcome:
     """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound, one of
     each +-c since -C is unimodular iff C is, and return the first C with
-    det C = +-1."""
+    det C = +-1.  With start, the walk resumes after its first start
+    candidates, which count as tried."""
 
     def accept(c):
         C = basis.matrix(c)
         return C if xl.det(C) in (1, -1) else None
 
-    C, tried = xl.bounded_search(basis.rank, bound, accept, max_candidates, up_to_sign=True)
+    C, tried = xl.bounded_search(basis.rank, bound, accept, max_candidates, up_to_sign=True, start=start)
     return SearchOutcome(C is not None, C, bound, tried)
+
+
+# candidates of the search before the degree >= 2 screen; the rest of the
+# walk, up to search_max_candidates, runs after it
+FIRST_SEARCH_CANDIDATES = 1_000
 
 
 @dataclass(frozen=True)
@@ -295,9 +304,11 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if screen.outcome == "not_equivalent":
         return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (4) direct unimodular search in the intertwiner lattice
+    # (4) direct unimodular search in the intertwiner lattice, over its
+    # first FIRST_SEARCH_CANDIDATES candidates
     lattice = intertwiner_lattice(A, B)
-    search = unimodular_search(lattice, config.unimodular_bound, config.search_max_candidates)
+    bound, cap = config.unimodular_bound, config.search_max_candidates
+    search = unimodular_search(lattice, bound, min(FIRST_SEARCH_CANDIDATES, cap))
     evidence.append({"stage": "unimodular_search", "rank": lattice.rank, "result": search.to_data()})
     if search.found:
         return _emit_conjugate(A, B, search.conjugator, evidence, config)
@@ -310,6 +321,15 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
     if screen.outcome == "not_equivalent":
         return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
+
+    # (4, resumed) the rest of the walk over the ((2 bound + 1)^rank - 1) / 2
+    # candidates, when the first phase stopped short of it and of the cap
+    walk = ((2 * bound + 1) ** lattice.rank - 1) // 2
+    if search.tried < min(walk, cap):
+        search = unimodular_search(lattice, bound, cap, start=search.tried)
+        evidence.append({"stage": "unimodular_search_resumed", "rank": lattice.rank, "result": search.to_data()})
+        if search.found:
+            return _emit_conjugate(A, B, search.conjugator, evidence, config)
 
     # (6) ideal route (irreducible characteristic polynomial only)
     irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa)

@@ -1,4 +1,4 @@
-"""Exact integer matrix kernels: normal forms, determinants, adjugates,
+"""Exact integer matrix kernels: normal forms, determinants, inverses,
 characteristic polynomials, resultants, and lattice arithmetic.
 
 Matrices are immutable tuples of row tuples of Python ints; row convention
@@ -141,48 +141,31 @@ def det(M: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _faddeev_leverrier(M: Mat) -> tuple[polys.Poly, Mat]:
-    """Characteristic polynomial (monic, lowest degree first) and the Horner
-    matrix B with adj(M) = (-1)^(n+1) B."""
+def _faddeev_leverrier(M: Mat) -> polys.Poly:
+    """Characteristic polynomial (monic, lowest degree first), with the
+    Cayley-Hamilton identity verified."""
     n = len(M)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    B = identity(n)
-    prev = B
+    prev = identity(n)
     for k in range(1, n + 1):
         C = mat_mul(M, prev)
         t = sum(C[i][i] for i in range(n))
         if t % k != 0:
             raise InternalInconsistencyError("Faddeev-LeVerrier trace division not exact")
         coeffs[n - k] = -(t // k)
-        B = prev
         prev = mat_add(C, mat_scale(identity(n), coeffs[n - k]))
     # prev is now p(M), which must vanish by Cayley-Hamilton
     if any(any(x != 0 for x in row) for row in prev):
         raise InternalInconsistencyError("Cayley-Hamilton verification failed")
-    return tuple(coeffs), B
+    return tuple(coeffs)
 
 
 def char_poly(M: Mat) -> polys.Poly:
     """Monic characteristic polynomial det(xI - M), lowest degree first."""
     if not is_square(M):
         raise ValueError("characteristic polynomial of non-square matrix")
-    return _faddeev_leverrier(M)[0]
-
-
-def adjugate(M: Mat) -> Mat:
-    """Adjugate with the identity M adj(M) = det(M) I verified exactly."""
-    if not is_square(M):
-        raise ValueError("adjugate of non-square matrix")
-    n = len(M)
-    if n == 0:
-        return ()
-    _, B = _faddeev_leverrier(M)
-    adj = B if (n + 1) % 2 == 0 else mat_neg(B)
-    d = det(M)
-    if mat_mul(M, adj) != mat_scale(identity(n), d):
-        raise InternalInconsistencyError("adjugate identity failed")
-    return adj
+    return _faddeev_leverrier(M)
 
 
 def eval_poly_at_matrix(g: polys.Poly, M: Mat) -> Mat:
@@ -274,17 +257,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def hnf(M: Mat) -> tuple[Mat, Mat]:
+def hnf(M: Mat, transform: bool = True) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with U unimodular, U @ M equal to H stacked over zero
     rows, pivots positive, and entries above each pivot reduced into
     [0, pivot).  H contains only the nonzero rows, so it is the canonical
-    basis of the row lattice of M.
+    basis of the row lattice of M.  With transform=False, U is not built
+    and () is returned in its place.
     """
     nrows, ncols = dims(M)
     W = [list(r) for r in M]
-    U = [list(r) for r in identity(nrows)]
+    U = [list(r) for r in identity(nrows)] if transform else [[] for _ in range(nrows)]
+    urange = range(nrows) if transform else range(0)
     piv = 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -306,7 +291,7 @@ def hnf(M: Mat) -> tuple[Mat, Mat]:
                 q = b // a
                 for j in range(ncols):
                     W[i][j] -= q * W[piv][j]
-                for j in range(nrows):
+                for j in urange:
                     U[i][j] -= q * U[piv][j]
             else:
                 x, y, g = _xgcd(a, b)
@@ -315,7 +300,7 @@ def hnf(M: Mat) -> tuple[Mat, Mat]:
                     wp, wi = W[piv][j], W[i][j]
                     W[piv][j] = x * wp + y * wi
                     W[i][j] = -bg * wp + ag * wi
-                for j in range(nrows):
+                for j in urange:
                     up, ui = U[piv][j], U[i][j]
                     U[piv][j] = x * up + y * ui
                     U[i][j] = -bg * up + ag * ui
@@ -328,16 +313,16 @@ def hnf(M: Mat) -> tuple[Mat, Mat]:
             if q:
                 for j in range(ncols):
                     W[i][j] -= q * W[piv][j]
-                for j in range(nrows):
+                for j in urange:
                     U[i][j] -= q * U[piv][j]
         pivots.append(col)
         piv += 1
     H = tuple(tuple(r) for r in W[:piv])
-    return H, tuple(tuple(r) for r in U)
+    return H, tuple(tuple(r) for r in U) if transform else ()
 
 
 def hnf_basis(M: Mat) -> Mat:
-    return hnf(M)[0]
+    return hnf(M, transform=False)[0]
 
 
 def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
@@ -446,10 +431,10 @@ def snf(M: Mat) -> tuple[Vec, Mat, Mat]:
 
 def unimodular_inverse(U: Mat) -> Mat:
     """Exact inverse of a matrix with determinant +-1."""
-    d = det(U)
-    if d not in (1, -1):
+    inv, den = invert_rational(U)
+    if den != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_scale(adjugate(U), d)
+    return inv
 
 
 def left_kernel(M: Mat) -> Mat:
@@ -542,14 +527,59 @@ def congruence_kernel(C: Mat, moduli: Vec) -> Mat:
 
 def invert_rational(M: Mat) -> tuple[Mat, int]:
     """Inverse of a nonsingular integer matrix as (integer matrix, denominator),
-    i.e. M^-1 = matrix / den with den = det(M) sign-normalized positive."""
-    d = det(M)
-    if d == 0:
-        raise ValueError("singular matrix")
-    adj = adjugate(M)
-    if d < 0:
-        return mat_neg(adj), -d
-    return adj, d
+    i.e. M^-1 = matrix / den with den = |det(M)|.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: every
+    division is exact, and the last pivot is +-det(M) with the right half
+    then +-adj(M).  M @ matrix = den I is verified exactly."""
+    if not is_square(M):
+        raise ValueError("inverse of non-square matrix")
+    n = len(M)
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        a[k], a[p] = a[p], a[k]
+        rk, piv = a[k], a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    inv = tuple(tuple(sign * x for x in r[n:]) for r in a)
+    den = sign * prev
+    if mat_mul(M, inv) != mat_scale(identity(n), den):
+        raise InternalInconsistencyError("fraction-free inverse failed M X = det I")
+    return inv, den
+
+
+def saturation(R: Mat) -> Mat:
+    """HNF basis of span_Q(rows of R) meet Z^m, for R of full row rank.
+
+    The columns of R span a full lattice in Z^r with HNF basis H (the rows
+    of the HNF of R^T), so R = H^T Y with Y integral and the columns of Y
+    spanning Z^r.  Then x Y integral forces x integral: the rows of Y are
+    a basis of the saturation.  Y comes from forward substitution in the
+    lower triangular H^T, each division exact."""
+    r = len(R)
+    H = hnf_basis(transpose(R))
+    if len(H) != r:
+        raise ValueError("rows are linearly dependent")
+    Y: list[list[int]] = []
+    for i in range(r):
+        d = H[i][i]
+        row = list(R[i])
+        for k in range(i):
+            h = H[k][i]
+            if h:
+                row = [x - h * y for x, y in zip(row, Y[k])]
+        if any(x % d for x in row):
+            raise InternalInconsistencyError("saturation division not exact")
+        Y.append([x // d for x in row])
+    return hnf_basis(tuple(tuple(row) for row in Y))
 
 
 def inverse_infinity_norm_bound(M: Mat) -> Fraction:
@@ -587,12 +617,19 @@ def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
 
 
 def bounded_search(
-    rank: int, bound: int, accept, max_candidates: int | None = None, up_to_sign: bool = False
+    rank: int,
+    bound: int,
+    accept,
+    max_candidates: int | None = None,
+    up_to_sign: bool = False,
+    start: int = 0,
 ):
     """(first non-None accept(c), tried) over shell_vectors(rank, bound,
-    up_to_sign); (None, tried) when the shells or max_candidates run out."""
-    tried = 0
-    for c in shell_vectors(rank, bound, up_to_sign):
+    up_to_sign); (None, tried) when the shells or max_candidates run out.
+    With start, the first start vectors are skipped and counted as tried,
+    so a search resumes where a capped one stopped."""
+    tried = start
+    for c in itertools.islice(shell_vectors(rank, bound, up_to_sign), start, None):
         if max_candidates is not None and tried >= max_candidates:
             break
         tried += 1

@@ -9,6 +9,8 @@ over the nontrivial invariant factors d_i > 1.
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 from . import exact_linalg as xl
@@ -327,15 +329,47 @@ class IsoResult:
         return out
 
 
-@functools.lru_cache(maxsize=1)
-def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
-    """HNF basis of {W : A W = W B} in row-vectorized form, each row
-    verified to intertwine.
+def _krylov_basis(M: Mat) -> Mat | None:
+    """The Krylov matrix [v, M v, ..., M^(n-1) v] (as columns) of the first
+    v in shell_vectors(n, 1, up_to_sign=True) for which it is nonsingular;
+    None when no vector of that shell is cyclic for M."""
+    n = len(M)
+    for v in xl.shell_vectors(n, 1, up_to_sign=True):
+        cols = [v]
+        for _ in range(n - 1):
+            cols.append(tuple(sum(map(operator.mul, row, cols[-1])) for row in M))
+        if xl.det(cols) != 0:
+            return xl.transpose(cols)
+    return None
 
-    The only builder of this lattice.  Every stage of one decision asks for
-    the same pair, so the last result is kept and the system is solved once;
-    A and B must therefore be hashable tuple matrices.
-    """
+
+def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
+    """Rows vec(A^k N), k < n, spanning {W : A W = W B} over Q, where
+    N = K_A K_B^-1 up to a scalar; None unless A and B are cyclic and N
+    intertwines.
+
+    K_A and K_B carry A and B to companion matrices, so with equal
+    characteristic polynomials A N = N B.  The commutant of a cyclic A is
+    Q[A], so the rational intertwiners are exactly p(A) N, deg p < n."""
+    KA = _krylov_basis(A)
+    KB = _krylov_basis(B) if KA is not None else None
+    if KB is None:
+        return None
+    inv, _ = xl.invert_rational(KB)
+    N = xl.mat_mul(KA, inv)
+    content = functools.reduce(math.gcd, (x for row in N for x in row))
+    N = tuple(tuple(x // content for x in row) for row in N)
+    if xl.mat_mul(A, N) != xl.mat_mul(N, B):
+        return None
+    rows = [tuple(x for row in N for x in row)]
+    for _ in range(len(A) - 1):
+        N = xl.mat_mul(A, N)
+        rows.append(tuple(x for row in N for x in row))
+    return tuple(rows)
+
+
+def _intertwiner_system(A: Mat, B: Mat) -> Mat:
+    """The n^2 x n^2 matrix of W -> A W - W B on row-vectorized W."""
     n = len(A)
     rows = []
     for k in range(n):
@@ -346,7 +380,35 @@ def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
                     coeff = (A[i][k] if l == j else 0) - (B[l][j] if i == k else 0)
                     row[i * n + j] = coeff
             rows.append(tuple(row))
-    basis = xl.left_kernel(tuple(rows))
+    return tuple(rows)
+
+
+# below this size the n^2 x n^2 system (at most 9 x 9) solves faster than
+# the Krylov generators are built and saturated
+KRYLOV_MIN_DIM = 4
+
+
+@functools.lru_cache(maxsize=1)
+def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
+    """HNF basis of {W : A W = W B} in row-vectorized form, each row
+    verified to intertwine.
+
+    For cyclic A and B with n >= KRYLOV_MIN_DIM the basis is the
+    saturation of n Krylov generators (_krylov_generators); otherwise, or
+    when the generators do not intertwine (different characteristic
+    polynomials), it is the left kernel of the n^2 x n^2 system.  Both give
+    the canonical HNF of the same lattice.
+
+    The only builder of this lattice.  Every stage of one decision asks for
+    the same pair, so the last result is kept and the lattice is built once;
+    A and B must therefore be hashable tuple matrices.
+    """
+    n = len(A)
+    gens = _krylov_generators(A, B) if n >= KRYLOV_MIN_DIM else None
+    if gens is not None:
+        basis = xl.saturation(gens)
+    else:
+        basis = xl.left_kernel(_intertwiner_system(A, B))
     for v in basis:
         K = xl.unvec(v, n)
         if xl.mat_mul(A, K) != xl.mat_mul(K, B):

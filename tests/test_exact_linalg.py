@@ -73,19 +73,39 @@ def test_cayley_hamilton(M):
     assert xl.eval_poly_at_matrix(xl.char_poly(M), M) == xl.zeros(3, 3)
 
 
-# ------------------------------------------------------------------ adjugate
+# ------------------------------------------------------------------ inverse
 
-def test_adjugate_examples():
-    assert xl.adjugate(I3) == I3
-    assert xl.adjugate(xl.mat([[2, 0], [0, 3]])) == ((3, 0), (0, 2))
-    assert xl.adjugate(xl.mat([[1, 2], [3, 4]])) == ((4, -2), (-3, 1))
+def test_invert_rational_examples():
+    assert xl.invert_rational(I3) == (I3, 1)
+    assert xl.invert_rational(xl.mat([[2, 0], [0, 3]])) == (((3, 0), (0, 2)), 6)
+    # det -2: the adjugate ((4, -2), (-3, 1)) changes sign with it
+    assert xl.invert_rational(xl.mat([[1, 2], [3, 4]])) == (((-4, 2), (3, -1)), 2)
+
+
+def cofactor_adjugate(M):
+    n = len(M)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det_cofactor(tuple(r[:i] + r[i + 1 :] for k, r in enumerate(M) if k != j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 @given(mat_small)
 @settings(max_examples=40)
-def test_adjugate_identity(M):
+def test_invert_rational_matches_the_cofactor_oracle(M):
+    d = det_cofactor(M)
+    if d == 0:
+        with pytest.raises(ValueError):
+            xl.invert_rational(M)
+        return
+    adj = cofactor_adjugate(M)
     n = len(M)
-    assert xl.mat_mul(M, xl.adjugate(M)) == xl.mat_scale(xl.identity(n), xl.det(M))
+    assert xl.mat_mul(M, adj) == xl.mat_scale(xl.identity(n), d)
+    assert xl.invert_rational(M) == ((adj, d) if d > 0 else (xl.mat_neg(adj), -d))
 
 
 # ------------------------------------------------------------------ poly at matrix
@@ -172,6 +192,8 @@ def test_hnf_properties(M):
     if H:
         H2, _ = xl.hnf(H)
         assert H2 == H
+    # the same basis without the transform
+    assert xl.hnf(M, transform=False) == (H, ())
 
 
 # ------------------------------------------------------------------ SNF
@@ -262,6 +284,38 @@ def test_congruence_kernel():
     assert xl.lattice_membership(K, (1, 0)) is None
 
 
+def _saturation_oracle(R):
+    """Vectors orthogonal to the rational right kernel of R."""
+    right = xl.left_kernel(xl.transpose(R))
+    return xl.left_kernel(xl.transpose(right)) if right else xl.identity(len(R[0]))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=r, max_size=r)
+    ),
+    st.integers(1, 6),
+)
+@settings(max_examples=60)
+def test_saturation_matches_the_orthogonal_oracle(rows, scale):
+    R = xl.mat(rows)
+    if len(xl.hnf_basis(R)) < len(R):
+        with pytest.raises(ValueError):
+            xl.saturation(R)
+        return
+    # a multiple of R spans the same rational space
+    S = xl.saturation(xl.mat_scale(R, scale))
+    assert S == _saturation_oracle(R)
+    assert xl.hnf_basis(S + xl.hnf_basis(R)) == S
+
+
+def test_saturation_examples():
+    # 2 Z^2 saturates to Z^2; the line through (2, 4) to the one through (1, 2)
+    assert xl.saturation(xl.mat([[2, 0], [0, 2]])) == xl.identity(2)
+    assert xl.saturation(xl.mat([[2, 4]])) == ((1, 2),)
+    assert xl.saturation(xl.mat([[2, 4, 6], [0, 3, 3]])) == ((1, 0, 1), (0, 1, 1))
+
+
 def test_left_kernel():
     M = xl.mat([[1, 2], [2, 4], [0, 1]])
     K = xl.left_kernel(M)
@@ -317,3 +371,20 @@ def test_bounded_search_first_hit_and_cap():
     assert xl.bounded_search(2, 3, accept, max_candidates=5) == (None, 5)
     assert xl.bounded_search(2, 3, lambda c: None, max_candidates=0) == (None, 0)
     assert xl.bounded_search(2, 3, lambda c: None, up_to_sign=True) == (None, 24)
+
+
+def test_bounded_search_resumes_after_start():
+    seen = []
+
+    def accept(c):
+        seen.append(c)
+        return c if c == (2, -1) else None
+
+    walk = list(xl.shell_vectors(2, 3))
+    hit, tried = xl.bounded_search(2, 3, accept)
+    seen.clear()
+    # a search capped before the hit, then resumed, sees each vector once
+    assert xl.bounded_search(2, 3, accept, max_candidates=5) == (None, 5)
+    assert xl.bounded_search(2, 3, accept, start=5) == (hit, tried)
+    assert seen == walk[:tried]
+    assert xl.bounded_search(2, 3, accept, start=len(walk)) == (None, len(walk))

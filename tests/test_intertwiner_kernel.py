@@ -1,0 +1,110 @@
+"""The intertwiner lattice {W : A W = W B}: the Krylov construction against
+the n^2 x n^2 left-kernel oracle, and the pairs that used to stall."""
+
+import pytest
+
+from toralconj import exact_linalg as xl
+from toralconj import finite_modules as fm
+from toralconj.conjugacy_pipeline import decide
+
+from conftest import A1, A2, B1, direct_sum, random_hyperbolic, random_unimodular, sublattice_pair
+
+X = xl.mat([[5, -3], [0, -2]])
+Y = xl.mat([[5, -21], [0, -2]])
+
+
+def kernel_oracle(A, B):
+    """HNF basis of the integer left kernel of the n^2 x n^2 matrix of
+    W -> A W - W B, written out entry by entry: (A W - W B)[i][l] takes
+    A[i][k] W[k][l] and -W[i][j] B[j][l]."""
+    n = len(A)
+    rows = []
+    for k in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for i in range(n):
+                for l in range(n):
+                    row[i * n + l] += A[i][k] if j == l else 0
+                    row[i * n + l] -= B[j][l] if i == k else 0
+            rows.append(tuple(row))
+    # rows are indexed by the entry (k, j) of W, columns by (i, l)
+    return xl.left_kernel(tuple(rows))
+
+
+def conjugate_pair(rng, n, bound=3):
+    A = random_hyperbolic(rng, n, bound)
+    U = random_unimodular(rng, n)
+    return A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+
+
+def _pairs(rng):
+    cyclic = [conjugate_pair(rng, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    cyclic += [sublattice_pair(rng, n, 4) for n in (2, 3, 4) for _ in range(3)]
+    cyclic += [(A1, B1), (direct_sum(X, A1), direct_sum(Y, B1))]
+    non_cyclic = [
+        (direct_sum(X, X), direct_sum(X, Y)),
+        (direct_sum(X, X), direct_sum(X, X)),
+        (direct_sum(A1, A1), direct_sum(A1, B1)),
+    ]
+    # different characteristic polynomials: the Krylov generators do not
+    # intertwine, and the lattice may still be nonzero (a shared factor)
+    dissimilar = [(A1, A2), (direct_sum(X, A1), direct_sum(X, A2))]
+    dissimilar += [(random_hyperbolic(rng, n, 3), random_hyperbolic(rng, n, 3)) for n in (2, 3, 4)]
+    return cyclic, non_cyclic, dissimilar
+
+
+@pytest.mark.parametrize("krylov_min_dim", [1, fm.KRYLOV_MIN_DIM])
+def test_kernel_matches_the_system_oracle(rng, monkeypatch, krylov_min_dim):
+    monkeypatch.setattr(fm, "KRYLOV_MIN_DIM", krylov_min_dim)
+    calls = []
+    original = xl.left_kernel
+
+    def counting(M):
+        calls.append(len(M))
+        return original(M)
+
+    monkeypatch.setattr(fm.xl, "left_kernel", counting)
+    cyclic, non_cyclic, dissimilar = _pairs(rng)
+    for group in (cyclic, non_cyclic, dissimilar):
+        for A, B in group:
+            fm.intertwiner_kernel.cache_clear()
+            calls.clear()
+            got = fm.intertwiner_kernel(A, B)
+            n = len(A)
+            # cyclic similar pairs never build the n^2 x n^2 system
+            krylov = group is cyclic and n >= krylov_min_dim
+            assert (n * n in calls) != krylov
+            assert got == kernel_oracle(A, B)
+            if group is not dissimilar:
+                assert xl.saturation(got) == got
+    fm.intertwiner_kernel.cache_clear()
+
+
+def test_guard_catches_a_shared_factor():
+    # X + A1 against X + A2: both cyclic, characteristic polynomials differ,
+    # yet the intertwiners between the X blocks form a nonzero lattice
+    A, B = direct_sum(X, A1), direct_sum(X, A2)
+    assert fm._krylov_basis(A) is not None and fm._krylov_basis(B) is not None
+    assert fm._krylov_generators(A, B) is None
+    fm.intertwiner_kernel.cache_clear()
+    assert len(fm.intertwiner_kernel(A, B)) > 0
+    fm.intertwiner_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_large_conjugate_pairs_skip_the_system(rng, monkeypatch, n):
+    # the n^2 x n^2 transform-HNF ran for minutes on such pairs; the Krylov
+    # construction never calls it, and its basis entries stay small
+    def refuse(M):
+        raise AssertionError(f"left_kernel called on a {len(M)}-row system")
+
+    monkeypatch.setattr(fm.xl, "left_kernel", refuse)
+    for _ in range(2):
+        A, B = conjugate_pair(rng, n)
+        fm.intertwiner_kernel.cache_clear()
+        v = decide(A, B)
+        assert v.outcome == "conjugate"
+        basis = fm.intertwiner_kernel(A, B)
+        assert len(basis) == n
+        assert max(abs(x).bit_length() for row in basis for x in row) <= 64
+    fm.intertwiner_kernel.cache_clear()

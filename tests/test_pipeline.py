@@ -222,6 +222,47 @@ def test_decide_linear_refutation_builds_no_lattice():
         assert intertwiner_kernel.cache_info().misses == 0
 
 
+def test_decide_refutes_a_degree_two_pair_inside_the_first_search_phase():
+    # (X + X, X + Y) passes every x - c, and the walk of its rank-8
+    # intertwiner lattice runs to the 200,000-candidate cap; BF_{x^3+1}
+    # refutes after the first phase of the search, before the rest of it
+    A = direct_sum(LINEAR_PASS_A, LINEAR_PASS_A)
+    B = direct_sum(LINEAR_PASS_A, LINEAR_PASS_B)
+    v = decide(A, B)
+    assert v.outcome == "not_conjugate" and v.witness["g"] == "x^3+1"
+    stages = [e["stage"] for e in v.evidence]
+    assert stages[-2:] == ["unimodular_search", "bf_module_screen"]
+    search = v.evidence[-2]
+    assert search["rank"] == 8
+    assert search["result"]["candidates"] <= pipeline.FIRST_SEARCH_CANDIDATES == 1_000
+
+
+def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
+    # with a first phase shorter than the walk to the certificate, the
+    # degree >= 2 screen runs in between, and the resumed walk ends on the
+    # certificate of the uninterrupted search
+    while True:
+        A = random_hyperbolic(rng, 3, 3)
+        U = random_unimodular(rng, 3)
+        B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+        whole = decide(A, B)
+        tried = whole.evidence[-1]["result"]["candidates"]
+        if tried >= 3:
+            break
+    monkeypatch.setattr(pipeline, "FIRST_SEARCH_CANDIDATES", tried - 1)
+    v = decide(A, B)
+    assert v.outcome == "conjugate" and v.certificate == whole.certificate
+    stages = [e["stage"] for e in v.evidence]
+    assert stages[-3:] == ["unimodular_search", "bf_module_screen", "unimodular_search_resumed"]
+    first, screen, rest = v.evidence[-3:]
+    assert first["result"] == {"found": False, "bound": 5, "candidates": tried - 1}
+    assert screen["report"]["outcome"] == "passed_screen"
+    assert rest == whole.evidence[-1] | {"stage": "unimodular_search_resumed"}
+    # a cap below the first phase leaves nothing to resume
+    capped = decide(A, B, PipelineConfig(search_max_candidates=tried - 1))
+    assert "unimodular_search_resumed" not in [e["stage"] for e in capped.evidence]
+
+
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
     from toralconj import bf_invariants
 
