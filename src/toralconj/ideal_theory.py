@@ -8,6 +8,8 @@ Ideals are full-rank Z-lattices in power-basis coordinates, stored as an
 integer HNF matrix over a positive denominator so equality is bit-exact.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -314,8 +316,13 @@ def colon_ideal(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     return FractionalIdeal.normalize(I.nf, current[0], current[1], check_beta=False)
 
 
+@functools.lru_cache(maxsize=2)
 def multiplier_ring(I: FractionalIdeal) -> FractionalIdeal:
-    """O(I) = (I : I), with the ring axioms and Z[beta]-containment verified."""
+    """O(I) = (I : I), with the ring axioms and Z[beta]-containment verified.
+
+    The ideal route asks for the rings of the same two ideals twice (for
+    its record, then inside weak_equivalence), so the last two are kept.
+    """
     O = colon_ideal(I, I)
     if not O.contains_one():
         raise InternalInconsistencyError("multiplier ring misses 1")
@@ -442,32 +449,64 @@ class PrincipalResult:
         return out
 
 
+def norm_form(X: FractionalIdeal) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The integer form N(c) = det(sum c_i M_i), M_i the multiplication
+    matrix of row x_i of X.mat, as (coefficient, indices) terms with the
+    indices ascending: N(c) = sum a * c[i_1] ... c[i_n].
+
+    The determinant is multilinear in its rows, so it expands into the n^n
+    determinants that take row r from M_(i_r), collected by the multiset
+    of the i_r into at most C(2n-1, n) monomials.  For z = sum c_i x_i /
+    X.den, N(c) = det(multiplication_matrix(z)) (X.den / zden)^n.
+    """
+    n = X.nf.n
+    mats = [multiplication_matrix(FieldElement.make(X.nf, row))[0] for row in X.mat]
+    coeffs: dict[tuple[int, ...], int] = {}
+    for idx in itertools.product(range(n), repeat=n):
+        d = xl.det(tuple(mats[i][r] for r, i in enumerate(idx)))
+        if d:
+            key = tuple(sorted(idx))
+            coeffs[key] = coeffs.get(key, 0) + d
+    return tuple((a, key) for key, a in sorted(coeffs.items()) if a)
+
+
+def form_value(form, c) -> int:
+    """The value at the integer vector c of a form from norm_form."""
+    total = 0
+    for a, idx in form:
+        for i in idx:
+            a *= c[i]
+        total += a
+    return total
+
+
 def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     """Bounded search for z with z O(X) = X over integer combinations of the
     basis of X with coefficients in [-bound, bound].
 
     Candidates run by max-norm shells, one of each +-z since z and -z
     generate the same ideal.  Each z lies in X and X is an O(X)-module, so
-    z O(X) <= X, with equality iff the two covolumes agree; that one
-    determinant screens every candidate, and the HNF equality confirms a
-    match.  Absence within the bound is reported as not-found, never as a
-    proof of non-principality.
+    z O(X) <= X, with equality iff the two covolumes agree.  For
+    z = sum c_i x_i / X.den over the rows x_i of X.mat that reads
+    |det O.mat| |N(c)| = |det X.mat| O.den^n, where N is the degree-n
+    integer norm form of norm_form, built once per search; only a candidate
+    that passes it becomes a field element, and the HNF equality
+    z O(X) = X confirms it.  Absence within the bound is reported as
+    not-found, never as a proof of non-principality.
     """
     O = multiplier_ring(X)
-    basis = X.basis_elements()
     n = X.nf.n
-    # covol(z O) = |det O.mat| |det M| / (O.den zden)^n, covol(X) = |det X.mat| / X.den^n
-    o_side = abs(xl.det(O.mat)) * X.den**n
-    x_side = abs(xl.det(X.mat))
+    form = norm_form(X)
+    o_side = abs(xl.det(O.mat))
+    x_side = abs(xl.det(X.mat)) * O.den**n
 
     def accept(coeffs):
-        z = _linear_combination(coeffs, basis)
-        M, zden = multiplication_matrix(z)
-        if o_side * abs(xl.det(M)) != x_side * (O.den * zden) ** n:
+        if o_side * abs(form_value(form, coeffs)) != x_side:
             return None
+        z = FieldElement.make(X.nf, xl.vec_mat(coeffs, X.mat), X.den)
         return z if O.scale(z) == X else None
 
-    z, tried = xl.bounded_search(len(basis), bound, accept, up_to_sign=True)
+    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True)
     return PrincipalResult(z is not None, z, bound, tried)
 
 

@@ -14,6 +14,11 @@ A1 = xl.mat([[0, 1, 0], [1, 0, 4], [6, -2, 23]])
 B1 = xl.mat([[0, 1, 12], [1, 0, -4], [0, 2, 23]])
 A2 = xl.mat([[0, 1, 0], [0, 0, 1], [1, 8, 2]])
 B2 = xl.mat([[-1, 2, 0], [-1, 1, 1], [-5, 9, 2]])
+# x^3 - x^2 - 2x - 8, whose Z[beta] has index 2 in the maximal order: the
+# eigen ideal of the companion matrix RING_A has multiplier ring Z[beta],
+# that of RING_B (a root acting on the maximal order) the maximal order.
+RING_A = xl.mat([[0, 1, 0], [0, 0, 1], [8, 2, 1]])
+RING_B = xl.mat([[0, 0, 4], [1, -1, 0], [0, 2, 2]])
 
 SEED = 20250811
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from toralconj import exact_linalg as xl
@@ -5,7 +7,7 @@ from toralconj import ideal_theory as it
 from toralconj import polys
 from toralconj.errors import UnsupportedError
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, rng, random_unimodular
+from conftest import A1, A2, B1, B2, RING_A, RING_B, random_hyperbolic, rng, random_unimodular, sublattice_pair
 
 P2 = (-1, -8, -2, 1)  # x^3 - 2x^2 - 8x - 1
 
@@ -299,6 +301,84 @@ def test_principal_search_covolume_filter_matches_hnf(rng):
             found = found or generates
         assert it.principal_search(X, 3).found == found
     assert answers == {True, False}
+
+
+def test_norm_form_matches_multiplication_determinant(pair, rng):
+    # N(c) = det M(z) (X.den / zden)^n for z = sum c_i x_i / X.den, with z
+    # built and reduced as a field element and its determinant taken directly
+    I2, _, J, _, _ = _nested_pair(pair)
+    ideals = [it.colon_ideal(J, I2)]
+    ideals += [_colon_of_pair(*_sublattice_pair(rng)) for _ in range(3)]
+    ideals += [_colon_of_pair(*sublattice_pair(rng, n, 3)) for n in (2, 2, 4)]
+    ring_ideals = [it.eigen_ideal(RING_A)[0], it.eigen_ideal(RING_B)[0]]
+    ideals += ring_ideals + [_colon_of_pair(RING_A, RING_B)]
+    # Z[beta] of x^3 - x^2 - 2x - 8 is a non-maximal order: RING_B's ideal
+    # has a strictly larger multiplier ring
+    rings = [it.multiplier_ring(X) for X in ring_ideals]
+    assert rings[0] == it.FractionalIdeal.z_beta(rings[0].nf) and rings[1] != rings[0]
+    assert rings[0].is_subset(rings[1])
+    assert {X.nf.n for X in ideals} == {2, 3, 4}
+    assert any(X.den > 1 for X in ideals)
+    for X in ideals:
+        n = X.nf.n
+        form = it.norm_form(X)
+        assert 0 < len(form) <= len(list(itertools.combinations_with_replacement(range(n), n)))
+        basis = X.basis_elements()
+        for c in xl.shell_vectors(n, 3, up_to_sign=True):
+            z = it._linear_combination(c, basis)
+            M, zden = it.multiplication_matrix(z)
+            assert X.den % zden == 0
+            assert it.form_value(form, c) == xl.det(M) * (X.den // zden) ** n
+
+
+def _reference_principal_search(X, bound):
+    """The per-candidate loop the norm form replaced: build z, take the
+    determinant of its multiplication matrix, then confirm by HNF.  Also
+    returns how many candidates passed the covolume test."""
+    O = it.multiplier_ring(X)
+    basis = X.basis_elements()
+    n = X.nf.n
+    o_side = abs(xl.det(O.mat)) * X.den**n
+    x_side = abs(xl.det(X.mat))
+    passed = 0
+
+    def accept(coeffs):
+        nonlocal passed
+        z = it._linear_combination(coeffs, basis)
+        M, zden = it.multiplication_matrix(z)
+        if o_side * abs(xl.det(M)) != x_side * (O.den * zden) ** n:
+            return None
+        passed += 1
+        return z if O.scale(z) == X else None
+
+    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True)
+    return it.PrincipalResult(z is not None, z, bound, tried), passed
+
+
+def test_principal_search_matches_reference_loop(pair, rng, monkeypatch):
+    I2, _, J, _, _ = _nested_pair(pair)
+    ideals = [it.colon_ideal(J, I2)] + [_colon_of_pair(*_sublattice_pair(rng)) for _ in range(3)]
+    scaled = []
+    real_scale = it.FractionalIdeal.scale
+
+    def counting_scale(self, z):
+        scaled.append(z)
+        return real_scale(self, z)
+
+    outcomes = set()
+    for X in ideals:
+        want, passed = _reference_principal_search(X, 8)
+        scaled.clear()
+        with monkeypatch.context() as m:
+            m.setattr(it.FractionalIdeal, "scale", counting_scale)
+            got = it.principal_search(X, 8)
+        # found, bound, tried and the generator string, then the generator
+        assert got.to_data() == want.to_data()
+        assert got.generator == want.generator
+        # only candidates that pass the norm screen reach the HNF
+        assert len(scaled) == passed < got.tried
+        outcomes.add(got.found)
+    assert outcomes == {True, False}
 
 
 # ------------------------------------------------------------------ two generators, bezout, X_g

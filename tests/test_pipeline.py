@@ -24,6 +24,8 @@ from conftest import (
     A2,
     B1,
     B2,
+    RING_A,
+    RING_B,
     direct_sum,
     random_hyperbolic,
     random_unimodular,
@@ -426,9 +428,6 @@ def test_module_witnesses_rebuilt_from_scratch(witness):
         _emit_not_conjugate(A1, B1, tower_level, [], DEFAULT_CONFIG)
 
 
-# the index-2 cubic order pair of test_multiplier_ring_refutation_path
-RING_A = xl.mat([[0, 1, 0], [0, 0, 1], [8, 2, 1]])
-RING_B = xl.mat([[0, 0, 4], [1, -1, 0], [0, 2, 2]])
 Z_BETA = {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "den": 1}
 HALF_RING = {"basis": [[2, 0, 0], [0, 1, 1], [0, 0, 2]], "den": 2}
 SIMILARITY = {"kind": "similarity", "char_poly_left": "x^3-23x^2+7x-1", "char_poly_right": "x^3-2x^2-8x-1"}
