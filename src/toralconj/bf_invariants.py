@@ -93,7 +93,6 @@ def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
 
 def default_family(
     A: Mat,
-    B: Mat | None = None,
     max_shift: int = 5,
     max_power: int = 6,
     cyclotomic_index: int = 12,
@@ -154,7 +153,7 @@ def strong_bf_screen(
     screen passing, never equivalence over every polynomial.
     """
     if family is None:
-        family = default_family(A, B)
+        family = default_family(A)
     records: list[dict] = []
     undecided: list[polys.Poly] = []
     for g in family:

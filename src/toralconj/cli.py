@@ -19,7 +19,7 @@ from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
 from .bf_invariants import BFConstructionError, bf_group, default_family, hyperbolicity_check, strong_bf_screen
-from .conjugacy_pipeline import PipelineConfig, decide, similarity_check
+from .conjugacy_pipeline import DEFAULT_CONFIG, PipelineConfig, decide, similarity_check
 from .errors import InputError, ToralConjError
 from .tower import build_tower, injectivity_probe, verify_factorization, verify_filtered
 
@@ -156,7 +156,7 @@ def cmd_screen(args) -> int:
         report = _report("screen", inputs, config, result)
         _emit(report, args.json, ["not similar: rational canonical data differ"], started)
         return 0
-    family = default_family(A, B, max_shift=args.family_c, max_power=args.family_m)
+    family = default_family(A, max_shift=args.family_c, max_power=args.family_m)
     rep = strong_bf_screen(A, B, family, budget=args.budget)
     report = _report("screen", inputs, config, rep.to_data())
     lines = [f"screen outcome: {rep.outcome}"]
@@ -301,6 +301,7 @@ def cmd_decide(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    cfg = DEFAULT_CONFIG
     ap = argparse.ArgumentParser(
         prog="toralconj",
         description="Exact conjugacy invariants for hyperbolic integer matrices",
@@ -316,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="strong BF-equivalence screen over a finite family")
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
-    p.add_argument("--family-c", type=int, default=5, dest="family_c")
-    p.add_argument("--family-m", type=int, default=6, dest="family_m")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--family-c", type=int, default=cfg.family_max_shift, dest="family_c")
+    p.add_argument("--family-m", type=int, default=cfg.family_max_power, dest="family_m")
+    p.add_argument("--budget", type=int, default=cfg.iso_budget)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_screen)
 
@@ -334,20 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("sub", choices=["show", "ring", "weak-equiv", "principal"])
     p.add_argument("matrix_b", nargs="?", default=None)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=int, default=cfg.principal_bound)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("decide", help="full conjugacy decision pipeline")
     p.add_argument("matrix_a")
     p.add_argument("matrix_b")
-    p.add_argument("--family-c", type=int, default=5, dest="family_c")
-    p.add_argument("--family-m", type=int, default=6, dest="family_m")
-    p.add_argument("--iso-budget", type=int, default=100_000, dest="iso_budget")
-    depth_help = "screen the divisors of x^(k!)-1 for k <= N (default 4)"
-    p.add_argument("--tower-depth", type=int, default=4, dest="tower_depth", metavar="N", help=depth_help)
-    p.add_argument("--search-bound", type=int, default=5, dest="search_bound")
-    p.add_argument("--principal-bound", type=int, default=8, dest="principal_bound")
+    p.add_argument("--family-c", type=int, default=cfg.family_max_shift, dest="family_c")
+    p.add_argument("--family-m", type=int, default=cfg.family_max_power, dest="family_m")
+    p.add_argument("--iso-budget", type=int, default=cfg.iso_budget, dest="iso_budget")
+    depth_help = f"screen the divisors of x^(k!)-1 for k <= N (default {cfg.tower_depth})"
+    p.add_argument("--tower-depth", type=int, default=cfg.tower_depth, dest="tower_depth", metavar="N", help=depth_help)
+    p.add_argument("--search-bound", type=int, default=cfg.unimodular_bound, dest="search_bound")
+    p.add_argument("--principal-bound", type=int, default=cfg.principal_bound, dest="principal_bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decide)
     return ap

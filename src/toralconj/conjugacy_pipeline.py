@@ -16,7 +16,6 @@ re-verifies from scratch; everything else is an honest Unknown that embeds
 its budgets.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import exact_linalg as xl
@@ -31,7 +30,7 @@ from .bf_invariants import (
     strong_bf_screen,
 )
 from .errors import InternalInconsistencyError
-from .finite_modules import intertwiner_kernel, module_iso_exists
+from .finite_modules import intertwiner_kernel, intertwiner_system, module_iso_exists
 from .tower import tower_polynomials
 
 Mat = xl.Mat
@@ -66,13 +65,14 @@ DEFAULT_CONFIG = PipelineConfig()
 
 
 def similarity_check(A: Mat, B: Mat) -> bool:
-    """Similarity over Q via rational canonical data.
+    """Similarity over Q.
 
     Characteristic polynomials must agree.  A squarefree one (gcd with its
     derivative constant) is already decisive: every matrix with that
     polynomial is cyclic, so its rational canonical form is the companion
-    matrix.  Otherwise the full invariant-factor lists of xI - A and xI - B
-    (determinantal-divisor quotients over Z[x]) are compared.
+    matrix.  Otherwise A ~ B iff the spaces C(X, Y) = {W : X W = W Y} of
+    (A, A), (A, B) and (B, B) have one dimension (Byrnes and Gauger, 1977),
+    read off as the ranks of their n^2 x n^2 systems.
     """
     if len(A) != len(B):
         raise ValueError("dimension mismatch")
@@ -81,51 +81,7 @@ def similarity_check(A: Mat, B: Mat) -> bool:
         return False
     if polys.degree(polys.poly_gcd(pa, polys.derivative(pa))) == 0:
         return True
-    return _poly_invariant_factors(A) == _poly_invariant_factors(B)
-
-
-def _poly_invariant_factors(A: Mat) -> tuple:
-    """Invariant factors of xI - A from gcds of k x k polynomial minors."""
-    n = len(A)
-    entries = {
-        (i, j): polys.trim((-A[i][j], 1)) if i == j else polys.trim((-A[i][j],))
-        for i in range(n)
-        for j in range(n)
-    }
-    dets = [polys.ONE]
-    for k in range(1, n + 1):
-        g: polys.Poly = ()
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                minor = _poly_det([[entries[(i, j)] for j in cols] for i in rows])
-                g = polys.poly_gcd(g, minor) if g else polys.primitive_part(minor)
-                if g == polys.ONE:
-                    break
-            if g == polys.ONE:
-                break
-        dets.append(g if g else ())
-    factors = []
-    for k in range(1, n + 1):
-        q, r = polys.divmod_exact(dets[k], dets[k - 1])
-        if r != ():
-            raise InternalInconsistencyError("determinantal divisors not nested")
-        factors.append(q)
-    return tuple(f for f in factors if polys.degree(f) >= 1)
-
-
-def _poly_det(M: list[list[polys.Poly]]) -> polys.Poly:
-    """Cofactor-expansion determinant over Z[x]; fine for n <= 4 blocks."""
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    out: polys.Poly = ()
-    for j in range(k):
-        if M[0][j] == ():
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = polys.mul(M[0][j], _poly_det(sub))
-        out = polys.add(out, term if j % 2 == 0 else polys.neg(term))
-    return out
+    return len({xl.rank(intertwiner_system(X, Y)) for X, Y in ((A, A), (A, B), (B, B))}) == 1
 
 
 @dataclass(frozen=True)
@@ -293,7 +249,6 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     # groups make the identity an isomorphism) without the intertwiner lattice
     family = default_family(
         A,
-        B,
         max_shift=config.family_max_shift,
         max_power=config.family_max_power,
         cyclotomic_index=config.cyclotomic_index,

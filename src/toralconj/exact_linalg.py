@@ -141,6 +141,25 @@ def det(M: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def rank(M: Mat) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination.  A column with no
+    pivot at or below the current row is skipped; every division stays
+    exact because each entry is a minor of M (Sylvester's identity)."""
+    a = [list(r) for r in M]
+    r, prev = 0, 1
+    for col in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        top, piv = a[r], a[r][col]
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev, r = piv, r + 1
+    return r
+
+
 def _faddeev_leverrier(M: Mat) -> polys.Poly:
     """Characteristic polynomial (monic, lowest degree first), with the
     Cayley-Hamilton identity verified."""

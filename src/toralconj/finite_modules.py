@@ -79,8 +79,9 @@ class FiniteModulePresentation:
         return {"order": self.order, "invariant_factors": list(self.factors)}
 
 
-def quotient(M: Mat, A: Mat, check_action: bool = True) -> FiniteModulePresentation:
-    """Present Z^n / Z^n M with action A in SNF-canonical coordinates."""
+def quotient(M: Mat, A: Mat) -> FiniteModulePresentation:
+    """Present Z^n / Z^n M with action A in SNF-canonical coordinates,
+    after checking that A preserves the relation lattice."""
     if not xl.is_square(M) or not xl.is_square(A) or len(M) != len(A):
         raise ValueError("relations and action must be square of equal size")
     A = xl.mat(A)  # hashable, as intertwiner_kernel's cache needs
@@ -89,10 +90,9 @@ def quotient(M: Mat, A: Mat, check_action: bool = True) -> FiniteModulePresentat
     if xl.det(M) == 0:
         raise InfiniteQuotientError("relation matrix is singular")
     rel_hnf = xl.hnf_basis(M)
-    if check_action:
-        for row in xl.mat_mul(M, A):
-            if xl.lattice_membership(rel_hnf, row) is None:
-                raise IllFormedActionError("action does not preserve the relation lattice")
+    for row in xl.mat_mul(M, A):
+        if xl.lattice_membership(rel_hnf, row) is None:
+            raise IllFormedActionError("action does not preserve the relation lattice")
     diag, V, vinv = xl.snf(M)
     if xl.mat_mul(V, vinv) != xl.identity(n):
         raise InternalInconsistencyError("Smith transform V and its inverse disagree")
@@ -368,7 +368,7 @@ def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
     return tuple(rows)
 
 
-def _intertwiner_system(A: Mat, B: Mat) -> Mat:
+def intertwiner_system(A: Mat, B: Mat) -> Mat:
     """The n^2 x n^2 matrix of W -> A W - W B on row-vectorized W."""
     n = len(A)
     rows = []
@@ -408,7 +408,7 @@ def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
     if gens is not None:
         basis = xl.saturation(gens)
     else:
-        basis = xl.left_kernel(_intertwiner_system(A, B))
+        basis = xl.left_kernel(intertwiner_system(A, B))
     for v in basis:
         K = xl.unvec(v, n)
         if xl.mat_mul(A, K) != xl.mat_mul(K, B):

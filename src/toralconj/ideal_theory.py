@@ -1,8 +1,7 @@
 """Number-field side of the invariants: arithmetic in Q(beta) for a monic
 irreducible defining polynomial, eigenvector fractional ideals, multiplier
-rings, colon ideals, weak equivalence, bounded principality and
-two-generator searches, and the intertwining matrix built from a
-two-generator representation.
+rings, colon ideals, weak equivalence, a bounded principality search, and
+the intertwining matrix built from a generator of a colon ideal.
 
 Ideals are full-rank Z-lattices in power-basis coordinates, stored as an
 integer HNF matrix over a positive denominator so equality is bit-exact.
@@ -15,9 +14,8 @@ from math import gcd
 
 from . import exact_linalg as xl
 from . import polys
-from .bf_invariants import bf_group, cached_char_poly
+from .bf_invariants import cached_char_poly
 from .errors import InternalInconsistencyError, UnsupportedError
-from .finite_modules import map_from_ambient
 
 Mat = xl.Mat
 Vec = xl.Vec
@@ -32,17 +30,14 @@ class NumberField:
     beta_n_row: Vec           # coordinates of beta^n in the power basis
 
     @classmethod
-    def create(cls, p: polys.Poly, assume_irreducible: bool = False) -> "NumberField":
+    def create(cls, p: polys.Poly) -> "NumberField":
         n = polys.degree(p)
         if n < 2 or not polys.is_monic(p):
             raise UnsupportedError("defining polynomial must be monic of degree >= 2")
-        if n <= 4:
-            if not polys.is_irreducible_deg_le4(p):
-                raise UnsupportedError(f"reducible polynomial {polys.to_str(p)}")
-        elif not assume_irreducible:
-            raise UnsupportedError("degree > 4 needs caller-asserted irreducibility")
-        elif polys.integer_roots(p):
-            raise UnsupportedError("asserted-irreducible polynomial has a linear factor")
+        if n > 4:
+            raise UnsupportedError(f"irreducibility is only decided up to degree 4, not {n}")
+        if not polys.is_irreducible_deg_le4(p):
+            raise UnsupportedError(f"reducible polynomial {polys.to_str(p)}")
         return cls(p=p, n=n, beta_n_row=tuple(-c for c in p[:-1]))
 
     def reduce_poly(self, coeffs) -> Vec:
@@ -150,15 +145,6 @@ class FieldElement:
             terms.append(sign + body)
         body = "".join(terms) if terms else "0"
         return body if self.den == 1 else f"({body})/{self.den}"
-
-
-def _linear_combination(coeffs, elems: list[FieldElement]) -> FieldElement:
-    """sum c_i b_i over field elements (at least one)."""
-    z = FieldElement.from_int(elems[0].nf, 0)
-    for c, b in zip(coeffs, elems):
-        if c:
-            z = z.add(b.mul_int(c))
-    return z
 
 
 def multiplication_matrix(z: FieldElement) -> tuple[Mat, int]:
@@ -367,7 +353,7 @@ def _verify_eigen(v, A: Mat, nf: NumberField) -> None:
             raise InternalInconsistencyError("eigenvector identity v A = beta v failed")
 
 
-def eigen_ideal(A: Mat, assume_irreducible: bool = False) -> tuple[FractionalIdeal, tuple[FieldElement, ...], NumberField]:
+def eigen_ideal(A: Mat) -> tuple[FractionalIdeal, tuple[FieldElement, ...], NumberField]:
     """Fractional ideal spanned by the entries of a beta-eigenvector of A,
     made primitive inside Z[beta]; returns (ideal, eigenvector, field).
 
@@ -375,7 +361,7 @@ def eigen_ideal(A: Mat, assume_irreducible: bool = False) -> tuple[FractionalIde
     beta v_i = (v A)_i is an integer combination of the entries.
     """
     p = cached_char_poly(A)
-    nf = NumberField.create(p, assume_irreducible=assume_irreducible)
+    nf = NumberField.create(p)
     v = eigen_vector(A, nf)
     den = 1
     for c in v:
@@ -510,65 +496,6 @@ def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     return PrincipalResult(z is not None, z, bound, tried)
 
 
-def two_generator_rep(
-    X: FractionalIdeal, alpha: FieldElement, bound: int = 6
-) -> FieldElement | None:
-    """gamma in X with alpha O + gamma O = X, by bounded enumeration over
-    basis combinations of X; None if the bound is exhausted.
-
-    Requires alpha a nonzero element of X and X invertible in O = O(X).
-    """
-    if alpha.is_zero() or not X.contains(alpha):
-        raise ValueError("alpha must be a nonzero element of X")
-    O = multiplier_ring(X)
-    Xinv = colon_ideal(O, X)
-    if ideal_product(X, Xinv) != O:
-        raise ValueError("X is not invertible in its multiplier ring")
-    alpha_O = O.scale(alpha)
-    basis = X.basis_elements()
-
-    def accept(coeffs):
-        gamma = _linear_combination(coeffs, basis)
-        return gamma if _ideal_sum(alpha_O, O.scale(gamma)) == X else None
-
-    return xl.bounded_search(len(basis), bound, accept, up_to_sign=True)[0]
-
-
-def _ideal_sum(a: FractionalIdeal, b: FractionalIdeal) -> FractionalIdeal:
-    cd = a.den * b.den // gcd(a.den, b.den)
-    rows = xl.mat_scale(a.mat, cd // a.den) + xl.mat_scale(b.mat, cd // b.den)
-    return FractionalIdeal.normalize(a.nf, rows, cd, check_beta=False)
-
-
-
-def solve_bezout(
-    alpha: FieldElement, gamma: FieldElement, O: FractionalIdeal
-) -> tuple[FieldElement, FieldElement]:
-    """a, b in O with a alpha + b gamma = 1, by an exact integer linear solve
-    over the 2n coordinates; verified by multiplication before return."""
-    nf = O.nf
-    obasis = O.basis_elements()
-    rows = [b.mul(alpha) for b in obasis] + [b.mul(gamma) for b in obasis]
-    den = 1
-    for z in rows:
-        den = den * z.den // gcd(den, z.den)
-    M = tuple(tuple(x * (den // z.den) for x in z.num) for z in rows)
-    target = (den,) + (0,) * (nf.n - 1)
-    sol = xl.solve_left(M, target)
-    if sol is None:
-        raise InternalInconsistencyError(
-            "Bezout system unsolvable although 1 lies in alpha O + gamma O"
-        )
-    coeffs = sol[0]
-    n = len(obasis)
-    a = _linear_combination(coeffs[:n], obasis)
-    bb = _linear_combination(coeffs[n:], obasis)
-    check = a.mul(alpha).add(bb.mul(gamma))
-    if not check.sub(FieldElement.from_int(nf, 1)).is_zero():
-        raise InternalInconsistencyError("Bezout solution failed verification")
-    return a, bb
-
-
 def xg_matrix(
     A: Mat,
     B: Mat,
@@ -579,8 +506,7 @@ def xg_matrix(
     """Integer matrix X with gamma v = w X (entrywise over K), verified to
     satisfy X A = B X and det X != 0.
 
-    v and w must be the eigenvector tuples whose entries span I and J; the
-    induced map on the finite quotients is checked by the caller.
+    v and w must be the eigenvector tuples whose entries span I and J.
     """
     n = len(A)
     wden = 1
@@ -604,21 +530,3 @@ def xg_matrix(
     if xl.det(X) == 0:
         raise InternalInconsistencyError("X_g is singular")
     return X
-
-
-def induced_bf_isomorphism(A: Mat, B: Mat, g: polys.Poly, X: Mat):
-    """The module isomorphism of the finite quotients induced by an
-    intertwiner X with X A = B X.
-
-    m -> m X is well defined from the B-side quotient to the A-side quotient
-    because X g(A) = g(B) X; it is verified bijective and then inverted, so
-    the returned map goes A-side -> B-side.
-    """
-    PA = bf_group(A, g).module
-    PB = bf_group(B, g).module
-    back = map_from_ambient(PB, PA, X)
-    if back is None or not back.is_isomorphism():
-        raise InternalInconsistencyError(
-            "X_g does not induce a bijection of the finite quotients"
-        )
-    return back.inverse()

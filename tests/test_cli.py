@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from toralconj import cli
+from toralconj.conjugacy_pipeline import DEFAULT_CONFIG
 
 from conftest import A1, A2, B1, B2
 
@@ -203,6 +204,13 @@ def test_decide_self_conjugate(capsys, mats):
     rep = json.loads(out)
     assert rep["result"]["outcome"] == "conjugate"
     assert rep["result"]["certificate"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_decide_defaults_are_the_pipeline_defaults(capsys, mats):
+    code, out, _ = run(capsys, ["decide", mats["A1"], mats["B1"], "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["config"] == rep["result"]["config"] == DEFAULT_CONFIG.to_data()
 
 
 def test_decide_example2_unknown_exit(capsys, mats):

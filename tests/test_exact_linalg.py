@@ -53,6 +53,26 @@ def test_det_matches_cofactor_oracle(M):
     assert xl.det(M) == det_cofactor(M)
 
 
+def _mat(rows, cols):
+    return st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(xl.mat)
+
+
+# products of an r x k and a k x c matrix, k < min(r, c) often, so rank drops
+low_rank = st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 5)).flatmap(
+    lambda d: st.tuples(_mat(d[0], d[1]), _mat(d[1], d[2])).map(lambda lr: xl.mat_mul(*lr))
+)
+rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda d: _mat(*d))
+
+
+@given(st.one_of(rectangular, low_rank))
+@settings(max_examples=80)
+def test_rank_matches_the_hnf_row_count(M):
+    r = xl.rank(M)
+    assert r == len(xl.hnf_basis(M)) == xl.rank(xl.transpose(M))
+
+
 # ------------------------------------------------------------------ char poly
 
 def test_char_poly_examples():

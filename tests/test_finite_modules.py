@@ -192,7 +192,7 @@ def test_iso_yes_passes_skipped_action_check(rng):
         A = random_hyperbolic(rng)
         U = random_unimodular(rng)
         B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
-        for g in default_family(A, B):
+        for g in default_family(A):
             PA, PB = bf_module(A, g), bf_module(B, g)
             res = fm.module_iso_exists(PA, PB)
             assert res.verdict != "no"

@@ -1,4 +1,6 @@
+import collections
 import random
+import time
 
 import pytest
 
@@ -71,10 +73,16 @@ def _companion(p):
     )
 
 
-def test_similarity_squarefree_shortcut_matches_invariant_factors(rng, monkeypatch):
+def _ranks_agree(A, B):
+    """The three-rank criterion, taken directly."""
+    systems = ((A, A), (A, B), (B, B))
+    return len({xl.rank(finite_modules.intertwiner_system(X, Y)) for X, Y in systems}) == 1
+
+
+def test_similarity_squarefree_shortcut_skips_the_ranks(rng, monkeypatch):
     # a squarefree characteristic polynomial makes both matrices cyclic, so
-    # the shortcut answers what the invariant factors of xI - A would
-    squarefree, repeated = [], []
+    # the shortcut answers what the three ranks would
+    squarefree = []
     for n in (2, 3, 4):
         A = random_hyperbolic(rng, n, 4)
         chi = xl.char_poly(A)
@@ -84,27 +92,116 @@ def test_similarity_squarefree_shortcut_matches_invariant_factors(rng, monkeypat
         squarefree.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
         squarefree.append((A, _companion(chi)))
     squarefree.append((xl.mat([[2, 0], [0, 3]]), xl.mat([[2, 1], [0, 3]])))
-    for n in (1, 2):
-        M = random_hyperbolic(rng, n, 4)
-        MM = direct_sum(M, M)
-        U = random_unimodular(rng, 2 * n)
-        repeated.append((MM, xl.mat_mul(xl.mat_mul(U, MM), xl.unimodular_inverse(U))))
-        repeated.append((MM, _companion(xl.char_poly(MM))))
-        repeated.append((with_eigenvalue(MM, 2), direct_sum(_companion(xl.char_poly(MM)), ((2,),))))
-    answers = set()
-    for A, B in repeated:
-        expected = pipeline._poly_invariant_factors(A) == pipeline._poly_invariant_factors(B)
-        assert similarity_check(A, B) == expected
-        answers.add(expected)
-    assert answers == {True, False}
-    expected = [pipeline._poly_invariant_factors(A) == pipeline._poly_invariant_factors(B) for A, B in squarefree]
-    assert len(expected) >= 4 and all(expected)
+    assert len(squarefree) >= 4 and all(_ranks_agree(A, B) for A, B in squarefree)
 
     def refuse(M):
-        pytest.fail("a squarefree characteristic polynomial reached the invariant factors")
+        pytest.fail("a squarefree characteristic polynomial reached the ranks")
 
-    monkeypatch.setattr(pipeline, "_poly_invariant_factors", refuse)
+    monkeypatch.setattr(xl, "rank", refuse)
     assert all(similarity_check(A, B) for A, B in squarefree)
+
+
+def _jordan(c, k):
+    return tuple(tuple(c if j == i else 1 if j == i + 1 else 0 for j in range(k)) for i in range(k))
+
+
+def _block(kind):
+    """("J", c, k) is the Jordan block J(c, k); ("Q", b, d, k) the companion
+    matrix of (x^2 + b x + d)^k, for an irreducible quadratic."""
+    if kind[0] == "J":
+        return _jordan(kind[1], kind[2])
+    p = polys.ONE
+    for _ in range(kind[3]):
+        p = polys.mul(p, (kind[2], kind[1], 1))
+    return _companion(p)
+
+
+def _block_matrix(rng, kinds):
+    """The blocks in a random order, summed and conjugated by a unimodular."""
+    kinds = list(kinds)
+    rng.shuffle(kinds)
+    M = _block(kinds[0])
+    for kind in kinds[1:]:
+        M = direct_sum(M, _block(kind))
+    U = random_unimodular(rng, len(M))
+    return xl.mat_mul(xl.mat_mul(U, M), xl.unimodular_inverse(U))
+
+
+def _random_blocks(rng, size):
+    """Elementary-divisor blocks of total size `size` around one eigenvalue
+    and one irreducible quadratic, with the multiplicity of each factor;
+    redrawn until some factor repeats."""
+    quadratics = [(b, d) for b in range(-2, 3) for d in range(-2, 3) if polys.is_irreducible_deg_le4((d, b, 1))]
+    while True:
+        kinds, left = [], size
+        c = rng.randint(-2, 2)
+        b, d = rng.choice(quadratics)
+        while left:
+            k = rng.randint(1, min(left, 4))
+            if k % 2 or rng.random() < 0.5:
+                kinds.append(("J", c if rng.random() < 0.7 else rng.randint(-2, 2), k))
+            else:
+                kinds.append(("Q", b, d, k // 2))
+            left -= k
+        mult = collections.Counter()
+        for kind in kinds:
+            mult[kind[:-1]] += kind[-1]
+        if max(mult.values()) > 1:
+            return kinds, mult
+
+
+def _repartition(rng, kinds, mult):
+    """The blocks with the exponents of one repeated factor redistributed:
+    the same characteristic polynomial and a different multiset."""
+    factor = rng.choice(sorted(f for f, m in mult.items() if m > 1))
+    old = sorted(k[-1] for k in kinds if k[:-1] == factor)
+    sizes = old
+    while sorted(sizes) == old:
+        sizes, total = [], mult[factor]
+        while total:
+            sizes.append(rng.randint(1, total))
+            total -= sizes[-1]
+    return [k for k in kinds if k[:-1] != factor] + [factor + (e,) for e in sizes]
+
+
+def test_similarity_matches_the_block_oracle(rng):
+    # A and B are unimodular conjugates of sums of elementary-divisor blocks
+    # (Jordan blocks J(c, k), companions of q^k for irreducible quadratics
+    # q), so they are similar iff the block lists agree as multisets.  Each
+    # n = 2..9 gets two pairs of each answer, the rest go to n <= 5
+    lists = []
+    for i in range(160):
+        kinds, mult = _random_blocks(rng, 2 + (i // 2) % (8 if i < 32 else 4))
+        lists.append((kinds, list(kinds) if i % 2 else _repartition(rng, kinds, mult)))
+    # J(c, 4) + J(c, 1) + J(c, 1) and J(c, 3) + J(c, 3): both commutants
+    # have dimension 12, so only the rank of C(A, B) tells them apart
+    for c in (-1, 2):
+        lists.append(([("J", c, 4), ("J", c, 1), ("J", c, 1)], [("J", c, 3), ("J", c, 3)]))
+    answers, sizes = [], set()
+    for kinds, other in lists:
+        A, B = _block_matrix(rng, kinds), _block_matrix(rng, other)
+        chi = xl.char_poly(A)
+        assert chi == xl.char_poly(B) and polys.degree(polys.poly_gcd(chi, polys.derivative(chi))) > 0
+        expected = sorted(kinds) == sorted(other)
+        assert similarity_check(A, B) == expected, (kinds, other)
+        answers.append(expected)
+        sizes.add(len(A))
+    assert sizes == set(range(2, 10))
+    assert answers.count(True) == 80 and answers.count(False) == 82
+
+
+def test_similarity_of_a_10x10_repeated_pair_is_fast(rng):
+    # M + M has a repeated factor, so each check takes three ranks of
+    # 100 x 100 systems: about 0.5 s for both, where a cofactor expansion
+    # of the minors of xI - A takes seconds
+    M = random_hyperbolic(rng, 5, 3)
+    MM = direct_sum(M, M)
+    U = random_unimodular(rng, 10)
+    conj = xl.mat_mul(xl.mat_mul(U, MM), xl.unimodular_inverse(U))
+    started = time.perf_counter()
+    assert similarity_check(MM, conj)
+    assert not similarity_check(MM, _companion(xl.char_poly(MM)))
+    assert time.perf_counter() - started < 2.0
 
 
 # ------------------------------------------------------------------ intertwiners
@@ -155,7 +252,6 @@ def _screen_then_search(A, B, config=DEFAULT_CONFIG):
     the whole family screened, then the search.  None when both pass."""
     family = default_family(
         A,
-        B,
         max_shift=config.family_max_shift,
         max_power=config.family_max_power,
         cyclotomic_index=config.cyclotomic_index,
