@@ -72,7 +72,8 @@ def similarity_check(A: Mat, B: Mat) -> bool:
     polynomial is cyclic, so its rational canonical form is the companion
     matrix.  Otherwise A ~ B iff the spaces C(X, Y) = {W : X W = W Y} of
     (A, A), (A, B) and (B, B) have one dimension (Byrnes and Gauger, 1977),
-    read off as the ranks of their n^2 x n^2 systems.
+    read off as the sizes of the rational kernels of their n^2 x n^2
+    systems.
     """
     if len(A) != len(B):
         raise ValueError("dimension mismatch")
@@ -81,7 +82,8 @@ def similarity_check(A: Mat, B: Mat) -> bool:
         return False
     if polys.degree(polys.poly_gcd(pa, polys.derivative(pa))) == 0:
         return True
-    return len({xl.rank(intertwiner_system(X, Y)) for X, Y in ((A, A), (A, B), (B, B))}) == 1
+    systems = (intertwiner_system(X, Y) for X, Y in ((A, A), (A, B), (B, B)))
+    return len({len(xl.rational_kernel(S)) for S in systems}) == 1
 
 
 @dataclass(frozen=True)

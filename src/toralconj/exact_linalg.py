@@ -141,25 +141,6 @@ def det(M: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(M: Mat) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.  A column with no
-    pivot at or below the current row is skipped; every division stays
-    exact because each entry is a minor of M (Sylvester's identity)."""
-    a = [list(r) for r in M]
-    r, prev = 0, 1
-    for col in range(len(a[0]) if a else 0):
-        p = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        top, piv = a[r], a[r][col]
-        for i in range(r + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev, r = piv, r + 1
-    return r
-
-
 def _faddeev_leverrier(M: Mat) -> polys.Poly:
     """Characteristic polynomial (monic, lowest degree first), with the
     Cayley-Hamilton identity verified."""
@@ -484,26 +465,11 @@ def lattice_membership(basis: Mat, v: Vec) -> Vec | None:
     return tuple(coords)
 
 
-def solve_left(M: Mat, b: Vec) -> tuple[Vec, Mat] | None:
-    """Integer solutions of x @ M = b: (particular, kernel basis) or None."""
+def solve_left(M: Mat, b: Vec) -> Vec | None:
+    """An integer x with x @ M = b, or None when there is none."""
     H, U = hnf(M)
-    rank = len(H)
-    rem = list(b)
-    y = [0] * len(U)
-    for i, row in enumerate(H):
-        col = next(j for j, x in enumerate(row) if x != 0)
-        if rem[col] % row[col] != 0:
-            return None
-        q = rem[col] // row[col]
-        y[i] = q
-        if q:
-            for j in range(col, len(rem)):
-                rem[j] -= q * row[j]
-    if any(rem):
-        return None
-    particular = vec_mat(tuple(y), U)
-    kernel = hnf_basis(U[rank:]) if rank < len(U) else ()
-    return particular, kernel
+    y = lattice_membership(H, b)
+    return None if y is None else vec_mat(y + (0,) * (len(U) - len(y)), U)
 
 
 def lattice_intersection(B1: Mat, B2: Mat) -> Mat:
@@ -519,10 +485,6 @@ def lattice_intersection(B1: Mat, B2: Mat) -> Mat:
     kern = left_kernel(stacked)
     rows = [vec_mat(k[: len(B1)], B1) for k in kern]
     return hnf_basis(tuple(rows))
-
-
-def lattice_sum(B1: Mat, B2: Mat) -> Mat:
-    return hnf_basis(B1 + B2)
 
 
 def congruence_kernel(C: Mat, moduli: Vec) -> Mat:
@@ -544,29 +506,61 @@ def congruence_kernel(C: Mat, moduli: Vec) -> Mat:
     return hnf_basis(tuple(rows))
 
 
+def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of a in place, to p
+    times its reduced row echelon form; returns the pivot columns and p.
+    Each division is exact: every entry is a minor of the input."""
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        top, piv = a[r], a[r][col]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append(col)
+        prev = piv
+    return pivots, prev
+
+
+def rational_kernel(M: Mat) -> Mat:
+    """Independent integer rows spanning {x : x @ M = 0} over Q, one per free
+    column of the fraction-free Gauss-Jordan form of M^T, each divided by its
+    content and verified; saturation turns them into the integer kernel."""
+    a = [list(col) for col in zip(*M)]
+    pivots, p = _fraction_free_rref(a)
+    rows = []
+    for f in sorted(set(range(len(M))) - set(pivots)):
+        x = [0] * len(M)
+        x[f] = p
+        for row, c in zip(a, pivots):
+            x[c] = -row[f]
+        g = gcd(*x)
+        rows.append(tuple(v // g for v in x))
+    if any(any(vec_mat(x, M)) for x in rows):
+        raise InternalInconsistencyError("rational kernel row fails x M = 0")
+    return tuple(rows)
+
+
 def invert_rational(M: Mat) -> tuple[Mat, int]:
     """Inverse of a nonsingular integer matrix as (integer matrix, denominator),
     i.e. M^-1 = matrix / den with den = |det(M)|.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: every
-    division is exact, and the last pivot is +-det(M) with the right half
-    then +-adj(M).  M @ matrix = den I is verified exactly."""
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: the last
+    pivot is +-det(M) with the right half then +-adj(M).  M @ matrix = den I
+    is verified exactly."""
     if not is_square(M):
         raise ValueError("inverse of non-square matrix")
     n = len(M)
     a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        a[k], a[p] = a[p], a[k]
-        rk, piv = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], rk)]
-        prev = piv
+    pivots, prev = _fraction_free_rref(a)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
     sign = 1 if prev > 0 else -1
     inv = tuple(tuple(sign * x for x in r[n:]) for r in a)
     den = sign * prev

@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exact_linalg as xl
 from .errors import IllFormedActionError, InfiniteQuotientError, InternalInconsistencyError
@@ -34,14 +34,12 @@ class FiniteModulePresentation:
     n: int
     relations: Mat
     action: Mat
-    diag: Vec               # full SNF diagonal of the relations
     vmat: Mat               # UMV = D; coordinates are m @ V
     vmat_inv: Mat
     order: int
     pos: tuple[int, ...]    # indices with d_i > 1
     factors: Vec            # nontrivial invariant factors
     act_red: Mat            # induced action on nontrivial canonical coords
-    relations_hnf: Mat = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -57,6 +55,10 @@ class FiniteModulePresentation:
             raise ValueError("dimension mismatch")
         c = xl.vec_mat(m, self.vmat)
         return tuple(c[p] % d for p, d in zip(self.pos, self.factors))
+
+    def contains(self, m: Vec) -> bool:
+        """Whether m lies in the relation lattice Z^n M."""
+        return not any(self.reduce(m))
 
     def lift(self, e: Vec) -> Vec:
         """An integer representative of a canonical element."""
@@ -80,26 +82,29 @@ class FiniteModulePresentation:
 
 
 def quotient(M: Mat, A: Mat) -> FiniteModulePresentation:
-    """Present Z^n / Z^n M with action A in SNF-canonical coordinates,
-    after checking that A preserves the relation lattice."""
+    """Present Z^n / Z^n M with action A in SNF-canonical coordinates.
+
+    V is unimodular, column j of M V is divisible by d_j, and the positive
+    d_j (each dividing the next) multiply to |det M|, so Z^n M V = Z^n D.  A
+    preserves Z^n M iff V^-1 A V preserves Z^n D: d_i A'[i][j] = 0 mod d_j."""
     if not xl.is_square(M) or not xl.is_square(A) or len(M) != len(A):
         raise ValueError("relations and action must be square of equal size")
     A = xl.mat(A)  # hashable, as intertwiner_kernel's cache needs
     n = len(M)
     xl.guard_bits(M)
-    if xl.det(M) == 0:
+    det = xl.det(M)
+    if det == 0:
         raise InfiniteQuotientError("relation matrix is singular")
-    rel_hnf = xl.hnf_basis(M)
-    for row in xl.mat_mul(M, A):
-        if xl.lattice_membership(rel_hnf, row) is None:
-            raise IllFormedActionError("action does not preserve the relation lattice")
     diag, V, vinv = xl.snf(M)
     if xl.mat_mul(V, vinv) != xl.identity(n):
         raise InternalInconsistencyError("Smith transform V and its inverse disagree")
-    order = 1
-    for d in diag:
-        order *= d
+    if not all(0 < d and e % d == 0 for d, e in zip(diag, diag[1:])) or math.prod(diag) != abs(det):
+        raise InternalInconsistencyError("Smith diagonal is not a chain of positive divisors of det M")
+    if any(x % d for row in xl.mat_mul(M, V) for x, d in zip(row, diag)):
+        raise InternalInconsistencyError("Smith form does not present the relation lattice")
     abar = xl.mat_mul(xl.mat_mul(vinv, A), V)
+    if any(di * x % dj for di, row in zip(diag, abar) for x, dj in zip(row, diag)):
+        raise IllFormedActionError("action does not preserve the relation lattice")
     pos = tuple(i for i, d in enumerate(diag) if d > 1)
     factors = tuple(diag[i] for i in pos)
     act_red = _mod_cols(
@@ -109,14 +114,12 @@ def quotient(M: Mat, A: Mat) -> FiniteModulePresentation:
         n=n,
         relations=M,
         action=A,
-        diag=diag,
         vmat=V,
         vmat_inv=vinv,
-        order=order,
+        order=abs(det),
         pos=pos,
         factors=factors,
         act_red=act_red,
-        relations_hnf=rel_hnf,
     )
 
 
@@ -182,7 +185,7 @@ class ModuleMap:
             sol = xl.solve_left(stacked, e)
             if sol is None:
                 raise ValueError("map is not surjective")
-            rows.append(tuple(x % d for x, d in zip(sol[0][:rs], self.source.factors)))
+            rows.append(tuple(x % d for x, d in zip(sol[:rs], self.source.factors)))
         inv = ModuleMap(self.target, self.source, tuple(rows))
         if not inv.is_isomorphism():
             raise InternalInconsistencyError("inverse of module map failed verification")
@@ -192,9 +195,8 @@ class ModuleMap:
 def map_from_ambient(source: FiniteModulePresentation, target: FiniteModulePresentation, W: Mat) -> ModuleMap | None:
     """The map [m] -> [m W] if W carries the source relations into the target
     lattice; None otherwise."""
-    for row in xl.mat_mul(source.relations, W):
-        if xl.lattice_membership(target.relations_hnf, row) is None:
-            return None
+    if not all(map(target.contains, xl.mat_mul(source.relations, W))):
+        return None
     rows = tuple(target.reduce(xl.vec_mat(source.lift(
         tuple(1 if i == j else 0 for i in range(source.rank))), W))
         for j in range(source.rank))
@@ -334,6 +336,8 @@ def _krylov_basis(M: Mat) -> Mat | None:
     v in shell_vectors(n, 1, up_to_sign=True) for which it is nonsingular;
     None when no vector of that shell is cyclic for M."""
     n = len(M)
+    if xl.rational_kernel(tuple(sum(xl.mat_pow(M, k), ()) for k in range(n))):
+        return None  # I, M, ..., M^(n-1) are dependent: no vector is cyclic
     for v in xl.shell_vectors(n, 1, up_to_sign=True):
         cols = [v]
         for _ in range(n - 1):
@@ -383,32 +387,25 @@ def intertwiner_system(A: Mat, B: Mat) -> Mat:
     return tuple(rows)
 
 
-# below this size the n^2 x n^2 system (at most 9 x 9) solves faster than
-# the Krylov generators are built and saturated
-KRYLOV_MIN_DIM = 4
-
-
 @functools.lru_cache(maxsize=1)
 def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
     """HNF basis of {W : A W = W B} in row-vectorized form, each row
     verified to intertwine.
 
-    For cyclic A and B with n >= KRYLOV_MIN_DIM the basis is the
-    saturation of n Krylov generators (_krylov_generators); otherwise, or
-    when the generators do not intertwine (different characteristic
-    polynomials), it is the left kernel of the n^2 x n^2 system.  Both give
-    the canonical HNF of the same lattice.
+    The basis is the saturation of a rational basis of the space: the n
+    Krylov generators when A and B are cyclic and the generators intertwine
+    (_krylov_generators), otherwise the rational kernel of the n^2 x n^2
+    system.  Either way it is the canonical HNF of the same lattice.
 
     The only builder of this lattice.  Every stage of one decision asks for
     the same pair, so the last result is kept and the lattice is built once;
     A and B must therefore be hashable tuple matrices.
     """
     n = len(A)
-    gens = _krylov_generators(A, B) if n >= KRYLOV_MIN_DIM else None
-    if gens is not None:
-        basis = xl.saturation(gens)
-    else:
-        basis = xl.left_kernel(intertwiner_system(A, B))
+    gens = _krylov_generators(A, B)
+    if gens is None:
+        gens = xl.rational_kernel(intertwiner_system(A, B))
+    basis = xl.saturation(gens)
     for v in basis:
         K = xl.unvec(v, n)
         if xl.mat_mul(A, K) != xl.mat_mul(K, B):
@@ -452,7 +449,7 @@ def _hom_lattice_quotient(S: FiniteModulePresentation, T: FiniteModulePresentati
         sol = xl.solve_left(basis, zrow)
         if sol is None:
             raise InternalInconsistencyError("hom lattice does not contain the zero maps")
-        trows.append(sol[0])
+        trows.append(sol)
     diag, _, vq_inv = xl.snf(tuple(trows))
     return basis, diag, vq_inv
 

@@ -91,10 +91,6 @@ class FieldElement:
     def beta(nf: NumberField) -> "FieldElement":
         return FieldElement.make(nf, (0, 1) + (0,) * (nf.n - 2))
 
-    @staticmethod
-    def from_poly(nf: NumberField, g: polys.Poly) -> "FieldElement":
-        return FieldElement.make(nf, nf.reduce_poly(list(g)))
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

@@ -35,10 +35,6 @@ def leading(p: Poly) -> int:
     return p[-1]
 
 
-def constant(c: int) -> Poly:
-    return (c,) if c else ()
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return trim((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))

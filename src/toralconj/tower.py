@@ -68,9 +68,8 @@ def build_tower(A: Mat, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> Tower:
         for k in range(1, depth + 1)
     ]
     for lower, upper in zip(levels, levels[1:]):
-        for row in upper.module.relations:
-            if xl.lattice_membership(lower.module.relations_hnf, row) is None:
-                raise InternalInconsistencyError(f"nesting N_{upper.k} <= N_{lower.k} failed")
+        if not all(map(lower.module.contains, upper.module.relations)):
+            raise InternalInconsistencyError(f"nesting N_{upper.k} <= N_{lower.k} failed")
     epis: dict = {}
     for k in range(1, depth + 1):
         for l in range(1, k + 1):
@@ -161,12 +160,12 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     """For every nonzero m with max-norm <= bound, find the least level whose
     lattice excludes m.
 
-    Each exclusion is certified twice: HNF membership and exact rational
-    inverse (m (A^(k!)-I)^-1 not integral).  The per-level norm lower bound
-    1/colsum|M^-1| is reported as well; it can only certify vectors shorter
-    than itself, which for a matrix with contracting directions never
-    reaches far (the inverse has an eigenvalue near -1), so it is evidence,
-    not the primary certificate.
+    Each exclusion is certified twice: a nonzero reduction in the level's
+    verified Smith form, and the exact rational inverse (m (A^(k!)-I)^-1 not
+    integral).  The per-level norm lower bound 1/colsum|M^-1| is reported
+    as well; it can only certify vectors shorter than itself, which for a
+    matrix with contracting directions never reaches far (the inverse has an
+    eigenvalue near -1), so it is evidence, not the primary certificate.
     """
     n = tower.n
     inverses = []
@@ -187,12 +186,12 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
             continue  # symmetric under negation; mirror below
         least = None
         for lv, (inv, den) in zip(tower.levels, inverses):
-            member_hnf = xl.lattice_membership(lv.module.relations_hnf, m) is not None
+            member = lv.module.contains(m)
             xi_num = xl.vec_mat(m, inv)
             member_inv = all(x % den == 0 for x in xi_num)
-            if member_hnf != member_inv:
+            if member != member_inv:
                 disagreements.append({"m": list(m), "k": lv.k})
-            if not member_hnf:
+            if not member:
                 least = lv.k
                 break
         if least is None:
@@ -427,7 +426,7 @@ def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) 
     basis = xl.congruence_kernel(tuple(rows), GB.factors)
     if len(basis) != 2 * n:
         raise InternalInconsistencyError("pair lattice is not full rank")
-    for nu in towB.level(depth).module.relations_hnf:
+    for nu in GB.relations:
         if xl.lattice_membership(basis, (0,) * n + nu) is None:
             raise InternalInconsistencyError("pair lattice misses {0} x N_K")
     return PairLattice(depth=depth, basis=basis)
@@ -486,15 +485,14 @@ def classify_delta(
             GB.lift(psi.apply(GA.reduce(tuple(1 if j == i else 0 for j in range(n)))))
             for i in range(n)
         )
-        Nb = towB.level(k).module.relations_hnf
-        solvable = _graph_repr_solvable(kern, ctil, Nb)
+        solvable = _graph_repr_solvable(kern, ctil, GB.relations)
         rec: dict = {"level": k, "solvable": solvable}
         best = None
 
         def accept(c):
             nonlocal best
             C = xl.unvec(xl.vec_mat(c, kern), n)
-            if any(xl.lattice_membership(Nb, row) is None for row in xl.mat_sub(C, ctil)):
+            if not all(map(GB.contains, xl.mat_sub(C, ctil))):
                 return None
             d = abs(xl.det(C))
             if d and (best is None or d < best):
@@ -533,7 +531,7 @@ def _graph_repr_solvable(kern: Mat, ctil: Mat, Nb: Mat) -> bool:
         (0,) * (i * n) + nu + (0,) * ((n - 1 - i) * n) for i in range(n) for nu in Nb
     )
     vec = tuple(x for row in ctil for x in row)
-    return xl.lattice_membership(xl.lattice_sum(kern, blocks), vec) is not None
+    return xl.lattice_membership(xl.hnf_basis(kern + blocks), vec) is not None
 
 
 def _strictly_growing(vals: list) -> bool:

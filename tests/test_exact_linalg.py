@@ -68,9 +68,10 @@ rectangular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda d: 
 
 @given(st.one_of(rectangular, low_rank))
 @settings(max_examples=80)
-def test_rank_matches_the_hnf_row_count(M):
-    r = xl.rank(M)
-    assert r == len(xl.hnf_basis(M)) == xl.rank(xl.transpose(M))
+def test_rational_kernel_saturates_to_the_left_kernel(M):
+    rows = xl.rational_kernel(M)
+    assert len(rows) + len(xl.hnf_basis(M)) == len(M)
+    assert xl.saturation(rows) == xl.left_kernel(M)
 
 
 # ------------------------------------------------------------------ char poly
@@ -285,12 +286,13 @@ def test_lattice_intersection_examples():
 
 def test_solve_left():
     M = xl.mat([[2, 0, 0], [0, 3, 0]])
-    sol = xl.solve_left(M, (4, 9, 0))
-    assert sol is not None
-    part, kern = sol
-    assert xl.vec_mat(part, M) == (4, 9, 0)
-    assert kern == ()
+    assert xl.solve_left(M, (4, 9, 0)) == (2, 3)
     assert xl.solve_left(M, (1, 0, 0)) is None
+    # dependent rows: any solution will do, but it must solve
+    D = xl.mat([[2, 4], [1, 2], [3, 6]])
+    assert xl.vec_mat(xl.solve_left(D, (5, 10)), D) == (5, 10)
+    assert xl.solve_left(D, (1, 1)) is None
+    assert xl.solve_left(xl.zeros(2, 2), (0, 0)) == (0, 0)
 
 
 def test_congruence_kernel():

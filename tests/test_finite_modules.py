@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from toralconj import exact_linalg as xl
 from toralconj import finite_modules as fm
 from toralconj.bf_invariants import default_family
-from toralconj.errors import IllFormedActionError, InfiniteQuotientError
+from toralconj.errors import IllFormedActionError, InfiniteQuotientError, InternalInconsistencyError
 from toralconj.intfactor import factorint
 
 from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
@@ -39,6 +39,57 @@ def test_quotient_rejects_bad_action():
     swap = xl.mat([[0, 1], [1, 0]])
     with pytest.raises(IllFormedActionError):
         fm.quotient(M, swap)
+
+
+def test_quotient_rejects_a_wrong_smith_form(monkeypatch):
+    # the Smith form is the quotient's only description of the lattice, so
+    # a diagonal that does not present Z^n M must not pass; the true one is
+    # (1, 4, 8), and the checks must not divide by a wrong 0
+    M = xl.mat_add(A1, I3)
+    assert fm.quotient(M, A1).factors == (4, 8)
+    true_snf = xl.snf
+    for wrong in ((1, 2, 16), (1, 8, 4), (2, 2, 8), (-1, 4, -8), (1, 4, 4), (0, 4, 8)):
+        monkeypatch.setattr(xl, "snf", lambda R, wrong=wrong: (wrong,) + true_snf(R)[1:])
+        with pytest.raises(InternalInconsistencyError):
+            fm.quotient(M, A1)
+
+
+def _square(n, bound):
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(xl.mat)
+
+
+# (M, A, vectors): M is either random, so A rarely preserves its lattice,
+# or A - c I, whose lattice every A preserves
+quotient_cases = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.one_of(_square(n, 6), st.none()),
+        _square(n, 3),
+        st.integers(-4, 4),
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple), min_size=4, max_size=4),
+    )
+)
+
+
+@given(quotient_cases)
+@settings(max_examples=80)
+def test_contains_and_action_check_match_the_hnf_oracle(case):
+    M, A, c, vs = case
+    n = len(A)
+    if M is None:
+        M = xl.mat_sub(A, xl.mat_scale(xl.identity(n), c))
+    if xl.det(M) == 0:
+        return
+    H = xl.hnf_basis(M)
+    P = fm.quotient(M, xl.identity(n))
+    for v in tuple(vs) + M + xl.mat_mul(tuple(vs), M):
+        assert P.contains(v) == (xl.lattice_membership(H, v) is not None)
+    preserved = all(xl.lattice_membership(H, row) is not None for row in xl.mat_mul(M, A))
+    if preserved:
+        assert fm.quotient(M, A).action == A
+    else:
+        with pytest.raises(IllFormedActionError):
+            fm.quotient(M, A)
 
 
 def test_order_equals_det():

@@ -1,5 +1,9 @@
-"""The intertwiner lattice {W : A W = W B}: the Krylov construction against
-the n^2 x n^2 left-kernel oracle, and the pairs that used to stall."""
+"""The intertwiner lattice {W : A W = W B}: the Krylov construction and the
+rational kernel of the n^2 x n^2 system against the left-kernel oracle, and
+the pairs that used to stall."""
+
+import random
+import time
 
 import pytest
 
@@ -11,6 +15,9 @@ from conftest import A1, A2, B1, direct_sum, random_hyperbolic, random_unimodula
 
 X = xl.mat([[5, -3], [0, -2]])
 Y = xl.mat([[5, -21], [0, -2]])
+
+# the oracle keeps its own reference, so tests may forbid the library one
+left_kernel = xl.left_kernel
 
 
 def kernel_oracle(A, B):
@@ -28,7 +35,7 @@ def kernel_oracle(A, B):
                     row[i * n + l] -= B[j][l] if i == k else 0
             rows.append(tuple(row))
     # rows are indexed by the entry (k, j) of W, columns by (i, l)
-    return xl.left_kernel(tuple(rows))
+    return left_kernel(tuple(rows))
 
 
 def conjugate_pair(rng, n, bound=3):
@@ -53,17 +60,20 @@ def _pairs(rng):
     return cyclic, non_cyclic, dissimilar
 
 
-@pytest.mark.parametrize("krylov_min_dim", [1, fm.KRYLOV_MIN_DIM])
-def test_kernel_matches_the_system_oracle(rng, monkeypatch, krylov_min_dim):
-    monkeypatch.setattr(fm, "KRYLOV_MIN_DIM", krylov_min_dim)
+def _refuse_left_kernel(M):
+    raise AssertionError(f"left_kernel called on a {len(M)}-row system")
+
+
+def test_kernel_matches_the_system_oracle(rng, monkeypatch):
     calls = []
-    original = xl.left_kernel
+    original = xl.rational_kernel
 
     def counting(M):
         calls.append(len(M))
         return original(M)
 
-    monkeypatch.setattr(fm.xl, "left_kernel", counting)
+    monkeypatch.setattr(fm.xl, "rational_kernel", counting)
+    monkeypatch.setattr(fm.xl, "left_kernel", _refuse_left_kernel)
     cyclic, non_cyclic, dissimilar = _pairs(rng)
     for group in (cyclic, non_cyclic, dissimilar):
         for A, B in group:
@@ -71,9 +81,8 @@ def test_kernel_matches_the_system_oracle(rng, monkeypatch, krylov_min_dim):
             calls.clear()
             got = fm.intertwiner_kernel(A, B)
             n = len(A)
-            # cyclic similar pairs never build the n^2 x n^2 system
-            krylov = group is cyclic and n >= krylov_min_dim
-            assert (n * n in calls) != krylov
+            # cyclic similar pairs never solve the n^2 x n^2 system
+            assert (n * n in calls) != (group is cyclic)
             assert got == kernel_oracle(A, B)
             if group is not dissimilar:
                 assert xl.saturation(got) == got
@@ -94,11 +103,11 @@ def test_guard_catches_a_shared_factor():
 @pytest.mark.parametrize("n", [6, 7])
 def test_large_conjugate_pairs_skip_the_system(rng, monkeypatch, n):
     # the n^2 x n^2 transform-HNF ran for minutes on such pairs; the Krylov
-    # construction never calls it, and its basis entries stay small
-    def refuse(M):
-        raise AssertionError(f"left_kernel called on a {len(M)}-row system")
+    # construction never builds the system, and its basis entries stay small
+    def refuse(A, B):
+        raise AssertionError(f"intertwiner system built for a {len(A)}x{len(A)} pair")
 
-    monkeypatch.setattr(fm.xl, "left_kernel", refuse)
+    monkeypatch.setattr(fm, "intertwiner_system", refuse)
     for _ in range(2):
         A, B = conjugate_pair(rng, n)
         fm.intertwiner_kernel.cache_clear()
@@ -108,3 +117,22 @@ def test_large_conjugate_pairs_skip_the_system(rng, monkeypatch, n):
         assert len(basis) == n
         assert max(abs(x).bit_length() for row in basis for x in row) <= 64
     fm.intertwiner_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_non_cyclic_8x8_pairs_take_one_elimination(monkeypatch, seed):
+    # M + M against a unimodular conjugate has no cyclic vector, so the
+    # 64 x 64 system is solved; its transform HNF took 6 s and 9 s on these
+    # seeds, one fraction-free elimination and a saturation take 0.05 s
+    rng = random.Random(seed)
+    M = random_hyperbolic(rng, 4, 3)
+    U = random_unimodular(rng, 8)
+    A = direct_sum(M, M)
+    B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+    monkeypatch.setattr(fm.xl, "left_kernel", _refuse_left_kernel)
+    fm.intertwiner_kernel.cache_clear()
+    started = time.perf_counter()
+    basis = fm.intertwiner_kernel(A, B)
+    assert time.perf_counter() - started < 1.0
+    fm.intertwiner_kernel.cache_clear()
+    assert len(basis) == 16

@@ -74,14 +74,15 @@ def _companion(p):
 
 
 def _ranks_agree(A, B):
-    """The three-rank criterion, taken directly."""
+    """The three-dimension criterion, taken directly: equal kernel sizes of
+    the systems of (A, A), (A, B) and (B, B)."""
     systems = ((A, A), (A, B), (B, B))
-    return len({xl.rank(finite_modules.intertwiner_system(X, Y)) for X, Y in systems}) == 1
+    return len({len(xl.left_kernel(finite_modules.intertwiner_system(X, Y))) for X, Y in systems}) == 1
 
 
 def test_similarity_squarefree_shortcut_skips_the_ranks(rng, monkeypatch):
     # a squarefree characteristic polynomial makes both matrices cyclic, so
-    # the shortcut answers what the three ranks would
+    # the shortcut answers what the three kernel dimensions would
     squarefree = []
     for n in (2, 3, 4):
         A = random_hyperbolic(rng, n, 4)
@@ -95,9 +96,9 @@ def test_similarity_squarefree_shortcut_skips_the_ranks(rng, monkeypatch):
     assert len(squarefree) >= 4 and all(_ranks_agree(A, B) for A, B in squarefree)
 
     def refuse(M):
-        pytest.fail("a squarefree characteristic polynomial reached the ranks")
+        pytest.fail("a squarefree characteristic polynomial reached the kernels")
 
-    monkeypatch.setattr(xl, "rank", refuse)
+    monkeypatch.setattr(xl, "rational_kernel", refuse)
     assert all(similarity_check(A, B) for A, B in squarefree)
 
 
@@ -191,8 +192,8 @@ def test_similarity_matches_the_block_oracle(rng):
 
 
 def test_similarity_of_a_10x10_repeated_pair_is_fast(rng):
-    # M + M has a repeated factor, so each check takes three ranks of
-    # 100 x 100 systems: about 0.5 s for both, where a cofactor expansion
+    # M + M has a repeated factor, so each check takes the rational kernels
+    # of three 100 x 100 systems: about 0.5 s for both, where a cofactor expansion
     # of the minors of xI - A takes seconds
     M = random_hyperbolic(rng, 5, 3)
     MM = direct_sum(M, M)

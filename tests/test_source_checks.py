@@ -8,6 +8,15 @@ import toralconj
 SRC = Path(toralconj.__file__).resolve().parent
 
 
+def _called_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return names
+
+
 def _raises_assertion_error(node):
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
@@ -45,12 +54,19 @@ def test_finite_modules_inverts_no_matrix_outside_the_smith_form():
     # snf returns V with its exact inverse, so quotient and the hom
     # lattice build their coordinates without a second inversion
     tree = ast.parse((SRC / "finite_modules.py").read_text())
-    called = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
-    assert not called & {"unimodular_inverse", "adjugate"}
+    assert not _called_names(tree) & {"unimodular_inverse", "adjugate"}
+
+
+def test_quotient_tests_membership_with_the_smith_form_only():
+    # the verified Smith form presents the relation lattice, so quotient
+    # computes no second normal form of it
+    tree = ast.parse((SRC / "finite_modules.py").read_text())
+    (quotient,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "quotient"
+    ]
+    called = _called_names(quotient)
+    assert "snf" in called
+    assert not called & {"hnf", "hnf_basis", "lattice_membership"}
 
 
 def test_pipeline_does_not_search_the_pair_lattices():

@@ -50,8 +50,9 @@ def test_nesting_on_generators(towA1, towA2):
             lower = tower.level(k)
             power = xl.matrix_power_factorial(tower.base, k + 1)
             assert upper.module.relations == xl.mat_sub(power, I3)
+            lower_hnf = xl.hnf_basis(lower.module.relations)
             for row in upper.module.relations:
-                assert xl.lattice_membership(lower.module.relations_hnf, row) is not None
+                assert xl.lattice_membership(lower_hnf, row) is not None
 
 
 def test_epi_compatibility(towA1):
@@ -190,7 +191,7 @@ def test_delta_identity_family(towA1):
     out = tw.level_iso_family(towA1, towA1, 2)
     delta = tw.delta_lattice(towA1, towA1, out.family, 2)
     # Delta = {(m, m~) : m - m~ in N_2}
-    N2 = towA1.level(2).module.relations_hnf
+    N2 = towA1.level(2).module.relations
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert xl.lattice_membership(delta.basis, e + e) is not None
@@ -239,7 +240,7 @@ def test_transport_family_identity(towA1):
 
 def test_probe_e1_escapes_at_level_1(towA1):
     # the first standard basis vector is not in N_1 for this matrix
-    assert xl.lattice_membership(towA1.level(1).module.relations_hnf, (1, 0, 0)) is None
+    assert not towA1.level(1).module.contains((1, 0, 0))
 
 
 def test_delta_depth_zero_is_everything(towA1):
@@ -359,7 +360,7 @@ def test_graph_solvability_matches_affine_oracle(rng, n):
                 GB.lift(fam.maps[k - 1].apply(GA.reduce(e))) for e in xl.identity(n)
             )
             shifted = ((ctil[0][0] + 1,) + ctil[0][1:],) + ctil[1:]
-            Nb = tB.level(k).module.relations_hnf
+            Nb = tB.level(k).module.relations
             assert tw._graph_repr_solvable(kern, ctil, Nb)
             assert _graph_repr_solvable_affine(A, B, ctil, Nb)
             got = tw._graph_repr_solvable(kern, shifted, Nb)
