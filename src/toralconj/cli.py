@@ -177,7 +177,7 @@ def cmd_tower(args) -> int:
     if not hyperbolicity_check(A):
         print("error: input is not hyperbolic (an eigenvalue has modulus one)", file=sys.stderr)
         return 1
-    tower = build_tower(A, args.levels, cap=max(args.levels, 4))
+    tower = build_tower(A, args.levels)
     levels = [
         {
             "k": lv.k,

@@ -20,6 +20,10 @@ Mat = tuple[Vec, ...]
 
 DEFAULT_MAX_BITS = 1_000_000
 
+# largest k for which M^(k!) is formed: tower levels and depths stop here,
+# because the entries grow factorially
+MAX_FACTORIAL_K = 6
+
 
 def max_bits() -> int:
     raw = os.environ.get("TORALCONJ_MAX_BITS", "")
@@ -185,12 +189,12 @@ def eval_poly_at_matrix(g: polys.Poly, M: Mat) -> Mat:
     return acc
 
 
-def matrix_power_factorial(M: Mat, k: int, cap: int = 6) -> Mat:
+def matrix_power_factorial(M: Mat, k: int) -> Mat:
     """M^(k!) via P_1 = M, P_k = P_(k-1)^k, with binary powering per step."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k > cap:
-        raise ResourceLimitError(f"factorial power cap exceeded: k={k} > {cap}")
+    if k > MAX_FACTORIAL_K:
+        raise ResourceLimitError(f"factorial power cap exceeded: k={k} > {MAX_FACTORIAL_K}")
     P = M
     for j in range(2, k + 1):
         P = mat_pow(P, j)

@@ -10,7 +10,6 @@ over the nontrivial invariant factors d_i > 1.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import exact_linalg as xl
@@ -331,47 +330,6 @@ class IsoResult:
         return out
 
 
-def _krylov_basis(M: Mat) -> Mat | None:
-    """The Krylov matrix [v, M v, ..., M^(n-1) v] (as columns) of the first
-    v in shell_vectors(n, 1, up_to_sign=True) for which it is nonsingular;
-    None when no vector of that shell is cyclic for M."""
-    n = len(M)
-    if xl.rational_kernel(tuple(sum(xl.mat_pow(M, k), ()) for k in range(n))):
-        return None  # I, M, ..., M^(n-1) are dependent: no vector is cyclic
-    for v in xl.shell_vectors(n, 1, up_to_sign=True):
-        cols = [v]
-        for _ in range(n - 1):
-            cols.append(tuple(sum(map(operator.mul, row, cols[-1])) for row in M))
-        if xl.det(cols) != 0:
-            return xl.transpose(cols)
-    return None
-
-
-def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
-    """Rows vec(A^k N), k < n, spanning {W : A W = W B} over Q, where
-    N = K_A K_B^-1 up to a scalar; None unless A and B are cyclic and N
-    intertwines.
-
-    K_A and K_B carry A and B to companion matrices, so with equal
-    characteristic polynomials A N = N B.  The commutant of a cyclic A is
-    Q[A], so the rational intertwiners are exactly p(A) N, deg p < n."""
-    KA = _krylov_basis(A)
-    KB = _krylov_basis(B) if KA is not None else None
-    if KB is None:
-        return None
-    inv, _ = xl.invert_rational(KB)
-    N = xl.mat_mul(KA, inv)
-    content = functools.reduce(math.gcd, (x for row in N for x in row))
-    N = tuple(tuple(x // content for x in row) for row in N)
-    if xl.mat_mul(A, N) != xl.mat_mul(N, B):
-        return None
-    rows = [tuple(x for row in N for x in row)]
-    for _ in range(len(A) - 1):
-        N = xl.mat_mul(A, N)
-        rows.append(tuple(x for row in N for x in row))
-    return tuple(rows)
-
-
 def intertwiner_system(A: Mat, B: Mat) -> Mat:
     """The n^2 x n^2 matrix of W -> A W - W B on row-vectorized W."""
     n = len(A)
@@ -392,20 +350,15 @@ def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
     """HNF basis of {W : A W = W B} in row-vectorized form, each row
     verified to intertwine.
 
-    The basis is the saturation of a rational basis of the space: the n
-    Krylov generators when A and B are cyclic and the generators intertwine
-    (_krylov_generators), otherwise the rational kernel of the n^2 x n^2
-    system.  Either way it is the canonical HNF of the same lattice.
+    The basis is the saturation of the rational kernel of the n^2 x n^2
+    system, which one fraction-free elimination gives.
 
     The only builder of this lattice.  Every stage of one decision asks for
     the same pair, so the last result is kept and the lattice is built once;
     A and B must therefore be hashable tuple matrices.
     """
     n = len(A)
-    gens = _krylov_generators(A, B)
-    if gens is None:
-        gens = xl.rational_kernel(intertwiner_system(A, B))
-    basis = xl.saturation(gens)
+    basis = xl.saturation(xl.rational_kernel(intertwiner_system(A, B)))
     for v in basis:
         K = xl.unvec(v, n)
         if xl.mat_mul(A, K) != xl.mat_mul(K, B):
@@ -446,7 +399,7 @@ def _hom_lattice_quotient(S: FiniteModulePresentation, T: FiniteModulePresentati
     )
     trows = []
     for zrow in zero_lat:
-        sol = xl.solve_left(basis, zrow)
+        sol = xl.lattice_membership(basis, zrow)
         if sol is None:
             raise InternalInconsistencyError("hom lattice does not contain the zero maps")
         trows.append(sol)

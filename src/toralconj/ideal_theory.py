@@ -267,35 +267,21 @@ def ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
 
 
 def colon_ideal(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """(I : J) = {z in K : z J <= I}: intersection over the basis of J of the
-    preimages of I under multiplication."""
-    current: tuple[Mat, int] | None = None
-    for b in J.basis_elements():
-        M, mden = multiplication_matrix(b)
-        inv, invden = xl.invert_rational(M)
-        rows = xl.mat_scale(xl.mat_mul(I.mat, inv), mden)
-        den = I.den * invden
-        g = den
-        for r in rows:
-            for x in r:
-                g = gcd(g, x)
-        lat = (tuple(tuple(x // g for x in r) for r in rows), den // g)
-        if current is None:
-            current = lat
-        else:
-            cd = current[1] * lat[1] // gcd(current[1], lat[1])
-            inter = xl.lattice_intersection(
-                xl.mat_scale(current[0], cd // current[1]),
-                xl.mat_scale(lat[0], cd // lat[1]),
-            )
-            g2 = cd
-            for r in inter:
-                for x in r:
-                    g2 = gcd(g2, x)
-            current = (tuple(tuple(x // g2 for x in r) for r in inter), cd // g2)
-    if current is None:
-        raise InternalInconsistencyError("colon ideal by an ideal with an empty basis")
-    return FractionalIdeal.normalize(I.nf, current[0], current[1], check_beta=False)
+    """(I : J) = {z in K : z J <= I}, from one dual basis.
+
+    With zeta the coordinates of z and M_k the multiplication matrix of row k
+    of J.mat, z J <= I iff zeta M_k adj(I.mat) I.den / (J.den det I.mat) is
+    integral for every k.  So the zeta form J.den det(I.mat) / I.den times
+    the dual of the lattice L spanned by the columns of the M_k adj(I.mat),
+    and the dual of L is the row lattice of (H^T)^-1 for an HNF basis H of L.
+    """
+    adj, det = xl.invert_rational(I.mat)
+    cols = []
+    for row in J.mat:
+        M, _ = multiplication_matrix(FieldElement.make(I.nf, row))
+        cols.extend(xl.transpose(xl.mat_mul(M, adj)))
+    dual, dden = xl.invert_rational(xl.transpose(xl.hnf_basis(tuple(cols))))
+    return FractionalIdeal.normalize(I.nf, xl.mat_scale(dual, J.den * det), dden * I.den, check_beta=False)
 
 
 @functools.lru_cache(maxsize=2)

@@ -29,8 +29,6 @@ from .intfactor import divisors
 Mat = xl.Mat
 Vec = xl.Vec
 
-DEFAULT_DEPTH_CAP = 4
-
 
 @dataclass(frozen=True)
 class TowerLevel:
@@ -53,13 +51,17 @@ class Tower:
         return self.levels[k - 1]
 
 
-def build_tower(A: Mat, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> Tower:
+def _check_depth(depth: int) -> None:
+    if depth > xl.MAX_FACTORIAL_K:
+        raise ResourceLimitError(f"tower depth cap exceeded: {depth} > {xl.MAX_FACTORIAL_K}")
+
+
+def build_tower(A: Mat, depth: int) -> Tower:
     """Construct levels 1..depth, verifying nesting N_(k+1) <= N_k and the
     compatibility of all canonical epimorphisms; fails loudly otherwise."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    if depth > cap:
-        raise ResourceLimitError(f"tower depth cap exceeded: {depth} > {cap}")
+    _check_depth(depth)
     if not hyperbolicity_check(A):
         raise ToralConjError("matrix is not hyperbolic; tower quotients need det(A^r - I) != 0")
     A = xl.mat(A)
@@ -103,12 +105,12 @@ def _verify_epi_compatibility(levels, epis) -> None:
                     )
 
 
-def verify_factorization(A: Mat, k: int, cap: int = 6) -> bool:
+def verify_factorization(A: Mat, k: int) -> bool:
     """Exact identity A^((k+1)!) - I = (sum of A^((k+1)! - j k!)) (A^(k!) - I)."""
     n = len(A)
-    T = xl.matrix_power_factorial(A, k, cap=cap)
-    if k + 1 > cap:
-        raise ResourceLimitError(f"factorial power cap exceeded: {k + 1} > {cap}")
+    T = xl.matrix_power_factorial(A, k)
+    if k + 1 > xl.MAX_FACTORIAL_K:
+        raise ResourceLimitError(f"factorial power cap exceeded: k={k + 1} > {xl.MAX_FACTORIAL_K}")
     lhs = xl.mat_sub(xl.mat_pow(T, k + 1), xl.identity(n))
     acc = xl.identity(n)
     total = xl.identity(n)
@@ -119,13 +121,13 @@ def verify_factorization(A: Mat, k: int, cap: int = 6) -> bool:
     return lhs == rhs
 
 
-def verify_filtered(A: Mat, k1: int, k2: int, cap: int = 6) -> bool:
+def verify_filtered(A: Mat, k1: int, k2: int) -> bool:
     """N_(k1+k2) <= N_k1 intersect N_k2, checked on generators."""
     n = len(A)
-    b1 = xl.hnf_basis(xl.mat_sub(xl.matrix_power_factorial(A, k1, cap=cap), xl.identity(n)))
-    b2 = xl.hnf_basis(xl.mat_sub(xl.matrix_power_factorial(A, k2, cap=cap), xl.identity(n)))
+    b1 = xl.hnf_basis(xl.mat_sub(xl.matrix_power_factorial(A, k1), xl.identity(n)))
+    b2 = xl.hnf_basis(xl.mat_sub(xl.matrix_power_factorial(A, k2), xl.identity(n)))
     inter = xl.lattice_intersection(b1, b2)
-    M3 = xl.mat_sub(xl.matrix_power_factorial(A, k1 + k2, cap=cap), xl.identity(n))
+    M3 = xl.mat_sub(xl.matrix_power_factorial(A, k1 + k2), xl.identity(n))
     return all(xl.lattice_membership(inter, row) is not None for row in M3)
 
 
@@ -278,6 +280,7 @@ def _divisor_polynomials(k: int) -> list[polys.Poly]:
 def tower_polynomials(depth: int) -> list[polys.Poly]:
     """The divisors of x^(k!) - 1, then x^(k!) - 1, for k = 1..depth, once
     each: every BF_g that an isomorphism of the levels G_depth induces."""
+    _check_depth(depth)
     out: list[polys.Poly] = []
     for k in range(1, depth + 1):
         for g in _divisor_polynomials(k) + [polys.x_pow_minus_one(factorial(k))]:

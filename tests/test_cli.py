@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,15 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(argv):
+    """The CLI in a fresh interpreter, so that a traceback would show on
+    stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "toralconj.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 # ------------------------------------------------------------------ parsing
@@ -263,6 +273,22 @@ def test_resource_cap_exits_loudly(capsys, mats, monkeypatch):
     assert "TORALCONJ_MAX_BITS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["tower", "A1", "--levels", "7"], ["decide", "A2", "B2", "--tower-depth", "7", "--json"]],
+    ids=["tower_levels", "decide_tower_depth"],
+)
+def test_deep_towers_exit_1(mats, argv):
+    # A^(7!) has entries past the 4,300-digit limit of int-to-string
+    # conversion; depth 7 is refused before any of it is formed
+    started = time.perf_counter()
+    done = run_fresh([mats.get(a, a) for a in argv])
+    assert time.perf_counter() - started < 5.0
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and "depth cap exceeded" in done.stderr
+
+
 def test_screen_partial_unknown_exit(capsys, mats):
     # zero budget starves the per-component search, leaving honest unknowns
     code, out, _ = run(capsys, ["screen", mats["A2"], mats["B2"], "--budget", "0", "--json"])
@@ -293,12 +319,7 @@ def test_tower_single_level(capsys, mats):
     ids=["levels_0", "probe_bound", "tower_depth", "iso_budget", "screen_budget", "ideal_bound"],
 )
 def test_out_of_range_options_exit_1(mats, argv):
-    # a fresh interpreter, so that a traceback would show on stderr
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    argv = [mats.get(a, a) for a in argv]
-    done = subprocess.run(
-        [sys.executable, "-m", "toralconj.cli", *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run_fresh([mats.get(a, a) for a in argv])
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: --")

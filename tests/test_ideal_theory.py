@@ -1,6 +1,10 @@
 import itertools
+import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toralconj import exact_linalg as xl
 from toralconj import ideal_theory as it
@@ -125,6 +129,47 @@ def test_colon_product_adjunction(pair):
     I, _, J, _, _ = pair
     X = it.colon_ideal(I, J)  # {z : z J <= I}
     assert it.ideal_product(X, J).is_subset(I)
+
+
+def colon_by_intersection(I, J):
+    """(I : J) as the intersection over the basis b of J of the preimages
+    I b^-1: n rational inverses and n - 1 lattice intersections."""
+    current = None
+    for b in J.basis_elements():
+        M, mden = it.multiplication_matrix(b)
+        inv, invden = xl.invert_rational(M)
+        rows = xl.mat_scale(xl.mat_mul(I.mat, inv), mden)
+        lat = (rows, I.den * invden)
+        if current is not None:
+            cd = current[1] * lat[1] // gcd(current[1], lat[1])
+            rows = xl.lattice_intersection(
+                xl.mat_scale(current[0], cd // current[1]),
+                xl.mat_scale(lat[0], cd // lat[1]),
+            )
+            lat = (rows, cd)
+        current = lat
+    return it.FractionalIdeal.normalize(I.nf, current[0], current[1], check_beta=False)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from((2, 3)),
+    st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+    st.integers(1, 6),
+)
+@settings(max_examples=30, deadline=None)
+def test_colon_matches_the_intersection_oracle(seed, n, coords, den):
+    A, B = sublattice_pair(random.Random(seed), n, 3)
+    try:
+        I, _, nf_ = it.eigen_ideal(A)
+    except UnsupportedError:
+        assume(False)
+    J, _, _ = it.eigen_ideal(B)
+    z = it.FieldElement.make(nf_, coords[:n], den)
+    assume(not z.is_zero())
+    Jz = J.scale(z)
+    for X, Y in ((I, J), (J, I), (I, I), (I, Jz), (Jz, I)):
+        assert it.colon_ideal(X, Y) == colon_by_intersection(X, Y)
 
 
 # ------------------------------------------------------------------ multiplier rings

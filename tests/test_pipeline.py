@@ -1,6 +1,9 @@
 import collections
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -643,3 +646,19 @@ def test_nonmaximal_multiplier_ring_value():
     half = it.FieldElement.make(nf, (0, 1, 1), 2)
     assert OJ.contains(half)
     assert not it.FractionalIdeal.z_beta(nf).contains(half)
+
+
+# sha256 of the reports on the 120 benchmark corpus pairs; a change that
+# alters a report updates this value and says so
+CORPUS_REPORTS_SHA256 = "a5c7b13fa45b940045d550288926735e7037d0e499f67b8b51a882e8a3aeae5e"
+
+
+def test_corpus_reports_are_pinned():
+    corpus = json.loads((Path(__file__).resolve().parent.parent / "decidebench" / "corpus.json").read_text())
+    reports = [
+        json.dumps(decide(xl.mat(p["A"]), xl.mat(p["B"])).to_data(), sort_keys=True)
+        for workload in ("conj_small", "conj_bigorder", "similar_irreducible")
+        for p in corpus[workload]["pairs"]
+    ]
+    assert len(reports) == 120
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == CORPUS_REPORTS_SHA256

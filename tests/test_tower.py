@@ -35,6 +35,12 @@ def test_build_tower_rejects_non_hyperbolic():
         tw.build_tower(I3, 2)
     with pytest.raises(ResourceLimitError):
         tw.build_tower(A1, 9)
+    with pytest.raises(ResourceLimitError):
+        tw.tower_polynomials(7)
+
+
+def test_build_tower_reaches_the_depth_cap():
+    assert tw.build_tower(A1, xl.MAX_FACTORIAL_K).depth == 6
 
 
 def test_single_level_tower():
