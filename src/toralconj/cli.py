@@ -374,6 +374,15 @@ def main(argv: list[str] | None = None) -> int:
     except ToralConjError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        # an int-to-string conversion past the interpreter's digit limit, as
+        # for a deep tower order of a matrix with large entries; the limit
+        # also guards the parsing of matrix files, so it stays in place
+        if "integer string conversion" not in str(e):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: an integer of the result has more than {limit} digits, the int-to-string limit", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
-"""Decision pipeline: orchestrates similarity, the BF screen over the linear
-polynomials x - c, direct unimodular search, the BF screen over the rest of
-the family, the fractional-ideal route, and the tower route into a single
-verdict with machine-checkable evidence.  The search runs before the
-module screen because a certificate makes every BF_g isomorphic, and only
-the module screen needs the intertwiner lattice the search builds anyway.
-Only the first FIRST_SEARCH_CANDIDATES candidates run before the module
-screen; the rest of a longer walk runs after it, so a pair refuted there
-does not pay the whole search first.
+"""Decision pipeline: orchestrates similarity, a unimodular search in the
+intertwiner lattice walked in three legs with the BF screens between them,
+the fractional-ideal route, and the tower route into a single verdict with
+machine-checkable evidence.  A certificate makes every BF_g isomorphic and a
+refutation is sound whenever it runs, so the order of search and screens
+changes the evidence only.  The search comes first because it is cheap and
+certifies most conjugate pairs: leg 1 walks shell 1 (max-norm 1) before the
+screen over the linear polynomials x - c, leg 2 walks on to
+FIRST_SEARCH_CANDIDATES before the screen over the rest of the family, and
+leg 3 walks the rest after it.  A pair refuted at degree 1 thus pays shell 1
+only, and leg 1 is skipped where shell 1 is long (rank > 6).
 The tower route is one more BF screen, over the divisors of x^(k!) - 1
 that the family lacks.
 
@@ -71,9 +73,9 @@ def similarity_check(A: Mat, B: Mat) -> bool:
     derivative constant) is already decisive: every matrix with that
     polynomial is cyclic, so its rational canonical form is the companion
     matrix.  Otherwise A ~ B iff the spaces C(X, Y) = {W : X W = W Y} of
-    (A, A), (A, B) and (B, B) have one dimension (Byrnes and Gauger, 1977),
-    read off as the sizes of the rational kernels of their n^2 x n^2
-    systems.
+    (A, A), (A, B) and (B, B) have one dimension (Byrnes and Gauger, 1977).
+    Their n^2 x n^2 systems have one size, so equal dimensions are equal
+    ranks, read off as pivot counts of echelon forms.
     """
     if len(A) != len(B):
         raise ValueError("dimension mismatch")
@@ -83,7 +85,7 @@ def similarity_check(A: Mat, B: Mat) -> bool:
     if polys.degree(polys.poly_gcd(pa, polys.derivative(pa))) == 0:
         return True
     systems = (intertwiner_system(X, Y) for X, Y in ((A, A), (A, B), (B, B)))
-    return len({len(xl.rational_kernel(S)) for S in systems}) == 1
+    return len({xl.rank(S) for S in systems}) == 1
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,8 @@ class IntertwinerBasis:
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:
     """Integer kernel of C -> A C - C B, rows verified to intertwine.  In
-    decide the unimodular search builds it first; the module screen's map
+    decide it is built for every similar pair before any BF screen, since
+    its rank sets the first leg of the search; the module screen's map
     candidates reuse it."""
     return IntertwinerBasis(n=len(A), basis=intertwiner_kernel(xl.mat(A), xl.mat(B)))
 
@@ -138,8 +141,9 @@ def unimodular_search(
     return SearchOutcome(C is not None, C, bound, tried)
 
 
-# candidates of the search before the degree >= 2 screen; the rest of the
-# walk, up to search_max_candidates, runs after it
+# decide walks the search up to this many candidates before the degree >= 2
+# screen, and the rest, up to search_max_candidates, after it; shell 1 runs
+# before the degree-1 screen only when it is no longer than this (rank <= 6)
 FIRST_SEARCH_CANDIDATES = 1_000
 
 
@@ -246,9 +250,39 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     hyp = hyperbolicity_check(A)
     evidence.append({"stage": "hyperbolicity", "hyperbolic": hyp})
 
-    # (3) BF screen over the degree-1 members x - c: BF_{x-c} carries the
+    # (3-5) one unimodular search in the intertwiner lattice, walked in three
+    # legs with the two BF screens between them.  A unimodular C with
+    # A C = C B induces BF_g(A) = BF_g(B) for every g, so no screen can
+    # refute a pair the search certifies: the order changes the evidence only
+    lattice = intertwiner_lattice(A, B)
+    bound = config.unimodular_bound
+    walk = min(((2 * bound + 1) ** lattice.rank - 1) // 2, config.search_max_candidates)
+    tried = 0
+
+    def leg(limit: int) -> Mat | None:
+        """Walk on from candidate tried up to limit; the first leg that
+        tries anything is the unimodular_search record, later ones resume."""
+        nonlocal tried
+        if tried >= min(limit, walk):
+            return None
+        search = unimodular_search(lattice, bound, min(limit, walk), start=tried)
+        stage = "unimodular_search_resumed" if tried else "unimodular_search"
+        evidence.append({"stage": stage, "rank": lattice.rank, "result": search.to_data()})
+        tried = search.tried
+        return search.conjugator
+
+    # (3) leg 1: shell 1, the (3^rank - 1) / 2 vectors of max-norm 1, where
+    # most certificates lie; skipped when it is longer than the first
+    # FIRST_SEARCH_CANDIDATES (rank > 6), so that a pair refuted at degree 1
+    # pays a few candidates at most
+    shell = (3**lattice.rank - 1) // 2
+    C = leg(shell if shell <= FIRST_SEARCH_CANDIDATES else 0)
+    if C is not None:
+        return _emit_conjugate(A, B, C, evidence, config)
+
+    # (4) BF screen over the degree-1 members x - c: BF_{x-c} carries the
     # scalar action c, so order and invariant factors settle each one (equal
-    # groups make the identity an isomorphism) without the intertwiner lattice
+    # groups make the identity an isomorphism) without a module map
     family = default_family(
         A,
         max_shift=config.family_max_shift,
@@ -261,32 +295,24 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if screen.outcome == "not_equivalent":
         return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (4) direct unimodular search in the intertwiner lattice, over its
-    # first FIRST_SEARCH_CANDIDATES candidates
-    lattice = intertwiner_lattice(A, B)
-    bound, cap = config.unimodular_bound, config.search_max_candidates
-    search = unimodular_search(lattice, bound, min(FIRST_SEARCH_CANDIDATES, cap))
-    evidence.append({"stage": "unimodular_search", "rank": lattice.rank, "result": search.to_data()})
-    if search.found:
-        return _emit_conjugate(A, B, search.conjugator, evidence, config)
+    # (4) leg 2: the walk on to its first FIRST_SEARCH_CANDIDATES candidates
+    C = leg(FIRST_SEARCH_CANDIDATES)
+    if C is not None:
+        return _emit_conjugate(A, B, C, evidence, config)
 
-    # (5) BF screen over the members of degree >= 2.  A unimodular C with
-    # A C = C B induces BF_g(A) = BF_g(B) for every g, so this screen cannot
-    # refute a pair stage 4 certified and runs only when the search failed
+    # (5) BF screen over the members of degree >= 2; its candidate module
+    # maps reuse the lattice
     rest = [g for g in family if polys.degree(g) >= 2]
     screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
     evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
     if screen.outcome == "not_equivalent":
         return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (4, resumed) the rest of the walk over the ((2 bound + 1)^rank - 1) / 2
-    # candidates, when the first phase stopped short of it and of the cap
-    walk = ((2 * bound + 1) ** lattice.rank - 1) // 2
-    if search.tried < min(walk, cap):
-        search = unimodular_search(lattice, bound, cap, start=search.tried)
-        evidence.append({"stage": "unimodular_search_resumed", "rank": lattice.rank, "result": search.to_data()})
-        if search.found:
-            return _emit_conjugate(A, B, search.conjugator, evidence, config)
+    # (5) leg 3: the rest of the walk over the ((2 bound + 1)^rank - 1) / 2
+    # candidates, up to search_max_candidates
+    C = leg(walk)
+    if C is not None:
+        return _emit_conjugate(A, B, C, evidence, config)
 
     # (6) ideal route (irreducible characteristic polynomial only)
     irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa)
@@ -297,7 +323,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
     # (7) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
     # every quotient BF_g for g | x^(K!) - 1, so screen the tower polynomials
-    # that stages 3 and 5 have not
+    # that stages 4 and 5 have not
     if hyp:
         extra = [g for g in tower_polynomials(config.tower_depth) if g not in family]
         screen = strong_bf_screen(A, B, extra, budget=config.iso_budget)

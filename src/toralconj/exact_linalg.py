@@ -510,10 +510,12 @@ def congruence_kernel(C: Mat, moduli: Vec) -> Mat:
     return hnf_basis(tuple(rows))
 
 
-def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
+def _fraction_free_rref(a: list[list[int]], above: bool = True) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan (Bareiss) elimination of a in place, to p
     times its reduced row echelon form; returns the pivot columns and p.
-    Each division is exact: every entry is a minor of the input."""
+    Each division is exact: every entry is a minor of the input.  With
+    above=False only the rows below each pivot are cleared, which leaves an
+    echelon form with the same pivot columns at a fraction of the work."""
     pivots: list[int] = []
     prev = 1
     for col in range(len(a[0]) if a else 0):
@@ -523,13 +525,18 @@ def _fraction_free_rref(a: list[list[int]]) -> tuple[list[int], int]:
             continue
         a[r], a[p] = a[p], a[r]
         top, piv = a[r], a[r][col]
-        for i in range(len(a)):
+        for i in range(0 if above else r + 1, len(a)):
             if i != r:
                 f = a[i][col]
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
         pivots.append(col)
         prev = piv
     return pivots, prev
+
+
+def rank(M: Mat) -> int:
+    """Rank over Q: the pivot count of a fraction-free echelon form."""
+    return len(_fraction_free_rref([list(r) for r in M], above=False)[0])
 
 
 def rational_kernel(M: Mat) -> Mat:

@@ -289,6 +289,26 @@ def test_deep_towers_exit_1(mats, argv):
     assert done.stderr.startswith("error:") and "depth cap exceeded" in done.stderr
 
 
+# |det(M^720 - I)| has about 4,320 decimal digits, past the interpreter's
+# 4,300-digit limit of int-to-string conversion
+BIG_ENTRIES_M = ((1000001, 1000000), (1, 1))
+BIG_ENTRIES_N = ((2, 28169), (71, 1000000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tower", "M", "--levels", "6"], ["decide", "M", "N", "--tower-depth", "6", "--json"]],
+    ids=["tower_levels", "decide_tower_depth_json"],
+)
+def test_orders_past_the_digit_limit_exit_1(tmp_path, argv):
+    paths = {"M": write(tmp_path, "M.txt", BIG_ENTRIES_M), "N": write(tmp_path, "N.txt", BIG_ENTRIES_N)}
+    done = run_fresh([paths.get(a, a) for a in argv])
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert done.stderr.startswith("error:") and len(done.stderr.splitlines()) == 1
+    assert "4300 digits" in done.stderr
+
+
 def test_screen_partial_unknown_exit(capsys, mats):
     # zero budget starves the per-component search, leaving honest unknowns
     code, out, _ = run(capsys, ["screen", mats["A2"], mats["B2"], "--budget", "0", "--json"])

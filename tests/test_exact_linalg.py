@@ -74,6 +74,14 @@ def test_rational_kernel_saturates_to_the_left_kernel(M):
     assert xl.saturation(rows) == xl.left_kernel(M)
 
 
+@given(st.one_of(rectangular, low_rank))
+@settings(max_examples=80)
+def test_rank_counts_the_pivots_of_the_echelon_form(M):
+    # the echelon-only elimination agrees with the full one and with the
+    # left-kernel oracle
+    assert xl.rank(M) == len(M) - len(xl.left_kernel(M)) == len(M) - len(xl.rational_kernel(M))
+
+
 # ------------------------------------------------------------------ char poly
 
 def test_char_poly_examples():

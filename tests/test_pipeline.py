@@ -101,7 +101,7 @@ def test_similarity_squarefree_shortcut_skips_the_ranks(rng, monkeypatch):
     def refuse(M):
         pytest.fail("a squarefree characteristic polynomial reached the kernels")
 
-    monkeypatch.setattr(xl, "rational_kernel", refuse)
+    monkeypatch.setattr(xl, "rank", refuse)
     assert all(similarity_check(A, B) for A, B in squarefree)
 
 
@@ -195,9 +195,9 @@ def test_similarity_matches_the_block_oracle(rng):
 
 
 def test_similarity_of_a_10x10_repeated_pair_is_fast(rng):
-    # M + M has a repeated factor, so each check takes the rational kernels
-    # of three 100 x 100 systems: about 0.5 s for both, where a cofactor expansion
-    # of the minors of xI - A takes seconds
+    # M + M has a repeated factor, so each check takes the ranks of three
+    # 100 x 100 systems: about 0.3 s for both, where a cofactor expansion of
+    # the minors of xI - A takes seconds
     M = random_hyperbolic(rng, 5, 3)
     MM = direct_sum(M, M)
     U = random_unimodular(rng, 10)
@@ -242,10 +242,11 @@ def test_decide_solves_intertwiner_system_once(rng, monkeypatch):
     intertwiner_kernel.cache_clear()
     v = decide(A1, B)
     assert v.outcome == "conjugate"
-    # the search certifies, so the module screen of degree >= 2 never runs
+    # the search certifies inside shell 1, so neither screen runs
     stages = [e["stage"] for e in v.evidence]
-    assert stages == ["similarity", "hyperbolicity", "bf_screen", "unimodular_search"]
-    # the system is solved once, by the search: the degree-1 screen needs no map
+    assert stages == ["similarity", "hyperbolicity", "unimodular_search"]
+    assert v.evidence[-1]["result"]["candidates"] <= 13
+    # the system is solved once, for the search, and no screen asks for a map
     info = intertwiner_kernel.cache_info()
     assert info.misses == 1 and info.hits == 0
     assert screen_calls == []
@@ -275,24 +276,49 @@ LINEAR_PASS_A = xl.mat([[5, -3], [0, -2]])
 LINEAR_PASS_B = xl.mat([[5, -21], [0, -2]])
 
 
+# the stages of decide after hyperbolicity, in order; any run is a
+# subsequence of this, cut where a stage decides
+LEGGED_ORDER = [
+    "unimodular_search",
+    "bf_screen",
+    "unimodular_search_resumed",
+    "bf_module_screen",
+    "unimodular_search_resumed",
+    "ideal_route",
+    "tower_route",
+]
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
 def test_decide_matches_the_screen_then_search_order(rng):
     # a certificate makes every BF_g isomorphic and a refutation rules one
-    # out, so screening degree 1, searching, then screening degree >= 2 gives
-    # the outcome, certificate and witness of screening first
+    # out, so walking the search in legs between the degree-1 and the
+    # degree >= 2 screens gives the outcome, certificate and witness of
+    # screening the whole family first
     pairs = []
-    for n in (2, 3):
-        for _ in range(3):
+    for n in (2, 3, 4, 5):
+        for _ in range(3 if n <= 3 else 2):
             A = random_hyperbolic(rng, n, 3)
             U = random_unimodular(rng, n)
             pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
-        pairs += [sublattice_pair(rng, n, 4) for _ in range(8 if n == 2 else 4)]
+        if n <= 3:
+            pairs += [sublattice_pair(rng, n, 4) for _ in range(8 if n == 2 else 4)]
     pairs += [(A1, B1), (A2, B2), (RING_A, RING_B), (LINEAR_PASS_A, LINEAR_PASS_B)]
-    ends = set()
+    ends, sizes = set(), collections.Counter()
     for A, B in pairs:
         v = decide(A, B)
-        ends.add((v.outcome, v.evidence[-1]["stage"]))
+        stages = [e["stage"] for e in v.evidence]
+        assert stages[:2] == ["similarity", "hyperbolicity"]
+        assert _is_subsequence(stages[2:], LEGGED_ORDER), stages
+        ends.add((v.outcome, stages[-1]))
+        if v.outcome == "conjugate" and stages[-1].startswith("unimodular_search"):
+            sizes[len(A)] += 1
         reports = {e["stage"]: e["report"] for e in v.evidence if e["stage"].startswith("bf_")}
-        linear = reports["bf_screen"]
+        linear = reports.get("bf_screen", {"family": [], "records": []})
         module = reports.get("bf_module_screen", {"family": [], "records": []})
         assert all(polys.degree(polys.parse(g)) == 1 for g in linear["family"])
         assert all(polys.degree(polys.parse(g)) >= 2 for g in module["family"])
@@ -309,60 +335,129 @@ def test_decide_matches_the_screen_then_search_order(rng):
         ("not_conjugate", "bf_module_screen"),
         ("unknown", "tower_route"),
     } <= ends
+    # the search certified every random conjugate pair, 4 x 4 and 5 x 5 too
+    assert sizes[4] == sizes[5] == 2
 
 
-def test_decide_linear_refutation_builds_no_lattice():
+def test_decide_linear_refutation_builds_the_lattice_once(monkeypatch):
     # BF_{x+1} separates the first worked pair, also inside a direct sum with
     # a common summand; order and invariant factors settle every x - c, so
-    # neither the screen nor the search solves the intertwiner system
+    # the screen asks for no module map, and the system is solved once, for
+    # the rank that sets the first leg of the search
+    screen_calls = []
+
+    def counting(*args):
+        screen_calls.append(args)
+        return intertwiner_kernel(*args)
+
+    monkeypatch.setattr(finite_modules, "intertwiner_kernel", counting)
     for A, B in [(A1, B1), (direct_sum(A1, A1), direct_sum(A1, B1))]:
         intertwiner_kernel.cache_clear()
         v = decide(A, B)
         assert v.outcome == "not_conjugate" and v.witness["g"] == "x+1"
         assert [e["stage"] for e in v.evidence][-1] == "bf_screen"
-        assert "unimodular_search" not in {e["stage"] for e in v.evidence}
-        assert intertwiner_kernel.cache_info().misses == 0
+        assert intertwiner_kernel.cache_info().misses == 1
+    assert screen_calls == []
+
+
+def test_decide_walks_shell_one_before_a_linear_refutation():
+    # the rank-3 lattice of the first worked pair has 13 vectors of max-norm
+    # 1 up to sign; the walk of those comes before BF_{x+1} refutes
+    v = decide(A1, B1)
+    assert v.outcome == "not_conjugate" and v.witness["g"] == "x+1"
+    assert [e["stage"] for e in v.evidence] == ["similarity", "hyperbolicity", "unimodular_search", "bf_screen"]
+    search = v.evidence[2]
+    assert search["rank"] == 3
+    assert search["result"] == {"found": False, "bound": 5, "candidates": 13}
+
+
+def test_decide_skips_shell_one_above_rank_six(monkeypatch):
+    # A1 + A1 against A1 + B1 has an intertwiner lattice of rank 12, whose
+    # shell 1 holds (3^12 - 1) / 2 = 265,720 vectors, more than the first
+    # 1,000 candidates: the degree-1 screen refutes before any walk
+    A, B = direct_sum(A1, A1), direct_sum(A1, B1)
+    assert intertwiner_lattice(A, B).rank == 12
+    v = decide(A, B)
+    assert [e["stage"] for e in v.evidence] == ["similarity", "hyperbolicity", "bf_screen"]
+    # the rule is the length of shell 1 against FIRST_SEARCH_CANDIDATES: a
+    # first phase shorter than the 13 vectors of a rank-3 shell skips it too
+    monkeypatch.setattr(pipeline, "FIRST_SEARCH_CANDIDATES", 12)
+    v = decide(A1, B1)
+    assert [e["stage"] for e in v.evidence] == ["similarity", "hyperbolicity", "bf_screen"]
+
+
+def test_decide_certifies_in_shell_one_without_the_screens(rng, monkeypatch):
+    # a conjugate pair whose certificate lies in shell 1 needs no BF module:
+    # neither the family nor any BF_g(A) is built
+    from toralconj import bf_invariants
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a BF screen ran")
+
+    pairs = []
+    while len(pairs) < 3:
+        A = random_hyperbolic(rng, 3, 3)
+        U = random_unimodular(rng, 3)
+        B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+        v = decide(A, B)
+        if v.outcome == "conjugate" and len(v.evidence) == 3:
+            assert v.evidence[-1]["result"]["candidates"] <= 13
+            pairs.append((A, B, v.certificate))
+    monkeypatch.setattr(pipeline, "default_family", forbidden)
+    monkeypatch.setattr(pipeline, "bf_group", forbidden)
+    monkeypatch.setattr(bf_invariants, "bf_group", forbidden)
+    for A, B, C in pairs:
+        v = decide(A, B)
+        assert v.outcome == "conjugate" and v.certificate == C
+        assert [e["stage"] for e in v.evidence] == ["similarity", "hyperbolicity", "unimodular_search"]
 
 
 def test_decide_refutes_a_degree_two_pair_inside_the_first_search_phase():
     # (X + X, X + Y) passes every x - c, and the walk of its rank-8
-    # intertwiner lattice runs to the 200,000-candidate cap; BF_{x^3+1}
-    # refutes after the first phase of the search, before the rest of it
+    # intertwiner lattice runs to the 200,000-candidate cap; its shell 1
+    # (3,280 vectors) is longer than the first phase, so the walk starts
+    # after the degree-1 screen, and BF_{x^3+1} refutes after the first
+    # phase of the search, before the rest of it
     A = direct_sum(LINEAR_PASS_A, LINEAR_PASS_A)
     B = direct_sum(LINEAR_PASS_A, LINEAR_PASS_B)
     v = decide(A, B)
     assert v.outcome == "not_conjugate" and v.witness["g"] == "x^3+1"
     stages = [e["stage"] for e in v.evidence]
-    assert stages[-2:] == ["unimodular_search", "bf_module_screen"]
+    assert stages == ["similarity", "hyperbolicity", "bf_screen", "unimodular_search", "bf_module_screen"]
     search = v.evidence[-2]
     assert search["rank"] == 8
-    assert search["result"]["candidates"] <= pipeline.FIRST_SEARCH_CANDIDATES == 1_000
+    assert search["result"]["candidates"] == pipeline.FIRST_SEARCH_CANDIDATES == 1_000
 
 
 def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
-    # with a first phase shorter than the walk to the certificate, the
-    # degree >= 2 screen runs in between, and the resumed walk ends on the
-    # certificate of the uninterrupted search
+    # with a first phase shorter than the walk to a certificate outside
+    # shell 1, both screens run in between the three legs, and the last leg
+    # ends on the certificate of the uninterrupted search
     while True:
         A = random_hyperbolic(rng, 3, 3)
         U = random_unimodular(rng, 3)
         B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
         whole = decide(A, B)
-        tried = whole.evidence[-1]["result"]["candidates"]
-        if tried >= 3:
+        last = whole.evidence[-1]
+        if last["stage"] == "unimodular_search_resumed" and last["result"]["candidates"] >= 15:
+            tried = last["result"]["candidates"]
             break
+    assert [e["stage"] for e in whole.evidence][-3:] == ["unimodular_search", "bf_screen", "unimodular_search_resumed"]
     monkeypatch.setattr(pipeline, "FIRST_SEARCH_CANDIDATES", tried - 1)
     v = decide(A, B)
     assert v.outcome == "conjugate" and v.certificate == whole.certificate
     stages = [e["stage"] for e in v.evidence]
-    assert stages[-3:] == ["unimodular_search", "bf_module_screen", "unimodular_search_resumed"]
-    first, screen, rest = v.evidence[-3:]
-    assert first["result"] == {"found": False, "bound": 5, "candidates": tried - 1}
-    assert screen["report"]["outcome"] == "passed_screen"
-    assert rest == whole.evidence[-1] | {"stage": "unimodular_search_resumed"}
-    # a cap below the first phase leaves nothing to resume
+    assert stages[2:] == LEGGED_ORDER[:5]
+    shell, linear, second, module, rest = v.evidence[2:]
+    assert shell["result"] == {"found": False, "bound": 5, "candidates": 13}
+    assert linear["report"]["outcome"] == "passed_screen"
+    assert second["result"] == {"found": False, "bound": 5, "candidates": tried - 1}
+    assert module["report"]["outcome"] == "passed_screen"
+    assert rest == whole.evidence[-1]
+    # a cap below the first phase leaves nothing for the last leg
     capped = decide(A, B, PipelineConfig(search_max_candidates=tried - 1))
-    assert "unimodular_search_resumed" not in [e["stage"] for e in capped.evidence]
+    searches = [e for e in capped.evidence if e["stage"].startswith("unimodular_search")]
+    assert [e["result"]["candidates"] for e in searches] == [13, tried - 1]
 
 
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
@@ -650,7 +745,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "a5c7b13fa45b940045d550288926735e7037d0e499f67b8b51a882e8a3aeae5e"
+CORPUS_REPORTS_SHA256 = "7c40f7a309bfdd13f81b0cc30bd04a17119e5bbcb81b697af08897da0315c277"
 
 
 def test_corpus_reports_are_pinned():
