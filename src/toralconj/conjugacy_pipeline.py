@@ -100,7 +100,7 @@ class IntertwinerBasis:
         return len(self.basis)
 
     def matrix(self, coeffs: Vec) -> Mat:
-        return xl.unvec(xl.vec_mat(coeffs, self.basis), self.n)
+        return xl.unvec(xl.combination(coeffs, self.basis), self.n)
 
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:
@@ -128,10 +128,10 @@ class SearchOutcome:
 def unimodular_search(
     basis: IntertwinerBasis, bound: int, max_candidates: int = 200_000, start: int = 0
 ) -> SearchOutcome:
-    """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound, one of
-    each +-c since -C is unimodular iff C is, and return the first C with
-    det C = +-1.  With start, the walk resumes after its first start
-    candidates, which count as tried."""
+    """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound, sparse
+    first, one of each +-c since -C is unimodular iff C is, and return the
+    first C with det C = +-1.  With start, the walk resumes after its first
+    start candidates, which count as tried."""
 
     def accept(c):
         C = basis.matrix(c)

@@ -96,13 +96,25 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def unvec(v: Vec, n: int) -> Mat:
     """The n x n matrix whose rows, concatenated, are v."""
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
+    return tuple(tuple(v[i : i + n]) for i in range(0, n * n, n))
 
 
 def vec_mat(v: Vec, M: Mat) -> Vec:
     if len(v) != len(M):
         raise ValueError("dimension mismatch")
     return tuple(sum(map(operator.mul, v, col)) for col in zip(*M))
+
+
+def combination(v: Vec, M: Mat) -> Vec:
+    """vec_mat(v, M) from the rows of M with a nonzero coefficient only: the
+    cheap form for the sparse vectors that lead each shell of shell_vectors."""
+    if len(v) != len(M):
+        raise ValueError("dimension mismatch")
+    terms = [(c, row) for c, row in zip(v, M) if c]
+    if len(terms) == 1:
+        c, row = terms[0]
+        return tuple(map(c.__mul__, row))
+    return vec_mat(*zip(*terms)) if terms else vec_mat(v, M)
 
 
 def mat_pow(M: Mat, e: int) -> Mat:
@@ -630,14 +642,24 @@ def solve_right_rational(M: Mat, rhs: Vec) -> tuple[Vec, int]:
 
 
 def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
-    """Nonzero integer coefficient vectors of max-norm <= radius, by shell
-    radius ascending and lexicographically within a shell.  With up_to_sign,
-    only the member of each pair +-c whose first nonzero entry is positive."""
-    zero = (0,) * rank
+    """Nonzero integer coefficient vectors of max-norm <= radius, sparse
+    first: by shell radius rho ascending, then by the number of nonzero
+    entries, then by their positions in itertools.combinations order, then
+    by their values lexicographically over {-rho..rho} minus 0, at least one
+    of them +-rho.  So the single lattice rows +-rho e_i lead each shell.
+    With up_to_sign, only the member of each pair +-c whose first nonzero
+    entry is positive.  Each shell is generated lazily."""
     for rho in range(1, radius + 1):
-        for c in itertools.product(range(-rho, rho + 1), repeat=rank):
-            if (rho in c or -rho in c) and (c > zero or not up_to_sign):
-                yield c
+        values = [*range(-rho, 0), *range(1, rho + 1)]
+        heads = values[rho:] if up_to_sign else values
+        for size in range(1, rank + 1):
+            for support in itertools.combinations(range(rank), size):
+                for nonzero in itertools.product(heads, *[values] * (size - 1)):
+                    if rho in nonzero or -rho in nonzero:
+                        c = [0] * rank
+                        for i, x in zip(support, nonzero):
+                            c[i] = x
+                        yield tuple(c)
 
 
 def bounded_search(

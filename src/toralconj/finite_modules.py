@@ -509,11 +509,12 @@ def module_iso_exists(
         kern = intertwiner_kernel(PA.action, PB.action)
 
         def accept(c):
-            m = map_from_ambient(PA, PB, xl.unvec(xl.vec_mat(c, kern), PA.n))
+            m = map_from_ambient(PA, PB, xl.unvec(xl.combination(c, kern), PA.n))
             return m if m is not None and m.is_isomorphism() else None
 
+        # -W induces an isomorphism exactly when W does, so one of each +-W
         shells = INTERTWINER_SHELLS if len(kern) <= 4 else 1
-        m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried)
+        m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried, up_to_sign=True)
         tried += t
         if m is not None:
             return IsoResult("yes", iso=m, tried=tried, complete=True)

@@ -41,6 +41,22 @@ def test_products_match_entrywise_sums(rng):
             xl.mat_mul(A, B + ((1,) * c,))
 
 
+def test_combination_matches_vec_mat(rng):
+    # the search candidates' sparse build: zero, one or several nonzero
+    # coefficients give the dense product
+    for k, c in itertools.product(range(1, 5), range(1, 5)):
+        B = tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(k))
+        for support in range(k + 1):
+            for _ in range(3):
+                v = [0] * k
+                for i in rng.sample(range(k), support):
+                    v[i] = rng.choice((-3, -1, 1, 2))
+                assert xl.combination(tuple(v), B) == xl.vec_mat(tuple(v), B)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            xl.combination((1,) * (k + 1), B)
+    assert xl.unvec(tuple(range(9)), 3) == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+
+
 def test_det_examples():
     assert xl.det(A1) == det_cofactor(A1) == 1
     assert xl.det(I3) == 1
@@ -380,8 +396,14 @@ def test_shell_vectors_order_and_signs(rank, radius):
 
     box = [c for c in itertools.product(range(-radius, radius + 1), repeat=rank) if any(c)]
     both = list(xl.shell_vectors(rank, radius))
-    # every nonzero vector of the box once, by shell, then lexicographic
-    assert both == sorted(box, key=lambda c: (max(map(abs, c)), c))
+
+    def sparse_first(c):
+        support = tuple(i for i, x in enumerate(c) if x)
+        return (max(map(abs, c)), len(support), support, tuple(c[i] for i in support))
+
+    # every nonzero vector of the box once, by shell, then by support size,
+    # support positions and nonzero values
+    assert both == sorted(box, key=sparse_first)
     half = list(xl.shell_vectors(rank, radius, up_to_sign=True))
     assert len(half) == len(box) // 2
     assert set(half) | {tuple(-x for x in c) for c in half} == set(box)

@@ -235,6 +235,28 @@ def test_action_refutation_counts_maps_tried_first():
     assert data["candidates_tried"] == 1
 
 
+def test_ambient_walk_tries_one_of_each_sign(monkeypatch):
+    # -W induces an isomorphism exactly when W does, so the walk over the
+    # rank-3 ambient intertwiners of the first worked pair at BF_{x^4+1}
+    # tries one of each +-W, all (7^3 - 1) / 2 of the box of radius 3,
+    # before the per-prime search finds the isomorphism
+    from toralconj.bf_invariants import bf_group
+
+    tried = []
+    original = fm.map_from_ambient
+
+    def recording(source, target, W):
+        tried.append(W)
+        return original(source, target, W)
+
+    monkeypatch.setattr(fm, "map_from_ambient", recording)
+    g = (1, 0, 0, 0, 1)
+    res = fm.module_iso_exists(bf_group(A1, g).module, bf_group(B1, g).module)
+    assert res.verdict == "yes"
+    assert len(tried) == len(set(tried)) == (7**3 - 1) // 2
+    assert not set(tried) & {xl.mat_neg(W) for W in tried}
+
+
 def test_iso_yes_passes_skipped_action_check(rng):
     # a Yes found by a candidate map skips the per-prime G/pG check, so
     # re-run that check on every module pair of the BF family

@@ -116,16 +116,21 @@ def test_large_conjugate_pairs_build_a_small_lattice(rng, monkeypatch, n):
     fm.intertwiner_kernel.cache_clear()
 
 
+def m_plus_m_pair(seed):
+    """M + M against a unimodular conjugate, M a random hyperbolic 4 x 4."""
+    rng = random.Random(seed)
+    M = random_hyperbolic(rng, 4, 3)
+    U = random_unimodular(rng, 8)
+    A = direct_sum(M, M)
+    return A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+
+
 @pytest.mark.parametrize("seed", [5, 7])
 def test_non_cyclic_8x8_pairs_take_one_elimination(monkeypatch, seed):
     # M + M against a unimodular conjugate has no cyclic vector, so the
     # 64 x 64 system is solved; its transform HNF took 6 s and 9 s on these
     # seeds, one fraction-free elimination and a saturation take 0.05 s
-    rng = random.Random(seed)
-    M = random_hyperbolic(rng, 4, 3)
-    U = random_unimodular(rng, 8)
-    A = direct_sum(M, M)
-    B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+    A, B = m_plus_m_pair(seed)
     monkeypatch.setattr(fm.xl, "left_kernel", _refuse_left_kernel)
     fm.intertwiner_kernel.cache_clear()
     started = time.perf_counter()
@@ -133,3 +138,18 @@ def test_non_cyclic_8x8_pairs_take_one_elimination(monkeypatch, seed):
     assert time.perf_counter() - started < 1.0
     fm.intertwiner_kernel.cache_clear()
     assert len(basis) == 16
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_non_cyclic_8x8_pairs_certify_before_the_module_screen(seed):
+    # walked lexicographically, the rank-16 lattice gave its first
+    # certificate at candidate 155,253, after the degree >= 2 screen (43 s
+    # and 86 s); sparse first, a combination of few lattice rows comes early
+    A, B = m_plus_m_pair(seed)
+    fm.intertwiner_kernel.cache_clear()
+    v = decide(A, B)
+    fm.intertwiner_kernel.cache_clear()
+    assert v.outcome == "conjugate"
+    stages = [e["stage"] for e in v.evidence]
+    assert stages == ["similarity", "hyperbolicity", "bf_screen", "unimodular_search"]
+    assert v.evidence[-1]["result"]["candidates"] <= 100

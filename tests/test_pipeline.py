@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -507,6 +508,54 @@ def test_unimodular_search_example2_fails():
     assert not out.found
 
 
+def lexicographic_shells(rank, radius, up_to_sign=False):
+    """The oracle walk: each max-norm shell in plain lexicographic order."""
+    zero = (0,) * rank
+    for rho in range(1, radius + 1):
+        for c in itertools.product(range(-rho, rho + 1), repeat=rank):
+            if (rho in c or -rho in c) and (c > zero or not up_to_sign):
+                yield c
+
+
+def test_sparse_first_walk_matches_the_lexicographic_oracle(rng):
+    # each shell holds the same vectors in both orders, and the sparse-first
+    # one starts with the single rows +-rho e_i
+    for rank in range(1, 5):
+        for up_to_sign in (False, True):
+            walk = list(xl.shell_vectors(rank, 3, up_to_sign))
+            oracle = list(lexicographic_shells(rank, 3, up_to_sign))
+            assert len(walk) == len(oracle)
+            for rho in (1, 2, 3):
+                shell = [c for c in walk if max(map(abs, c)) == rho]
+                assert set(shell) == {c for c in oracle if max(map(abs, c)) == rho}
+                lead = rank if up_to_sign else 2 * rank
+                assert all(sum(map(bool, c)) == 1 for c in shell[:lead])
+    # so a search that exhausts its box finds a certificate in either order
+    bound = 2
+    pairs = [sublattice_pair(rng, n, 4) for n in (2, 3, 4) for _ in range(4)]
+    for n in (2, 3, 4):
+        A, U = random_hyperbolic(rng, n, 3), random_unimodular(rng, n)
+        pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+    outcomes = set()
+    for A, B in pairs:
+        lattice = intertwiner_lattice(A, B)
+        box = ((2 * bound + 1) ** lattice.rank - 1) // 2
+        out = unimodular_search(lattice, bound, box)
+        oracle = next(
+            (c for c in lexicographic_shells(lattice.rank, bound, up_to_sign=True)
+             if xl.det(xl.unvec(xl.vec_mat(c, lattice.basis), lattice.n)) in (1, -1)),
+            None,
+        )
+        assert out.found == (oracle is not None)
+        if out.found:
+            C = out.conjugator
+            assert xl.mat_mul(A, C) == xl.mat_mul(C, B) and xl.det(C) in (1, -1)
+        else:
+            assert out.tried == box
+        outcomes.add(out.found)
+    assert outcomes == {True, False}
+
+
 # ------------------------------------------------------------------ decide
 
 def test_decide_example1():
@@ -745,7 +794,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "7c40f7a309bfdd13f81b0cc30bd04a17119e5bbcb81b697af08897da0315c277"
+CORPUS_REPORTS_SHA256 = "61e3a695feaed5599bf533a5cf45b370fd41eb51e29271a9b429fc42d1576a11"
 
 
 def test_corpus_reports_are_pinned():
