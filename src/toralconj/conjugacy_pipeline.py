@@ -100,7 +100,7 @@ class IntertwinerBasis:
         return len(self.basis)
 
     def matrix(self, coeffs: Vec) -> Mat:
-        return xl.unvec(xl.combination(coeffs, self.basis), self.n)
+        return xl.unvec(xl.vec_mat(coeffs, self.basis), self.n)
 
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:

@@ -509,7 +509,7 @@ def module_iso_exists(
         kern = intertwiner_kernel(PA.action, PB.action)
 
         def accept(c):
-            m = map_from_ambient(PA, PB, xl.unvec(xl.combination(c, kern), PA.n))
+            m = map_from_ambient(PA, PB, xl.unvec(xl.vec_mat(c, kern), PA.n))
             return m if m is not None and m.is_isomorphism() else None
 
         # -W induces an isomorphism exactly when W does, so one of each +-W

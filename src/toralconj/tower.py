@@ -494,7 +494,7 @@ def classify_delta(
 
         def accept(c):
             nonlocal best
-            C = xl.unvec(xl.combination(c, kern), n)
+            C = xl.unvec(xl.vec_mat(c, kern), n)
             if not all(map(GB.contains, xl.mat_sub(C, ctil))):
                 return None
             d = abs(xl.det(C))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,25 +36,21 @@ def test_products_match_entrywise_sums(rng):
             tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c if k else 0)) for i in range(r)
         )
         assert xl.vec_mat(v, B) == tuple(sum(v[t] * B[t][j] for t in range(k)) for j in range(c if k else 0))
+        # vec_mat builds from the rows with a nonzero coefficient only: any
+        # number of them, over integer and Fraction rows, an integer times a
+        # Fraction row staying a Fraction
+        for den, support in itertools.product((1, 3), range(k + 1)):
+            Bq = tuple(tuple(Fraction(x, den) for x in row) for row in B) if den > 1 else B
+            w = [0] * k
+            for i in rng.sample(range(k), support):
+                w[i] = rng.choice((-3, -1, 1, 2, Fraction(1, 2)))
+            got = xl.vec_mat(tuple(w), Bq)
+            assert got == tuple(sum(w[t] * Bq[t][j] for t in range(k)) for j in range(c if k else 0))
+            assert den == 1 or all(isinstance(x, Fraction) for x in got)
         with pytest.raises(ValueError, match="dimension mismatch"):
             xl.vec_mat(v + (1,), B)
         with pytest.raises(ValueError, match="dimension mismatch"):
             xl.mat_mul(A, B + ((1,) * c,))
-
-
-def test_combination_matches_vec_mat(rng):
-    # the search candidates' sparse build: zero, one or several nonzero
-    # coefficients give the dense product
-    for k, c in itertools.product(range(1, 5), range(1, 5)):
-        B = tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(k))
-        for support in range(k + 1):
-            for _ in range(3):
-                v = [0] * k
-                for i in rng.sample(range(k), support):
-                    v[i] = rng.choice((-3, -1, 1, 2))
-                assert xl.combination(tuple(v), B) == xl.vec_mat(tuple(v), B)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            xl.combination((1,) * (k + 1), B)
     assert xl.unvec(tuple(range(9)), 3) == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
