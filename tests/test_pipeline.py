@@ -806,3 +806,20 @@ def test_corpus_reports_are_pinned():
     ]
     assert len(reports) == 120
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == CORPUS_REPORTS_SHA256
+
+
+# sha256 of the reports on 190 sublattice pairs; 74 of them end unknown after
+# both bounded searches exhaust their boxes, so a change to either search
+# that alters a candidate, a count or a generator shows here
+SUBLATTICE_REPORTS_SHA256 = "701ad1ed6b9b5ddbe131d2bb0f1ecf7759f0125f16e800a04735a2dcededc051"
+
+
+def test_sublattice_reports_are_pinned():
+    reports = []
+    for k in range(1, 6):
+        rng = random.Random(7919 * k)
+        pairs = [sublattice_pair(rng, 2, 5) for _ in range(30)] + [sublattice_pair(rng, 3, 4) for _ in range(8)]
+        reports += [decide(A, B).to_data() for A, B in pairs]
+    assert sum(r["outcome"] == "unknown" for r in reports) == 74
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUBLATTICE_REPORTS_SHA256
