@@ -51,10 +51,20 @@ def hyperbolicity_check(A: Mat) -> bool:
     return not polys.has_root_on_unit_circle(cached_char_poly(A))
 
 
+@functools.lru_cache(maxsize=64)
+def _reduce_memo(chi: polys.Poly, g: polys.Poly) -> tuple[polys.Poly, int]:
+    """(g mod chi, |res(chi, g)|) for a monic chi, computed once per pair:
+    the family's invertibility test and the BF groups of both matrices of a
+    similar pair, whose characteristic polynomials agree, all ask for them.
+    res(chi, g) = 0 when chi divides g."""
+    r = polys.divmod_exact(g, chi)[1]
+    return r, abs(xl.resultant(chi, g)) if r else 0
+
+
 def invertibility_check(A: Mat, g: polys.Poly) -> bool:
     """det g(A) != 0, read as res(char_poly(A), g) != 0: the two are equal
     because the characteristic polynomial is monic."""
-    return xl.resultant(cached_char_poly(A), g) != 0
+    return _reduce_memo(cached_char_poly(A), tuple(g))[1] != 0
 
 
 @dataclass(frozen=True)
@@ -80,12 +90,11 @@ def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
     exactly.  The order is cross-checked against |res(char_poly(A), g)| at
     construction.
     """
-    chi = cached_char_poly(A)
+    r, expected = _reduce_memo(cached_char_poly(A), tuple(g))
     try:
-        module = quotient(xl.eval_poly_at_matrix(polys.divmod_exact(g, chi)[1], A), A)
+        module = quotient(xl.eval_poly_at_matrix(r, A), A)
     except InfiniteQuotientError:
         raise BFConstructionError(g, 0) from None
-    expected = abs(xl.resultant(chi, g))
     if module.order != expected:
         raise InternalInconsistencyError("BF order disagrees with the resultant")
     return BFGroup(g=g, base=A, module=module)

@@ -131,13 +131,22 @@ def unimodular_search(
     """Enumerate C = sum c_i K_i over max-norm shells |c| <= bound, sparse
     first, one of each +-c since -C is unimodular iff C is, and return the
     first C with det C = +-1.  With start, the walk resumes after its first
-    start candidates, which count as tried."""
+    start candidates, which count as tried.
+
+    When the walk runs to the end of the box and the rank^n determinants
+    of det_form are no more than the box holds, each shell is solved for
+    det(sum c_i K_i) = +-1 first and only its solutions become matrices."""
 
     def accept(c):
         C = basis.matrix(c)
         return C if xl.det(C) in (1, -1) else None
 
-    C, tried = xl.bounded_search(basis.rank, bound, accept, max_candidates, up_to_sign=True, start=start)
+    solutions = None
+    if basis.rank**basis.n <= ((2 * bound + 1) ** basis.rank - 1) // 2 <= max_candidates:
+        solutions = (xl.det_form([xl.unvec(row, basis.n) for row in basis.basis]), {1, -1})
+    C, tried = xl.bounded_search(
+        basis.rank, bound, accept, max_candidates, up_to_sign=True, start=start, solutions=solutions
+    )
     return SearchOutcome(C is not None, C, bound, tried)
 
 

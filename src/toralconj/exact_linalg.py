@@ -638,6 +638,46 @@ def solve_right_rational(M: Mat, rhs: Vec) -> tuple[Vec, int]:
     return num, den
 
 
+def det_form(mats) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The integer form F(c) = det(sum c_i M_i) of square matrices M_i, as
+    (coefficient, indices) terms with the indices ascending:
+    F(c) = sum a * c[i_1] ... c[i_n].
+
+    The determinant is multilinear in its rows, so it expands into the
+    len(mats)^n determinants that take row r from M_(i_r), collected by the
+    multiset of the i_r into at most C(len(mats) + n - 1, n) monomials."""
+    coeffs: dict[tuple[int, ...], int] = {}
+    for idx in itertools.product(range(len(mats)), repeat=len(mats[0]) if mats else 0):
+        d = det(tuple(mats[i][r] for r, i in enumerate(idx)))
+        if d:
+            key = tuple(sorted(idx))
+            coeffs[key] = coeffs.get(key, 0) + d
+    return tuple((a, key) for key, a in sorted(coeffs.items()) if a)
+
+
+def form_value(form, c) -> int:
+    """The value at the integer vector c of a form from det_form."""
+    total = 0
+    for a, idx in form:
+        for i in idx:
+            a *= c[i]
+        total += a
+    return total
+
+
+def _shell(rank: int, rho: int, up_to_sign: bool):
+    values = [*range(-rho, 0), *range(1, rho + 1)]
+    heads = values[rho:] if up_to_sign else values
+    for size in range(1, rank + 1):
+        for support in itertools.combinations(range(rank), size):
+            for nonzero in itertools.product(heads, *[values] * (size - 1)):
+                if rho in nonzero or -rho in nonzero:
+                    c = [0] * rank
+                    for i, x in zip(support, nonzero):
+                        c[i] = x
+                    yield tuple(c)
+
+
 def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
     """Nonzero integer coefficient vectors of max-norm <= radius, sparse
     first: by shell radius rho ascending, then by the number of nonzero
@@ -650,16 +690,39 @@ def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
     the same candidates in either order; a walk stopped by a candidate cap
     tries a different subset, and may find or miss what the other finds."""
     for rho in range(1, radius + 1):
-        values = [*range(-rho, 0), *range(1, rho + 1)]
-        heads = values[rho:] if up_to_sign else values
-        for size in range(1, rank + 1):
-            for support in itertools.combinations(range(rank), size):
-                for nonzero in itertools.product(heads, *[values] * (size - 1)):
-                    if rho in nonzero or -rho in nonzero:
-                        c = [0] * rank
-                        for i, x in zip(support, nonzero):
-                            c[i] = x
-                        yield tuple(c)
+        yield from _shell(rank, rho, up_to_sign)
+
+
+def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False) -> set[Vec]:
+    """The vectors of shell rho of shell_vectors(rank, ., up_to_sign) at which
+    a form from det_form takes a value in the set targets.
+
+    Solved line by line along the last coordinate x: F(h, x) =
+    sum_k G_k(h) x^k, each G_k evaluated once per head h whose first nonzero
+    entry is positive (or h = 0 with x = rho), then each x one dot product
+    with the powers of x.  x runs over -rho..rho when max |h_i| = rho, else
+    over +-rho.  Without up_to_sign, -c joins when F(-c) is a target."""
+    degree = len(form[0][1]) if form else 0
+    # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out
+    parts: list[list] = [[] for _ in range(degree + 1)]
+    for a, idx in form:
+        k = idx.count(rank - 1)
+        parts[k].append((a, idx[: len(idx) - k]))
+    line = range(-rho, rho + 1)
+    powers = {x: [x**k for k in range(degree + 1)] for x in line}
+    zero = (0,) * (rank - 1)
+    out = set()
+    for h in itertools.product(line, repeat=rank - 1):
+        if h < zero:
+            continue
+        G = [form_value(part, h) for part in parts]
+        for x in (rho,) if h == zero else line if max(map(abs, h)) == rho else (-rho, rho):
+            v = sum(map(operator.mul, G, powers[x]))
+            if v in targets:
+                out.add(h + (x,))
+            if not up_to_sign and (-1) ** degree * v in targets:
+                out.add(tuple(-y for y in h) + (-x,))
+    return out
 
 
 def bounded_search(
@@ -669,17 +732,34 @@ def bounded_search(
     max_candidates: int | None = None,
     up_to_sign: bool = False,
     start: int = 0,
+    solutions=None,
 ):
     """(first non-None accept(c), tried) over shell_vectors(rank, bound,
     up_to_sign); (None, tried) when the shells or max_candidates run out.
-    With start, the first start vectors are skipped and counted as tried,
-    so a search resumes where a capped one stopped."""
-    tried = start
-    for c in itertools.islice(shell_vectors(rank, bound, up_to_sign), start, None):
-        if max_candidates is not None and tried >= max_candidates:
-            break
-        tried += 1
-        hit = accept(c)
-        if hit is not None:
-            return hit, tried
+    With start, the first start vectors (whole shells by count) are skipped
+    and counted as tried, so a search resumes where a capped one stopped.
+
+    solutions = (form, targets) promises that accept(c) is None unless
+    form_value(form, c) is in targets.  Each shell walked to its end is then
+    solved first (shell_solutions): without a solution it counts as tried
+    unwalked, else accept sees only its solutions, in walk order.  So
+    (result, tried) is that of the plain walk."""
+    tried, last = start, 0
+    for rho in range(1, bound + 1):
+        first, last = last, last + ((2 * rho + 1) ** rank - (2 * rho - 1) ** rank) // (2 if up_to_sign else 1)
+        stop = last if max_candidates is None else min(last, max_candidates)
+        if tried >= stop:
+            continue
+        keep = None
+        if solutions is not None and stop == last:
+            keep = shell_solutions(*solutions, rank, rho, up_to_sign)
+            if not keep:
+                tried = last
+                continue
+        for c in itertools.islice(_shell(rank, rho, up_to_sign), tried - first, stop - first):
+            tried += 1
+            if keep is None or c in keep:
+                hit = accept(c)
+                if hit is not None:
+                    return hit, tried
     return None, tried

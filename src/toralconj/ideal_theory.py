@@ -8,7 +8,6 @@ integer HNF matrix over a positive denominator so equality is bit-exact.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -418,34 +417,10 @@ class PrincipalResult:
 
 
 def norm_form(X: FractionalIdeal) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The integer form N(c) = det(sum c_i M_i), M_i the multiplication
-    matrix of row x_i of X.mat, as (coefficient, indices) terms with the
-    indices ascending: N(c) = sum a * c[i_1] ... c[i_n].
-
-    The determinant is multilinear in its rows, so it expands into the n^n
-    determinants that take row r from M_(i_r), collected by the multiset
-    of the i_r into at most C(2n-1, n) monomials.  For z = sum c_i x_i /
-    X.den, N(c) = det(multiplication_matrix(z)) (X.den / zden)^n.
-    """
-    n = X.nf.n
-    mats = [multiplication_matrix(FieldElement.make(X.nf, row))[0] for row in X.mat]
-    coeffs: dict[tuple[int, ...], int] = {}
-    for idx in itertools.product(range(n), repeat=n):
-        d = xl.det(tuple(mats[i][r] for r, i in enumerate(idx)))
-        if d:
-            key = tuple(sorted(idx))
-            coeffs[key] = coeffs.get(key, 0) + d
-    return tuple((a, key) for key, a in sorted(coeffs.items()) if a)
-
-
-def form_value(form, c) -> int:
-    """The value at the integer vector c of a form from norm_form."""
-    total = 0
-    for a, idx in form:
-        for i in idx:
-            a *= c[i]
-        total += a
-    return total
+    """The integer norm form N(c) = det(sum c_i M_i) of xl.det_form, M_i the
+    multiplication matrix of row x_i of X.mat.  For z = sum c_i x_i / X.den,
+    N(c) = det(multiplication_matrix(z)) (X.den / zden)^n."""
+    return xl.det_form([multiplication_matrix(FieldElement.make(X.nf, row))[0] for row in X.mat])
 
 
 def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
@@ -456,25 +431,23 @@ def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     generate the same ideal.  Each z lies in X and X is an O(X)-module, so
     z O(X) <= X, with equality iff the two covolumes agree.  For
     z = sum c_i x_i / X.den over the rows x_i of X.mat that reads
-    |det O.mat| |N(c)| = |det X.mat| O.den^n, where N is the degree-n
-    integer norm form of norm_form, built once per search; only a candidate
-    that passes it becomes a field element, and the HNF equality
-    z O(X) = X confirms it.  Absence within the bound is reported as
+    |N(c)| = t = |det X.mat| O.den^n / |det O.mat|, where N is the degree-n
+    integer norm form of norm_form, built once per search; each shell is
+    solved for N(c) = +-t first, there is no solution when t is not an
+    integer, and only a solution becomes a field element, which the HNF
+    equality z O(X) = X confirms.  Absence within the bound is reported as
     not-found, never as a proof of non-principality.
     """
     O = multiplier_ring(X)
     n = X.nf.n
-    form = norm_form(X)
-    o_side = abs(xl.det(O.mat))
-    x_side = abs(xl.det(X.mat)) * O.den**n
+    t, r = divmod(abs(xl.det(X.mat)) * O.den**n, abs(xl.det(O.mat)))
 
     def accept(coeffs):
-        if o_side * abs(form_value(form, coeffs)) != x_side:
-            return None
         z = FieldElement.make(X.nf, xl.vec_mat(coeffs, X.mat), X.den)
         return z if O.scale(z) == X else None
 
-    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True)
+    solutions = (norm_form(X), set() if r else {t, -t})
+    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True, solutions=solutions)
     return PrincipalResult(z is not None, z, bound, tried)
 
 

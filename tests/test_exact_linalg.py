@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -437,3 +439,63 @@ def test_bounded_search_resumes_after_start():
     assert xl.bounded_search(2, 3, accept, start=5) == (hit, tried)
     assert seen == walk[:tried]
     assert xl.bounded_search(2, 3, accept, start=len(walk)) == (None, len(walk))
+
+
+# ------------------------------------------------------------------ det_form
+
+def _mats(n, k):
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return st.lists(st.lists(entries, min_size=n, max_size=n).map(xl.mat), min_size=k, max_size=k)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_det_form_matches_the_determinant_of_the_sum(data):
+    # the form has one variable per matrix, whether there are fewer or more
+    # of them than the size n
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    mats = data.draw(_mats(n, k))
+    form = xl.det_form(mats)
+    assert len(form) <= math.comb(k + n - 1, n)
+    for c in data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=1, max_size=4)):
+        total = functools.reduce(xl.mat_add, (xl.mat_scale(M, x) for x, M in zip(c, mats)))
+        assert xl.form_value(form, c) == det_cofactor(total)
+
+
+def _form_and_shell(data, max_rho):
+    n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    form = xl.det_form(data.draw(_mats(n, rank)))
+    rho, up_to_sign = data.draw(st.integers(1, max_rho)), data.draw(st.booleans())
+    return form, rank, rho, up_to_sign
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_shell_solutions_match_the_filtered_shell(data):
+    form, rank, rho, up_to_sign = _form_and_shell(data, 3)
+    shell = [c for c in xl.shell_vectors(rank, rho, up_to_sign) if max(map(abs, c)) == rho]
+    values = [xl.form_value(form, c) for c in shell]
+    targets = set(data.draw(st.lists(st.sampled_from(values + [-1, 0, 1]), max_size=3)))
+    solved = xl.shell_solutions(form, targets, rank, rho, up_to_sign)
+    assert solved == {c for c, v in zip(shell, values) if v in targets}
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_bounded_search_with_solutions_walks_the_same(data):
+    # start and the cap may fall inside a shell, and accept rejects some
+    # solutions, as the HNF check of principal_search does
+    form, rank, bound, up_to_sign = _form_and_shell(data, 3)
+    walk = list(xl.shell_vectors(rank, bound, up_to_sign))
+    values = [xl.form_value(form, c) for c in walk]
+    targets = set(data.draw(st.lists(st.sampled_from(values), max_size=3)))
+    modulus = data.draw(st.integers(2, 4))
+
+    def accept(c):
+        return c if xl.form_value(form, c) in targets and sum(c) % modulus else None
+
+    start = data.draw(st.integers(0, len(walk) + 1))
+    cap = data.draw(st.none() | st.integers(0, len(walk) + 1))
+    plain = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start)
+    solved = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start, solutions=(form, targets))
+    assert solved == plain
