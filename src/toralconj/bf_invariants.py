@@ -55,10 +55,8 @@ def hyperbolicity_check(A: Mat) -> bool:
 def _reduce_memo(chi: polys.Poly, g: polys.Poly) -> tuple[polys.Poly, int]:
     """(g mod chi, |res(chi, g)|) for a monic chi, computed once per pair:
     the family's invertibility test and the BF groups of both matrices of a
-    similar pair, whose characteristic polynomials agree, all ask for them.
-    res(chi, g) = 0 when chi divides g."""
-    r = polys.divmod_exact(g, chi)[1]
-    return r, abs(xl.resultant(chi, g)) if r else 0
+    similar pair, whose characteristic polynomials agree, all ask for them."""
+    return polys.divmod_exact(g, chi)[1], abs(xl.resultant(chi, g))
 
 
 def invertibility_check(A: Mat, g: polys.Poly) -> bool:

@@ -18,7 +18,7 @@ import time
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
-from .bf_invariants import BFConstructionError, bf_group, default_family, hyperbolicity_check, strong_bf_screen
+from .bf_invariants import bf_group, default_family, hyperbolicity_check, strong_bf_screen
 from .conjugacy_pipeline import DEFAULT_CONFIG, PipelineConfig, decide, similarity_check
 from .errors import InputError, ToralConjError
 from .tower import build_tower, injectivity_probe, verify_factorization, verify_filtered
@@ -118,11 +118,7 @@ def cmd_bf(args) -> int:
     started = time.monotonic()
     A = load_matrix(args.matrix)
     g = parse_poly_arg(args.g)
-    try:
-        group = bf_group(A, g)
-    except BFConstructionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    group = bf_group(A, g)
     report = _report(
         "bf",
         {"matrix": _matrix_data(A), "g": polys.to_str(g)},
@@ -218,11 +214,7 @@ def cmd_tower(args) -> int:
 def cmd_ideal(args) -> int:
     started = time.monotonic()
     A = load_matrix(args.matrix)
-    try:
-        I, v, nf = ideals.eigen_ideal(A)
-    except ToralConjError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    I, v, nf = ideals.eigen_ideal(A)
     config: dict = {"sub": args.sub}
     result: dict = {"defining_polynomial": polys.to_str(nf.p), "ideal": I.to_data()}
     lines = [f"field: Q(beta), beta root of {polys.to_str(nf.p)}"]

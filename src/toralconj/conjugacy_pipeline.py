@@ -18,7 +18,7 @@ re-verifies from scratch; everything else is an honest Unknown that embeds
 its budgets.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
@@ -51,16 +51,7 @@ class PipelineConfig:
     principal_bound: int = 8
 
     def to_data(self) -> dict:
-        return {
-            "family_max_shift": self.family_max_shift,
-            "family_max_power": self.family_max_power,
-            "cyclotomic_index": self.cyclotomic_index,
-            "iso_budget": self.iso_budget,
-            "tower_depth": self.tower_depth,
-            "unimodular_bound": self.unimodular_bound,
-            "search_max_candidates": self.search_max_candidates,
-            "principal_bound": self.principal_bound,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -375,16 +366,16 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
         pr = ideals.principal_search(we.X, config.principal_bound)
         record["principal_search"] = pr.to_data()
         if pr.found:
+            # z O(X) = X with O(X) = O(I) and I X = J gives z I = J
             z = pr.generator
-            zI = I2.scale(z)
-            if zI == J:
-                T = ideals.xg_matrix(A, B, z, v2, w)
-                if xl.det(T) not in (1, -1):
-                    raise InternalInconsistencyError("change of basis is not unimodular")
-                record["conjugator_from_generator"] = [list(r) for r in T]
-                evidence.append(record)
-                C = xl.unimodular_inverse(T)
-                return _emit_conjugate(A, B, C, evidence, config)
-            record["generator_rejected"] = "z I != J"
+            if I2.scale(z) != J:
+                raise InternalInconsistencyError("generator of (J : I) does not carry I onto J")
+            T = ideals.xg_matrix(A, B, z, v2, w)
+            if xl.det(T) not in (1, -1):
+                raise InternalInconsistencyError("change of basis is not unimodular")
+            record["conjugator_from_generator"] = [list(r) for r in T]
+            evidence.append(record)
+            C = xl.unimodular_inverse(T)
+            return _emit_conjugate(A, B, C, evidence, config)
     evidence.append(record)
     return None

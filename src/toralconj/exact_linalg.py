@@ -214,12 +214,12 @@ def matrix_power_factorial(M: Mat, k: int) -> Mat:
 def resultant(p: polys.Poly, g: polys.Poly) -> int:
     """Resultant via the Sylvester determinant (Bareiss underneath).
 
-    For monic p the second argument is first reduced mod p, which leaves the
-    value unchanged and keeps the Sylvester matrix small.
+    For monic p of positive degree the second argument is first reduced mod
+    p, which leaves the value unchanged and keeps the Sylvester matrix small.
     """
     if not p or not g:
         raise ValueError("resultant of zero polynomial")
-    if polys.is_monic(p) and polys.degree(g) > polys.degree(p):
+    if polys.is_monic(p) and polys.degree(g) > polys.degree(p) >= 1:
         g = polys.divmod_exact(g, p)[1]
         if not g:
             return 0
@@ -622,20 +622,6 @@ def inverse_infinity_norm_bound(M: Mat) -> Fraction:
     cols = transpose(inv)
     worst = max(sum(abs(x) for x in col) for col in cols)
     return Fraction(den, worst)
-
-
-def solve_right_rational(M: Mat, rhs: Vec) -> tuple[Vec, int]:
-    """Solve M x = rhs over Q for nonsingular M: returns (vector, denominator)."""
-    inv, den = invert_rational(M)
-    num = vec_mat(rhs, transpose(inv))
-    g = 0
-    for x in num:
-        g = gcd(g, x)
-    g = gcd(g, den)
-    if g > 1:
-        num = tuple(x // g for x in num)
-        den //= g
-    return num, den
 
 
 def det_form(mats) -> tuple[tuple[int, tuple[int, ...]], ...]:

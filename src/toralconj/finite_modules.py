@@ -170,26 +170,6 @@ class ModuleMap:
         m = xl.mat_mul(self.mat, then.mat) if self.mat and then.mat else xl.zeros(self.source.rank, then.target.rank)
         return ModuleMap(self.source, then.target, _mod_cols(m, then.target.factors))
 
-    def inverse(self) -> "ModuleMap":
-        """Exact inverse of a bijective map, by solving on target generators."""
-        rs, rt = self.source.rank, self.target.rank
-        rel = tuple(
-            tuple(d if i == j else 0 for j in range(rt))
-            for i, d in enumerate(self.target.factors)
-        )
-        rows = []
-        stacked = self.mat + rel
-        for j in range(rt):
-            e = tuple(1 if i == j else 0 for i in range(rt))
-            sol = xl.solve_left(stacked, e)
-            if sol is None:
-                raise ValueError("map is not surjective")
-            rows.append(tuple(x % d for x, d in zip(sol[:rs], self.source.factors)))
-        inv = ModuleMap(self.target, self.source, tuple(rows))
-        if not inv.is_isomorphism():
-            raise InternalInconsistencyError("inverse of module map failed verification")
-        return inv
-
 
 def map_from_ambient(source: FiniteModulePresentation, target: FiniteModulePresentation, W: Mat) -> ModuleMap | None:
     """The map [m] -> [m W] if W carries the source relations into the target
@@ -319,7 +299,6 @@ class IsoResult:
     iso: ModuleMap | None = None
     witness: dict | None = None
     tried: int = 0
-    complete: bool = False
 
     def to_data(self) -> dict:
         out = {"verdict": self.verdict, "candidates_tried": self.tried}
@@ -497,13 +476,13 @@ def module_iso_exists(
     if mismatch is not None:
         return IsoResult("no", witness=mismatch)
     if PA.order == 1:
-        return IsoResult("yes", iso=ModuleMap(PA, PB, ()), complete=True)
+        return IsoResult("yes", iso=ModuleMap(PA, PB, ()))
     tried = 0
 
     ident = ModuleMap(PA, PB, xl.identity(PA.rank))
     tried += 1
     if ident.is_isomorphism():
-        return IsoResult("yes", iso=ident, tried=tried, complete=True)
+        return IsoResult("yes", iso=ident, tried=tried)
 
     if PA.n == PB.n:
         kern = intertwiner_kernel(PA.action, PB.action)
@@ -517,7 +496,7 @@ def module_iso_exists(
         m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried, up_to_sign=True)
         tried += t
         if m is not None:
-            return IsoResult("yes", iso=m, tried=tried, complete=True)
+            return IsoResult("yes", iso=m, tried=tried)
 
     primes = _primes(PA)
     mismatch = _action_mismatch(PA, PB, primes)
@@ -544,7 +523,6 @@ def module_iso_exists(
                     "hom_count_scanned": t,
                 },
                 tried=tried,
-                complete=True,
             )
         else:
             incomplete.append(p)
@@ -564,4 +542,4 @@ def module_iso_exists(
     iso = ModuleMap(PA, PB, _mod_cols(total, PB.factors))
     if not iso.is_isomorphism():
         raise InternalInconsistencyError("assembled module isomorphism failed verification")
-    return IsoResult("yes", iso=iso, tried=tried, complete=True)
+    return IsoResult("yes", iso=iso, tried=tried)

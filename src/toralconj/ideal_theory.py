@@ -115,15 +115,6 @@ class FieldElement:
     def mul_int(self, c: int) -> "FieldElement":
         return FieldElement.make(self.nf, tuple(c * x for x in self.num), self.den)
 
-    def inverse(self) -> "FieldElement":
-        """Solve w z = 1 as an exact linear system."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        M, zden = multiplication_matrix(self)
-        rhs = (zden,) + (0,) * (self.nf.n - 1)
-        num, den = xl.solve_right_rational(xl.transpose(M), rhs)
-        return FieldElement.make(self.nf, num, den)
-
     def to_str(self) -> str:
         terms = []
         for i, c in enumerate(self.num):
@@ -468,14 +459,13 @@ def xg_matrix(
     for e in w:
         wden = wden * e.den // gcd(wden, e.den)
     wmat = tuple(tuple(x * (wden // e.den) for x in e.num) for e in w)
+    # column j of X solves sum_i w_i X_ij = gv_j over the power-basis
+    # coordinates, i.e. x (wmat / wden) = gv.num / gv.den, through one inverse
+    inv, den = xl.invert_rational(wmat)
     cols = []
     for j in range(n):
         gv = gamma.mul(v[j])
-        # solve sum_i w_i X_ij = gv_j over the power-basis coordinates:
-        # (wmat/wden)^T x = gv.num / gv.den
-        lhs = xl.transpose(wmat)
-        target = tuple(x * wden for x in gv.num)
-        num, den = xl.solve_right_rational(lhs, target)
+        num = xl.vec_mat(tuple(x * wden for x in gv.num), inv)
         if any(x % (den * gv.den) for x in num):
             raise InternalInconsistencyError("X_g solution is not integral")
         cols.append(tuple(x // (den * gv.den) for x in num))

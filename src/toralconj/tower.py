@@ -248,19 +248,6 @@ class LevelIsoOutcome:
     family: LevelIsoFamily | None = None
     level: int | None = None
     witness: dict | None = None
-    progress: tuple[dict, ...] = ()
-
-    def to_data(self) -> dict:
-        out = {"kind": self.kind}
-        if self.level is not None:
-            out["level"] = self.level
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.progress:
-            out["progress"] = list(self.progress)
-        if self.family is not None:
-            out["family_matrices"] = [[list(r) for r in m.mat] for m in self.family.maps]
-        return out
 
 
 def _divisor_polynomials(k: int) -> list[polys.Poly]:
@@ -308,7 +295,6 @@ def level_iso_family(
     K = depth or min(towA.depth, towB.depth)
     if K > min(towA.depth, towB.depth):
         raise ValueError("requested depth exceeds tower depth")
-    progress: list[dict] = []
     deepest: IsoResult | None = None
     screened: set = set()
     for k in range(1, K + 1):
@@ -330,24 +316,20 @@ def level_iso_family(
                         "left": qa.fingerprint(),
                         "right": qb.fingerprint(),
                     },
-                    progress=tuple(progress),
                 )
         res = module_iso_exists(
             towA.level(k).module, towB.level(k).module, budget=budget
         )
-        progress.append({"level": k, "iso": res.to_data()})
         if res.verdict == "no":
             return LevelIsoOutcome(
                 kind="not_found_at_level",
                 level=k,
                 witness={"kind": "module_iso_no", "detail": res.witness},
-                progress=tuple(progress),
             )
         if res.verdict == "unknown":
             return LevelIsoOutcome(
                 kind="unknown",
                 witness={"kind": "budget", "level": k, "detail": res.witness},
-                progress=tuple(progress),
             )
         if k == K:
             deepest = res
@@ -357,7 +339,7 @@ def level_iso_family(
     family = LevelIsoFamily(source=towA, target=towB, maps=maps)
     if not family.verify():
         raise InternalInconsistencyError("projected level family failed verification")
-    return LevelIsoOutcome(kind="found", family=family, progress=tuple(progress))
+    return LevelIsoOutcome(kind="found", family=family)
 
 
 def transport_family(towA: Tower, towB: Tower, C: Mat, depth: int | None = None) -> LevelIsoFamily:
@@ -406,9 +388,6 @@ class PairLattice:
     depth: int
     basis: Mat
 
-    def to_data(self) -> dict:
-        return {"depth": self.depth, "basis": [list(r) for r in self.basis]}
-
 
 def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) -> PairLattice:
     """Delta_K = {(m, m~) : Psi_k([m]_k) = [m~]_k for all k <= depth},
@@ -440,12 +419,6 @@ class DeltaClassification:
     kind: str                         # "graph_of_conjugator" | "shrinking_nonfunctional" | "indeterminate"
     conjugator: Mat | None
     per_level: tuple[dict, ...]
-
-    def to_data(self) -> dict:
-        out = {"kind": self.kind, "per_level": list(self.per_level)}
-        if self.conjugator is not None:
-            out["conjugator"] = [list(r) for r in self.conjugator]
-        return out
 
 
 def classify_delta(

@@ -10,7 +10,7 @@ import pytest
 from toralconj import cli
 from toralconj.conjugacy_pipeline import DEFAULT_CONFIG
 
-from conftest import A1, A2, B1, B2
+from conftest import A1, A2, B1, B2, RING_A, RING_B
 
 
 def write(tmp_path, name, M):
@@ -26,6 +26,8 @@ def mats(tmp_path):
         "B1": write(tmp_path, "B1.txt", B1),
         "A2": write(tmp_path, "A2.txt", A2),
         "B2": write(tmp_path, "B2.txt", B2),
+        "RING_A": write(tmp_path, "RING_A.txt", RING_A),
+        "RING_B": write(tmp_path, "RING_B.txt", RING_B),
     }
 
 
@@ -165,6 +167,30 @@ def test_ideal_weak_equiv(capsys, mats):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["weak_equivalence"]["weakly_equivalent"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["bf", "A1", "x+1"], 0, "  order: 32"),
+        (["screen", "A1", "B1"], 0, "screen outcome: not_equivalent"),
+        (["tower", "A1", "--verify", "--probe-bound", "3"], 0, "  injectivity probe (bound 3): all_escape=True"),
+        (["ideal", "A2", "show"], 0, "eigenvector entries: ['-8-2b+b^2', '-2+b', '1']"),
+        (["ideal", "A2", "ring"], 0, "equals Z[beta]: True"),
+        (["ideal", "A2", "weak-equiv", "B2"], 0, "weakly equivalent: True"),
+        (["ideal", "RING_A", "weak-equiv", "RING_B"], 0, "weakly equivalent: False (ring_mismatch)"),
+        (["ideal", "A2", "principal", "B2"], 0, "principal search on (J : I) at bound 8: not found within bound"),
+        (["decide", "A1", "A1"], 0, "verdict: conjugate"),
+        (["decide", "A1", "B1"], 0, "verdict: not_conjugate"),
+        (["decide", "A2", "B2"], 2, "verdict: unknown"),
+    ],
+)
+def test_human_readable_output(capsys, mats, argv, code, line):
+    got, out, _ = run(capsys, [mats.get(a, a) for a in argv])
+    lines = out.splitlines()
+    assert got == code
+    assert line in lines
+    assert lines[-1].startswith("elapsed: ")
 
 
 def test_ideal_principal(capsys, mats):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toralconj import exact_linalg as xl
@@ -187,6 +187,8 @@ def test_resultant_examples():
     assert abs(xl.resultant((-1, -8, -2, 1), (-1, 1))) == 10
     p = (-1, 7, -23, 1)
     assert abs(xl.resultant(p, (0, 1))) == abs(p[0])
+    # the characteristic polynomial of the 0 x 0 matrix
+    assert xl.resultant((1,), (1, 1)) == 1
 
 
 def test_resultant_monic_reduction_path():
@@ -203,7 +205,11 @@ def test_discriminant_examples():
     assert xl.discriminant((1, 0, 1)) == -4
 
 
-@given(mat_small, st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(polys.trim))
+@given(
+    st.one_of(st.just(xl.identity(0)), mat_small),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(polys.trim),
+)
+@example(xl.identity(0), (1, 1))
 @settings(max_examples=30)
 def test_resultant_det_identity(M, g):
     # |det g(M)| = |res(char_poly(M), g)| for monic characteristic polynomials

@@ -47,13 +47,6 @@ def test_elem_mul_basics(nf):
     assert b.mul(b2).num == (1, 8, 2)
 
 
-def test_elem_inverse(nf):
-    for coords, den in (((1, 0, 0), 1), ((0, 1, 0), 1), ((3, -2, 5), 7)):
-        z = it.FieldElement.make(nf, coords, den)
-        w = z.inverse()
-        assert z.mul(w).num == (1, 0, 0) and z.mul(w).den == 1
-
-
 def test_reduce_poly_high_degree(nf):
     # beta^6 reduced two ways: ((beta^3)^2) and reduce_poly of x^6
     b = it.FieldElement.beta(nf)
@@ -266,6 +259,14 @@ def test_weak_equivalence_example2(pair):
     assert it.ideal_product(I2, we.X) == J
     assert it.ideal_product(J, we.Y) == I2
     assert it.ideal_product(we.X, we.Y) == it.multiplier_ring(I2)
+
+
+def test_weak_equivalence_ring_mismatch():
+    I, _, _ = it.eigen_ideal(RING_A)
+    J, _, _ = it.eigen_ideal(RING_B)
+    _, I2 = it.nest_inside(I, J)
+    we = it.weak_equivalence(I2, J)
+    assert (we.equivalent, we.reason, we.X, we.Y) == (False, "ring_mismatch", None, None)
 
 
 # ------------------------------------------------------------------ principality

@@ -6,6 +6,12 @@ from pathlib import Path
 import toralconj
 
 SRC = Path(toralconj.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+
+# Definitions that only the tests name: shell_vectors gives the search walk's
+# reference order, elements enumerates a module, solve_left is a lattice
+# oracle; iota and gamma_action are the paper's coherent-element API.
+NAMED_ONLY_BY_TESTS = {"shell_vectors", "elements", "solve_left", "iota", "gamma_action"}
 
 
 def _called_names(tree):
@@ -87,3 +93,38 @@ def test_pipeline_does_not_search_the_pair_lattices():
         for alias in node.names
     }
     assert from_tower == {"tower_polynomials"}
+
+
+def _mentioned_names(tree):
+    """Names, attributes, import aliases and identifier strings (the
+    benchmark's tracer looks functions up by their names)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # a function or class that nothing but its own unit tests reaches is
+    # deleted.  The check goes by name, so it misses a dead definition that
+    # shares its name with a live one, such as a to_data method.
+    package = sorted(SRC.rglob("*.py"))
+    users = package + sorted((ROOT / "scripts").rglob("*.py")) + [ROOT / "decidebench" / "layertrace.py"]
+    mentioned = set()
+    for path in users:
+        mentioned.update(_mentioned_names(ast.parse(path.read_text(), filename=str(path))))
+    unnamed = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("__")
+                and node.name not in mentioned | NAMED_ONLY_BY_TESTS
+            ):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unnamed
