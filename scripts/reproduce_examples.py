@@ -38,10 +38,9 @@ def pair_two() -> None:
     print(f"screen over {len(screen.family)} polynomials: {screen.outcome}")
     I, v, nf = ideals.eigen_ideal(A2)
     J, w, _ = ideals.eigen_ideal(B2)
-    _, I2 = ideals.nest_inside(I, J)
-    OI = ideals.multiplier_ring(I2)
+    OI = ideals.multiplier_ring(I)
     print("multiplier rings equal Z[beta]:", OI == ideals.FractionalIdeal.z_beta(nf))
-    we = ideals.weak_equivalence(I2, J)
+    we = ideals.weak_equivalence(I, J)
     print("weakly equivalent:", we.equivalent)
     pr = ideals.principal_search(we.X, 8)
     print(f"principal search on (J:I) at bound 8: found={pr.found} "

@@ -9,7 +9,7 @@ polynomial.  All arithmetic is exact.
 
 from .bf_invariants import bf_group, default_family, hyperbolicity_check, invertibility_check, strong_bf_screen
 from .conjugacy_pipeline import PipelineConfig, Verdict, decide, intertwiner_lattice, similarity_check, unimodular_search
-from .finite_modules import FiniteModulePresentation, ModuleMap, module_iso_exists, primary_decompose, quotient
+from .finite_modules import FiniteModulePresentation, ModuleMap, module_iso_exists, quotient
 from .ideal_theory import FractionalIdeal, eigen_ideal, multiplier_ring, principal_search, weak_equivalence
 from .tower import Tower, build_tower, classify_delta, delta_lattice, injectivity_probe, level_iso_family, transport_family
 
@@ -36,7 +36,6 @@ __all__ = [
     "level_iso_family",
     "module_iso_exists",
     "multiplier_ring",
-    "primary_decompose",
     "principal_search",
     "quotient",
     "similarity_check",

@@ -240,15 +240,13 @@ def cmd_ideal(args) -> int:
             )
         inputs["matrix_b"] = _matrix_data(B)
         J, w, _ = ideals.eigen_ideal(B)
-        _, I2 = ideals.nest_inside(I, J)
-        result["ideal_left_scaled"] = I2.to_data()
         result["ideal_right"] = J.to_data()
         if args.sub == "weak-equiv":
-            we = ideals.weak_equivalence(I2, J)
+            we = ideals.weak_equivalence(I, J)
             result["weak_equivalence"] = we.to_data()
             lines.append(f"weakly equivalent: {we.equivalent}" + (f" ({we.reason})" if we.reason else ""))
         else:  # principal
-            X = ideals.colon_ideal(J, I2)
+            X = ideals.colon_ideal(J, I)
             pr = ideals.principal_search(X, args.bound)
             result["colon_ideal"] = X.to_data()
             result["principal_search"] = pr.to_data()

@@ -215,6 +215,7 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
 def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     """Full decision pipeline; see the package README for the stage order."""
     evidence: list[dict] = []
+    A, B = xl.mat(A), xl.mat(B)
     if len(A) != len(B) or not xl.is_square(A) or not xl.is_square(B):
         raise ValueError("inputs must be square matrices of equal size")
 
@@ -337,15 +338,12 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verdict | None:
     I, v, nf = ideals.eigen_ideal(A)
     J, w, _ = ideals.eigen_ideal(B)
-    # arrange I <= J inside Z[beta], rescaling the eigenvector to match
-    scale, I2 = ideals.nest_inside(I, J)
-    v2 = tuple(x.mul_int(scale) for x in v)
-    OI = ideals.multiplier_ring(I2)
+    OI = ideals.multiplier_ring(I)
     OJ = ideals.multiplier_ring(J)
     rings_equal = (OI.mat, OI.den) == (OJ.mat, OJ.den)
     record: dict = {
         "stage": "ideal_route",
-        "ideal_left": I2.to_data(),
+        "ideal_left": I.to_data(),
         "ideal_right": J.to_data(),
         "ring_left": OI.to_data(),
         "ring_right": OJ.to_data(),
@@ -360,7 +358,7 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
             evidence,
             config,
         )
-    we = ideals.weak_equivalence(I2, J)
+    we = ideals.weak_equivalence(I, J)
     record["weak_equivalence"] = we.to_data()
     if we.equivalent:
         pr = ideals.principal_search(we.X, config.principal_bound)
@@ -368,9 +366,9 @@ def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verd
         if pr.found:
             # z O(X) = X with O(X) = O(I) and I X = J gives z I = J
             z = pr.generator
-            if I2.scale(z) != J:
+            if I.scale(z) != J:
                 raise InternalInconsistencyError("generator of (J : I) does not carry I onto J")
-            T = ideals.xg_matrix(A, B, z, v2, w)
+            T = ideals.xg_matrix(A, B, z, v, w)
             if xl.det(T) not in (1, -1):
                 raise InternalInconsistencyError("change of basis is not unimodular")
             record["conjugator_from_generator"] = [list(r) for r in T]

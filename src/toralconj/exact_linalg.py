@@ -44,8 +44,17 @@ def guard_bits(M: Mat) -> None:
                 )
 
 
+def _entry(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"matrix entry {x!r} is not an integer") from None
+
+
 def mat(rows) -> Mat:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as a tuple of int tuples; a float or other non-integer entry
+    raises ValueError rather than being truncated."""
+    out = tuple(tuple(_entry(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

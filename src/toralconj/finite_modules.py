@@ -188,21 +188,6 @@ def _primes(P: FiniteModulePresentation) -> list[int]:
     return sorted(factorint(P.factors[-1])) if P.factors else []
 
 
-def primary_decompose(P: FiniteModulePresentation) -> list[tuple[int, FiniteModulePresentation]]:
-    """Per-prime components with their induced actions; order is the product
-    of the component orders."""
-    out = []
-    for p in _primes(P):
-        comp, _, _ = _primary_component(P, p)
-        out.append((p, comp))
-    total = 1
-    for _, c in out:
-        total *= c.order
-    if total != P.order:
-        raise InternalInconsistencyError("primary decomposition order mismatch")
-    return out
-
-
 def _primary_component(P: FiniteModulePresentation, p: int):
     """Component presentation at p plus embed/project coordinate matrices.
 

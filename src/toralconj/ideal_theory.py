@@ -233,19 +233,6 @@ class FractionalIdeal:
         return {"basis": [list(r) for r in self.mat], "den": self.den}
 
 
-def nest_inside(I: FractionalIdeal, J: FractionalIdeal) -> tuple[int, FractionalIdeal]:
-    """The least integer s >= 1 with s I <= J, and s I: the lcm of the
-    reduced denominators of I's basis in J's basis,
-    I.mat J.mat^-1 J.den / I.den."""
-    adj, d = xl.invert_rational(J.mat)
-    den = d * I.den
-    s = den // gcd(den, *(x * J.den for r in xl.mat_mul(I.mat, adj) for x in r))
-    sI = I.scale_int(s)
-    if not sI.is_subset(J):
-        raise InternalInconsistencyError("could not nest I inside J")
-    return s, sI
-
-
 def ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     """HNF span of all pairwise basis products."""
     prods = [a.mul(b) for a in I.basis_elements() for b in J.basis_elements()]

@@ -7,7 +7,6 @@ Only finite truncations are materialized; depth is capped because entries of
 A^(k!) grow factorially.
 """
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
@@ -180,12 +179,8 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     escape_at: dict[Vec, int] = {}
     stuck: list[Vec] = []
     disagreements = []
-    for m in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(m):
-            continue
-        nz = next(x for x in m if x)
-        if nz < 0:
-            continue  # symmetric under negation; mirror below
+    # symmetric under negation: walk one of each +-m, mirror below
+    for m in xl.shell_vectors(n, bound, up_to_sign=True):
         least = None
         for lv, (inv, den) in zip(tower.levels, inverses):
             member = lv.module.contains(m)

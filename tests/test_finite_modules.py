@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,20 +146,26 @@ def test_act_orbit_returns():
 
 # ------------------------------------------------------------------ primary decomposition
 
+def _components(P):
+    """(p, component) over the primes of the order; the component orders
+    multiply to the order of P."""
+    comps = [(p, fm._primary_component(P, p)[0]) for p in fm._primes(P)]
+    assert math.prod(c.order for _, c in comps) == P.order
+    return comps
+
+
 def test_primary_decomposition_examples():
     P = bf_module(A1, (1, 1))
-    comps = fm.primary_decompose(P)
-    assert [(p, c.order) for p, c in comps] == [(2, 32)]
+    assert [(p, c.order) for p, c in _components(P)] == [(2, 32)]
     Q = bf_module(A2, (-1, 1))
-    comps = fm.primary_decompose(Q)
-    assert [(p, c.order) for p, c in comps] == [(2, 2), (5, 5)]
+    assert [(p, c.order) for p, c in _components(Q)] == [(2, 2), (5, 5)]
     triv = fm.quotient(I3, I3)
-    assert fm.primary_decompose(triv) == []
+    assert _components(triv) == []
 
 
 def test_primary_component_actions_consistent():
     P = bf_module(A2, (1, 0, 0, 0, 0, 0, 1))
-    for p, comp in fm.primary_decompose(P):
+    for p, comp in _components(P):
         # the component's action must still be an automorphism
         imgs = {comp.act(e) for e in comp.elements()}
         assert len(imgs) == comp.order

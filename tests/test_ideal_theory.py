@@ -184,59 +184,6 @@ def test_multiplier_ring_scale_invariance(nf):
 
 # ------------------------------------------------------------------ weak equivalence
 
-def _nested_pair(pair):
-    I, v, J, w, nf_ = pair
-    scale = 1
-    I2, v2 = I, v
-    while not I2.is_subset(J):
-        scale += 1
-        I2 = I.scale_int(scale)
-        v2 = tuple(x.mul_int(scale) for x in v)
-    return I2, v2, J, w, nf_
-
-
-def _scaling_loop(I, J, limit=1000):
-    scale, sI = 1, I
-    while not sI.is_subset(J):
-        scale += 1
-        assert scale <= limit
-        sI = I.scale_int(scale)
-    return scale, sI
-
-
-def test_nest_inside_matches_scaling_loop(pair, rng):
-    I, v, J, _, nf_ = pair
-    I2, v2, _, _, _ = _nested_pair(pair)
-    scale, sI = it.nest_inside(I, J)
-    assert scale == 2 and sI == I2
-    assert tuple(x.mul_int(scale) for x in v) == v2
-    assert it.nest_inside(J, J) == (1, J)
-    ideals = [I, J]
-    for _ in range(3):
-        U = random_unimodular(rng)
-        ideals.append(it.eigen_ideal(xl.mat_mul(xl.mat_mul(U, A2), xl.unimodular_inverse(U)))[0])
-    for coords, den in (((1, 1, 0), 3), ((2, 0, 1), 5), ((0, 3, 1), 2)):
-        ideals.append(J.scale(it.FieldElement.make(nf_, coords, den)))
-    scales = set()
-    for X in ideals:
-        for Y in ideals:
-            got = it.nest_inside(X, Y)
-            assert got == _scaling_loop(X, Y)
-            scales.add(got[0])
-    assert len(scales) > 3
-
-
-def test_nest_inside_large_scale_is_least():
-    A = xl.mat([[1000001, 1000000], [1, 1]])
-    B = xl.mat([[2, 28169], [71, 1000000]])
-    I, J = it.eigen_ideal(A)[0], it.eigen_ideal(B)[0]
-    scale, sI = it.nest_inside(I, J)
-    assert scale == 28169 == 17 * 1657
-    assert sI == I.scale_int(scale) and sI.is_subset(J)
-    for q in (17, 1657):
-        assert not I.scale_int(scale // q).is_subset(J)
-
-
 def test_weak_equivalence_self(pair):
     I, _, _, _, _ = pair
     we = it.weak_equivalence(I, I)
@@ -252,21 +199,60 @@ def test_weak_equivalence_principal_scalings(nf):
 
 
 def test_weak_equivalence_example2(pair):
-    I2, _, J, _, _ = _nested_pair(pair)
-    we = it.weak_equivalence(I2, J)
+    I, _, J, _, _ = pair
+    we = it.weak_equivalence(I, J)
     assert we.equivalent
     # all three identities re-verified here, independently of the routine
-    assert it.ideal_product(I2, we.X) == J
-    assert it.ideal_product(J, we.Y) == I2
-    assert it.ideal_product(we.X, we.Y) == it.multiplier_ring(I2)
+    assert it.ideal_product(I, we.X) == J
+    assert it.ideal_product(J, we.Y) == I
+    assert it.ideal_product(we.X, we.Y) == it.multiplier_ring(I)
 
 
 def test_weak_equivalence_ring_mismatch():
     I, _, _ = it.eigen_ideal(RING_A)
     J, _, _ = it.eigen_ideal(RING_B)
-    _, I2 = it.nest_inside(I, J)
-    we = it.weak_equivalence(I2, J)
+    we = it.weak_equivalence(I, J)
     assert (we.equivalent, we.reason, we.X, we.Y) == (False, "ring_mismatch", None, None)
+
+
+def _similar_irreducible_pairs(rng, n, count):
+    """Sublattice pairs and conjugate pairs of size n whose characteristic
+    polynomial is irreducible: the pairs the ideal route works on."""
+    out = []
+    while len(out) < count:
+        A, B = sublattice_pair(rng, n, 4)
+        if len(out) % 2:
+            U = random_unimodular(rng, n)
+            B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
+        if polys.is_irreducible_deg_le4(xl.char_poly(A)):
+            out.append((A, B))
+    return out
+
+
+def test_ideal_route_is_invariant_under_integer_scaling(rng):
+    # O(sI) = O(I) and (J : sI) = s^-1 (J : I), so the route's answers for
+    # (sI, J) with the eigenvector s v are those for (I, J) with v
+    pairs = _similar_irreducible_pairs(rng, 2, 6) + _similar_irreducible_pairs(rng, 3, 4) + [(RING_A, RING_B)]
+    answers, found = set(), 0
+    for A, B in pairs:
+        I, v, _ = it.eigen_ideal(A)
+        J, w, _ = it.eigen_ideal(B)
+        we = it.weak_equivalence(I, J)
+        X = it.colon_ideal(J, I)
+        search = it.principal_search(X, 4)
+        for s in (2, 6, 35):
+            sI = I.scale_int(s)
+            assert sI != I
+            we_s = it.weak_equivalence(sI, J)
+            assert (we_s.equivalent, we_s.reason) == (we.equivalent, we.reason)
+            search_s = it.principal_search(it.colon_ideal(J, sI), 4)
+            assert (search_s.found, search_s.tried) == (search.found, search.tried)
+            if we.equivalent and search.found:
+                sv = tuple(x.mul_int(s) for x in v)
+                assert it.xg_matrix(A, B, search_s.generator, sv, w) == it.xg_matrix(A, B, search.generator, v, w)
+        answers.add(we.reason)
+        found += we.equivalent and search.found
+    assert answers == {None, "ring_mismatch"} and found > 0
 
 
 # ------------------------------------------------------------------ principality
@@ -282,8 +268,8 @@ def test_principal_search_trivial(nf):
 
 
 def test_principal_search_example2_fails(pair):
-    I2, _, J, _, _ = _nested_pair(pair)
-    X = it.colon_ideal(J, I2)
+    I, _, J, _, _ = pair
+    X = it.colon_ideal(J, I)
     res = it.principal_search(X, 8)
     assert not res.found
     assert res.bound == 8
@@ -327,8 +313,7 @@ def _colon_of_pair(A, B):
     """The colon ideal X = (J : I) the ideal route searches for a generator."""
     I, _, _ = it.eigen_ideal(A)
     J, _, _ = it.eigen_ideal(B)
-    _, I2 = it.nest_inside(I, J)
-    return it.colon_ideal(J, I2)
+    return it.colon_ideal(J, I)
 
 
 def test_principal_search_covolume_filter_matches_hnf(rng):
@@ -360,8 +345,8 @@ def test_principal_search_covolume_filter_matches_hnf(rng):
 def test_norm_form_matches_multiplication_determinant(pair, rng):
     # N(c) = det M(z) (X.den / zden)^n for z = sum c_i x_i / X.den, with z
     # built and reduced as a field element and its determinant taken directly
-    I2, _, J, _, _ = _nested_pair(pair)
-    ideals = [it.colon_ideal(J, I2)]
+    I, _, J, _, _ = pair
+    ideals = [it.colon_ideal(J, I)]
     ideals += [_colon_of_pair(*_sublattice_pair(rng)) for _ in range(3)]
     ideals += [_colon_of_pair(*sublattice_pair(rng, n, 3)) for n in (2, 2, 4)]
     ring_ideals = [it.eigen_ideal(RING_A)[0], it.eigen_ideal(RING_B)[0]]
@@ -410,8 +395,8 @@ def _reference_principal_search(X, bound):
 
 
 def test_principal_search_matches_reference_loop(pair, rng, monkeypatch):
-    I2, _, J, _, _ = _nested_pair(pair)
-    ideals = [it.colon_ideal(J, I2)] + [_colon_of_pair(*_sublattice_pair(rng)) for _ in range(3)]
+    I, _, J, _, _ = pair
+    ideals = [it.colon_ideal(J, I)] + [_colon_of_pair(*_sublattice_pair(rng)) for _ in range(3)]
     scaled = []
     real_scale = it.FractionalIdeal.scale
 
@@ -465,9 +450,9 @@ def test_multiplier_of_ring_is_ring(nf):
 
 
 def test_weak_equivalence_symmetric(pair):
-    I2, _, J, _, _ = _nested_pair(pair)
-    fwd = it.weak_equivalence(I2, J)
-    bwd = it.weak_equivalence(J, I2)
+    I, _, J, _, _ = pair
+    fwd = it.weak_equivalence(I, J)
+    bwd = it.weak_equivalence(J, I)
     assert fwd.equivalent == bwd.equivalent
     # the canonical witnesses swap roles
     assert fwd.X == bwd.Y and fwd.Y == bwd.X
@@ -480,10 +465,8 @@ def test_xg_on_conjugate_pair(rng):
     B = xl.mat_mul(xl.mat_mul(U, A2), xl.unimodular_inverse(U))
     I, v, _ = it.eigen_ideal(A2)
     J, w, _ = it.eigen_ideal(B)
-    scale, I2 = it.nest_inside(I, J)
-    v2 = tuple(x.mul_int(scale) for x in v)
-    search = it.principal_search(it.colon_ideal(J, I2), 8)
-    assert search.found and I2.scale(search.generator) == J
-    Xg = it.xg_matrix(A2, B, search.generator, v2, w)
+    search = it.principal_search(it.colon_ideal(J, I), 8)
+    assert search.found and I.scale(search.generator) == J
+    Xg = it.xg_matrix(A2, B, search.generator, v, w)
     assert xl.mat_mul(Xg, A2) == xl.mat_mul(B, Xg)
     assert xl.det(Xg) in (1, -1)

@@ -487,6 +487,14 @@ def test_decide_accepts_list_matrices(rng):
     B = xl.mat_mul(xl.mat_mul(U, A1), xl.unimodular_inverse(U))
     as_lists = decide([list(r) for r in A1], [list(r) for r in B])
     assert as_lists.to_data() == decide(A1, B).to_data()
+    # a list and a tuple of the same entries are the same matrix
+    empty = decide([], ())
+    assert (empty.outcome, empty.certificate) == ("conjugate", ())
+    same = decide([[2, 1], [1, 1]], ((2, 1), (1, 1)))
+    assert [e["stage"] for e in same.evidence] == ["identical_inputs"]
+    # a float entry is refused, never truncated into another matrix
+    with pytest.raises(ValueError):
+        decide([[2.5, 1], [1, 1]], [[2, 1], [1, 1]])
 
 
 def test_intertwiner_lattice_dissimilar_rank_zero():
@@ -640,9 +648,9 @@ def test_decide_4x4_entries_30_without_factoring(no_factoring):
     assert xl.mat_mul(A, v.certificate) == xl.mat_mul(v.certificate, B)
 
 
-def test_decide_nests_ideals_at_large_scale():
+def test_decide_ideal_route_on_far_apart_eigen_ideals():
     # the eigen ideal of A fits inside that of B only after scaling by
-    # 28169 = 17 * 1657
+    # 28169 = 17 * 1657; the route compares them as built
     A = xl.mat([[1000001, 1000000], [1, 1]])
     B = xl.mat([[2, 28169], [71, 1000000]])
     v = decide(A, B)
@@ -794,7 +802,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "61e3a695feaed5599bf533a5cf45b370fd41eb51e29271a9b429fc42d1576a11"
+CORPUS_REPORTS_SHA256 = "651fe2184e17df2a0d11c19d8f030bbfbf06dea0110264689208d7aa77a4bc2d"
 
 
 def test_corpus_reports_are_pinned():
@@ -811,7 +819,7 @@ def test_corpus_reports_are_pinned():
 # sha256 of the reports on 190 sublattice pairs; 74 of them end unknown after
 # both bounded searches exhaust their boxes, so a change to either search
 # that alters a candidate, a count or a generator shows here
-SUBLATTICE_REPORTS_SHA256 = "701ad1ed6b9b5ddbe131d2bb0f1ecf7759f0125f16e800a04735a2dcededc051"
+SUBLATTICE_REPORTS_SHA256 = "19f0e18318327ce9c18d049480d000e209e9a1043d744245da30172ef93f8599"
 
 
 def test_sublattice_reports_are_pinned():

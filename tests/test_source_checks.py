@@ -1,17 +1,21 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import toralconj
+from toralconj import exact_linalg as xl
 
 SRC = Path(toralconj.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 
-# Definitions that only the tests name: shell_vectors gives the search walk's
-# reference order, elements enumerates a module, solve_left is a lattice
-# oracle; iota and gamma_action are the paper's coherent-element API.
-NAMED_ONLY_BY_TESTS = {"shell_vectors", "elements", "solve_left", "iota", "gamma_action"}
+# Definitions that only the tests name: elements enumerates a module,
+# solve_left is a lattice oracle, scale_int builds the integer multiples of
+# an ideal that the ideal route's scale-invariance test compares; iota and
+# gamma_action are the paper's coherent-element API.
+NAMED_ONLY_BY_TESTS = {"elements", "solve_left", "scale_int", "iota", "gamma_action"}
 
 
 def _called_names(tree):
@@ -112,9 +116,10 @@ def _mentioned_names(tree):
 def test_every_definition_is_named_outside_the_tests():
     # a function or class that nothing but its own unit tests reaches is
     # deleted.  The check goes by name, so it misses a dead definition that
-    # shares its name with a live one, such as a to_data method.
+    # shares its name with a live one, such as a to_data method.  A
+    # re-export in __init__.py is not a use.
     package = sorted(SRC.rglob("*.py"))
-    users = package + sorted((ROOT / "scripts").rglob("*.py")) + [ROOT / "decidebench" / "layertrace.py"]
+    users = [p for p in package if p.name != "__init__.py"] + sorted((ROOT / "scripts").rglob("*.py")) + [ROOT / "decidebench" / "layertrace.py"]
     mentioned = set()
     for path in users:
         mentioned.update(_mentioned_names(ast.parse(path.read_text(), filename=str(path))))
@@ -128,3 +133,29 @@ def test_every_definition_is_named_outside_the_tests():
             ):
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unnamed
+
+
+def _load_layertrace():
+    path = ROOT / "decidebench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # the benchmark's traced round looks each function up by name in its
+    # module, so a deleted or renamed one fails here before it fails there
+    layertrace = _load_layertrace()
+    missing = [
+        f"{layer}.{func}"
+        for layer, funcs in layertrace.LAYERS.items()
+        for func in funcs
+        if not callable(getattr(importlib.import_module(f"toralconj.{layer}"), func, None))
+    ]
+    assert not missing
+    # max_entry_bits unpacks the (H, U) pair that hnf returns
+    M = ((4, 6, 3), (2, -5, 7))
+    H, U = xl.hnf(M)
+    assert all(isinstance(X, tuple) and all(isinstance(r, tuple) for r in X) for X in (H, U))
+    assert layertrace.EXTRAS["max_entry_bits"]((M,), xl.hnf(M)) == layertrace._entry_bits(M, H, U)
