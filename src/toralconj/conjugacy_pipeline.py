@@ -12,6 +12,13 @@ only, and leg 1 is skipped where shell 1 is long (rank > 6).
 The tower route is one more BF screen, over the divisors of x^(k!) - 1
 that the family lacks.
 
+For an irreducible characteristic polynomial (n <= 4) the periodic data are
+read off the eigen ideals after leg 1: when both are invertible over one
+multiplier ring O, every BF_g(A) and BF_g(B) is O / g(beta) O, so no screen
+can refute (Latimer-MacDuffee 1933).  Such a pair skips both screens and
+the tower route, walks the rest of the search in one leg, and only the
+ideal route, the homoclinic side, is left to decide it.
+
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
 re-verifies from scratch; everything else is an honest Unknown that embeds
@@ -33,7 +40,7 @@ from .bf_invariants import (
 )
 from .errors import InternalInconsistencyError
 from .finite_modules import intertwiner_kernel, intertwiner_system, module_iso_exists
-from .tower import tower_polynomials
+from .tower import _check_depth, tower_polynomials
 
 Mat = xl.Mat
 Vec = xl.Vec
@@ -49,6 +56,13 @@ class PipelineConfig:
     unimodular_bound: int = 5
     search_max_candidates: int = 200_000
     principal_bound: int = 8
+
+    def __post_init__(self):
+        # checked here rather than by the tower route, which a pair decided
+        # earlier never reaches, so a depth is refused whatever the input
+        if self.tower_depth < 0:
+            raise ValueError(f"tower_depth must be >= 0, got {self.tower_depth}")
+        _check_depth(self.tower_depth)
 
     def to_data(self) -> dict:
         return asdict(self)
@@ -251,7 +265,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     hyp = hyperbolicity_check(A)
     evidence.append({"stage": "hyperbolicity", "hyperbolic": hyp})
 
-    # (3-5) one unimodular search in the intertwiner lattice, walked in three
+    # (3-6) one unimodular search in the intertwiner lattice, walked in three
     # legs with the two BF screens between them.  A unimodular C with
     # A C = C B induces BF_g(A) = BF_g(B) for every g, so no screen can
     # refute a pair the search certifies: the order changes the evidence only
@@ -281,51 +295,67 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if C is not None:
         return _emit_conjugate(A, B, C, evidence, config)
 
-    # (4) BF screen over the degree-1 members x - c: BF_{x-c} carries the
-    # scalar action c, so order and invariant factors settle each one (equal
-    # groups make the identity an isomorphism) without a module map
-    family = default_family(
-        A,
-        max_shift=config.family_max_shift,
-        max_power=config.family_max_power,
-        cyclotomic_index=config.cyclotomic_index,
-    )
-    linear = [g for g in family if polys.degree(g) == 1]
-    screen = strong_bf_screen(A, B, linear, budget=config.iso_budget)
-    evidence.append({"stage": "bf_screen", "report": screen.to_data()})
-    if screen.outcome == "not_equivalent":
-        return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
+    # (4) periodic data: for irreducible chi, Z^n with A is the eigen ideal I
+    # with beta, so BF_g(A) = I / g(beta) I.  An ideal invertible over its
+    # ring O is locally principal, so then BF_g(A) = O / g(beta) O for every
+    # g; with J invertible over the same O no BF screen can refute, and the
+    # screens and the tower route are skipped.  The ideals and rings built
+    # here serve the ideal route
+    eigen, skip = None, False
+    if hyp and 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa):
+        I, v, _ = ideals.eigen_ideal(A)
+        J, w, _ = ideals.eigen_ideal(B)
+        OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
+        eigen = I, v, J, w, OI, OJ
+        skip = OI == OJ and ideals.is_invertible(I) and ideals.is_invertible(J)
+    if skip:
+        evidence.append({"stage": "periodic_data", "reason": "invertible_over_one_order"})
+    else:
+        # (5) BF screen over the degree-1 members x - c: BF_{x-c} carries the
+        # scalar action c, so order and invariant factors settle each one
+        # (equal groups make the identity an isomorphism) without a module map
+        family = default_family(
+            A,
+            max_shift=config.family_max_shift,
+            max_power=config.family_max_power,
+            cyclotomic_index=config.cyclotomic_index,
+        )
+        linear = [g for g in family if polys.degree(g) == 1]
+        screen = strong_bf_screen(A, B, linear, budget=config.iso_budget)
+        evidence.append({"stage": "bf_screen", "report": screen.to_data()})
+        if screen.outcome == "not_equivalent":
+            return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (4) leg 2: the walk on to its first FIRST_SEARCH_CANDIDATES candidates
-    C = leg(FIRST_SEARCH_CANDIDATES)
-    if C is not None:
-        return _emit_conjugate(A, B, C, evidence, config)
+        # (5) leg 2: the walk on to its first FIRST_SEARCH_CANDIDATES candidates
+        C = leg(FIRST_SEARCH_CANDIDATES)
+        if C is not None:
+            return _emit_conjugate(A, B, C, evidence, config)
 
-    # (5) BF screen over the members of degree >= 2; its candidate module
-    # maps reuse the lattice
-    rest = [g for g in family if polys.degree(g) >= 2]
-    screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
-    evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
-    if screen.outcome == "not_equivalent":
-        return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
+        # (6) BF screen over the members of degree >= 2; its candidate module
+        # maps reuse the lattice
+        rest = [g for g in family if polys.degree(g) >= 2]
+        screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
+        evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
+        if screen.outcome == "not_equivalent":
+            return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (5) leg 3: the rest of the walk over the ((2 bound + 1)^rank - 1) / 2
-    # candidates, up to search_max_candidates
+    # (6) leg 3, or the one leg after leg 1 when the screens are skipped: the
+    # rest of the walk over the ((2 bound + 1)^rank - 1) / 2 candidates, up
+    # to search_max_candidates
     C = leg(walk)
     if C is not None:
         return _emit_conjugate(A, B, C, evidence, config)
 
-    # (6) ideal route (irreducible characteristic polynomial only)
-    irreducible = 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa)
-    if irreducible and hyp:
-        verdict = _ideal_route(A, B, evidence, config)
+    # (7) ideal route (irreducible characteristic polynomial only)
+    if eigen is not None:
+        verdict = _ideal_route(A, B, eigen, evidence, config)
         if verdict is not None:
             return verdict
 
-    # (7) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
+    # (8) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
     # every quotient BF_g for g | x^(K!) - 1, so screen the tower polynomials
-    # that stages 4 and 5 have not
-    if hyp:
+    # that stages 5 and 6 have not
+    if hyp and not skip:
         extra = [g for g in tower_polynomials(config.tower_depth) if g not in family]
         screen = strong_bf_screen(A, B, extra, budget=config.iso_budget)
         evidence.append({"stage": "tower_route", "report": screen.to_data()})
@@ -335,12 +365,10 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     return Verdict("unknown", None, None, tuple(evidence), config)
 
 
-def _ideal_route(A: Mat, B: Mat, evidence: list, config: PipelineConfig) -> Verdict | None:
-    I, v, nf = ideals.eigen_ideal(A)
-    J, w, _ = ideals.eigen_ideal(B)
-    OI = ideals.multiplier_ring(I)
-    OJ = ideals.multiplier_ring(J)
-    rings_equal = (OI.mat, OI.den) == (OJ.mat, OJ.den)
+def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineConfig) -> Verdict | None:
+    """Stage 7 on eigen = (I, v, J, w, O(I), O(J)), built in stage 4."""
+    I, v, J, w, OI, OJ = eigen
+    rings_equal = OI == OJ
     record: dict = {
         "stage": "ideal_route",
         "ideal_left": I.to_data(),

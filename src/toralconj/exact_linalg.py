@@ -688,7 +688,7 @@ def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
         yield from _shell(rank, rho, up_to_sign)
 
 
-def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False) -> set[Vec]:
+def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False, heads=None) -> set[Vec]:
     """The vectors of shell rho of shell_vectors(rank, ., up_to_sign) at which
     a form from det_form takes a value in the set targets.
 
@@ -696,7 +696,9 @@ def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False
     sum_k G_k(h) x^k, each G_k evaluated once per head h whose first nonzero
     entry is positive (or h = 0 with x = rho), then each x one dot product
     with the powers of x.  x runs over -rho..rho when max |h_i| = rho, else
-    over +-rho.  Without up_to_sign, -c joins when F(-c) is a target."""
+    over +-rho.  Without up_to_sign, -c joins when F(-c) is a target.
+    A dict heads keeps the G_k of each head across the shells of one form,
+    since every head of shell rho recurs in the shells after it."""
     degree = len(form[0][1]) if form else 0
     # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out
     parts: list[list] = [[] for _ in range(degree + 1)]
@@ -706,11 +708,14 @@ def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False
     line = range(-rho, rho + 1)
     powers = {x: [x**k for k in range(degree + 1)] for x in line}
     zero = (0,) * (rank - 1)
+    heads = {} if heads is None else heads
     out = set()
     for h in itertools.product(line, repeat=rank - 1):
         if h < zero:
             continue
-        G = [form_value(part, h) for part in parts]
+        G = heads.get(h)
+        if G is None:
+            G = heads[h] = [form_value(part, h) for part in parts]
         for x in (rho,) if h == zero else line if max(map(abs, h)) == rho else (-rho, rho):
             v = sum(map(operator.mul, G, powers[x]))
             if v in targets:
@@ -739,7 +744,7 @@ def bounded_search(
     solved first (shell_solutions): without a solution it counts as tried
     unwalked, else accept sees only its solutions, in walk order.  So
     (result, tried) is that of the plain walk."""
-    tried, last = start, 0
+    tried, last, heads = start, 0, {}
     for rho in range(1, bound + 1):
         first, last = last, last + ((2 * rho + 1) ** rank - (2 * rho - 1) ** rank) // (2 if up_to_sign else 1)
         stop = last if max_candidates is None else min(last, max_candidates)
@@ -747,7 +752,7 @@ def bounded_search(
             continue
         keep = None
         if solutions is not None and stop == last:
-            keep = shell_solutions(*solutions, rank, rho, up_to_sign)
+            keep = shell_solutions(*solutions, rank, rho, up_to_sign, heads)
             if not keep:
                 tried = last
                 continue

@@ -278,6 +278,14 @@ def multiplier_ring(I: FractionalIdeal) -> FractionalIdeal:
     return O
 
 
+def is_invertible(I: FractionalIdeal) -> bool:
+    """I (O : I) = O for O = O(I): I is invertible over its multiplier ring,
+    hence locally principal, so I / g(beta) I = O / g(beta) O as modules for
+    every g with g(beta) != 0 (Neukirch, Algebraic Number Theory, I.12)."""
+    O = multiplier_ring(I)
+    return ideal_product(I, colon_ideal(O, I)) == O
+
+
 def eigen_vector(A: Mat, nf: NumberField) -> tuple[FieldElement, ...]:
     """Row vector v over K with v A = beta v: the first nonzero row of
     adj(beta I - A), assembled from the Horner matrices of char_poly(A)."""

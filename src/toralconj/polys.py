@@ -274,12 +274,16 @@ def integer_roots(p: Poly) -> list[int]:
     return sorted(roots)
 
 
+@functools.lru_cache(maxsize=2)
 def is_irreducible_deg_le4(p: Poly) -> bool:
     """Exact irreducibility over Q for monic p of degree 2..4.
 
     Monic integer polynomials factor into monic integer polynomials, so it is
     enough to exclude integer roots and, in degree 4, integer quadratic
-    factors x^2 + a x + b with b dividing the constant term.
+    factors x^2 + a x + b with b dividing the constant term.  Both factor
+    the constant term, and one decision asks three times about the same
+    characteristic polynomial (the ideal route's gate, then the field of
+    each eigen ideal), so the last two answers are kept.
     """
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:

@@ -10,7 +10,7 @@ import pytest
 from toralconj import cli
 from toralconj.conjugacy_pipeline import DEFAULT_CONFIG
 
-from conftest import A1, A2, B1, B2, RING_A, RING_B
+from conftest import A1, A2, B1, B2, RING_A, RING_B, direct_sum
 
 
 def write(tmp_path, name, M):
@@ -301,12 +301,17 @@ def test_resource_cap_exits_loudly(capsys, mats, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["tower", "A1", "--levels", "7"], ["decide", "A2", "B2", "--tower-depth", "7", "--json"]],
-    ids=["tower_levels", "decide_tower_depth"],
+    [
+        ["tower", "A1", "--levels", "7"],
+        ["decide", "A2", "B2", "--tower-depth", "7", "--json"],
+        ["decide", "A1", "B1", "--tower-depth", "50", "--json"],
+    ],
+    ids=["tower_levels", "decide_tower_depth", "decide_tower_depth_pair_1"],
 )
 def test_deep_towers_exit_1(mats, argv):
     # A^(7!) has entries past the 4,300-digit limit of int-to-string
-    # conversion; depth 7 is refused before any of it is formed
+    # conversion; depth 7 is refused before any of it is formed, also for a
+    # pair that is refuted before the tower route
     started = time.perf_counter()
     done = run_fresh([mats.get(a, a) for a in argv])
     assert time.perf_counter() - started < 5.0
@@ -319,15 +324,24 @@ def test_deep_towers_exit_1(mats, argv):
 # 4,300-digit limit of int-to-string conversion
 BIG_ENTRIES_M = ((1000001, 1000000), (1, 1))
 BIG_ENTRIES_N = ((2, 28169), (71, 1000000))
+# M + X against N + X: the characteristic polynomial is reducible, so decide
+# does not skip the tower route on the ground of equal periodic data
+SMALL_SUMMAND = ((2, 1), (1, 1))
+BIG_ENTRIES_SUM_M = direct_sum(BIG_ENTRIES_M, SMALL_SUMMAND)
+BIG_ENTRIES_SUM_N = direct_sum(BIG_ENTRIES_N, SMALL_SUMMAND)
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["tower", "M", "--levels", "6"], ["decide", "M", "N", "--tower-depth", "6", "--json"]],
+    [["tower", "M", "--levels", "6"], ["decide", "MX", "NX", "--tower-depth", "6", "--json"]],
     ids=["tower_levels", "decide_tower_depth_json"],
 )
 def test_orders_past_the_digit_limit_exit_1(tmp_path, argv):
-    paths = {"M": write(tmp_path, "M.txt", BIG_ENTRIES_M), "N": write(tmp_path, "N.txt", BIG_ENTRIES_N)}
+    paths = {
+        "M": write(tmp_path, "M.txt", BIG_ENTRIES_M),
+        "MX": write(tmp_path, "MX.txt", BIG_ENTRIES_SUM_M),
+        "NX": write(tmp_path, "NX.txt", BIG_ENTRIES_SUM_N),
+    }
     done = run_fresh([paths.get(a, a) for a in argv])
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
@@ -371,8 +385,9 @@ def test_out_of_range_options_exit_1(mats, argv):
     assert done.stderr.startswith("error: --")
 
 
-def test_decide_tower_depth_0_screens_nothing(capsys, mats):
-    code, out, _ = run(capsys, ["decide", mats["A2"], mats["B2"], "--tower-depth", "0", "--json"])
+def test_decide_tower_depth_0_screens_nothing(capsys, tmp_path):
+    M, N = write(tmp_path, "MX.txt", BIG_ENTRIES_SUM_M), write(tmp_path, "NX.txt", BIG_ENTRIES_SUM_N)
+    code, out, _ = run(capsys, ["decide", M, N, "--tower-depth", "0", "--json"])
     assert code == 2
     tower = [e for e in json.loads(out)["evidence"] if e["stage"] == "tower_route"]
     assert tower[0]["report"] == {"family": [], "outcome": "passed_screen", "records": []}

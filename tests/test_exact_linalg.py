@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -505,3 +506,23 @@ def test_bounded_search_with_solutions_walks_the_same(data):
     plain = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start)
     solved = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start, solutions=(form, targets))
     assert solved == plain
+
+
+def test_bounded_search_evaluates_each_head_once(monkeypatch):
+    # every head of shell rho recurs in the shells after it; one search keeps
+    # its G_k, so at rank 4, bound 5 the 666 heads are evaluated once each
+    # instead of 1,280 times, and every shell has the same solutions
+    rng = random.Random(4)
+    form = xl.det_form([tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)) for _ in range(4)])
+    targets = set(range(-9, 10))
+    fresh = [xl.shell_solutions(form, targets, 4, rho, True) for rho in range(1, 6)]
+    heads = {}
+    assert [xl.shell_solutions(form, targets, 4, rho, True, heads) for rho in range(1, 6)] == fresh
+    assert len(heads) == 666
+    evaluated, seen = [], []
+    original = xl.form_value
+    monkeypatch.setattr(xl, "form_value", lambda part, h: evaluated.append(h) or original(part, h))
+    assert xl.bounded_search(4, 5, seen.append, up_to_sign=True, solutions=(form, targets)) == (None, 7320)
+    assert len(evaluated) == 4 * len(set(evaluated)) == 4 * 666
+    solutions = set().union(*fresh)
+    assert seen == [c for c in xl.shell_vectors(4, 5, up_to_sign=True) if c in solutions] != []

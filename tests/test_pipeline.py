@@ -24,6 +24,7 @@ from toralconj.conjugacy_pipeline import (
 )
 from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
+from toralconj.tower import tower_polynomials
 
 from conftest import (
     A1,
@@ -277,10 +278,17 @@ LINEAR_PASS_A = xl.mat([[5, -3], [0, -2]])
 LINEAR_PASS_B = xl.mat([[5, -21], [0, -2]])
 
 
+# a sublattice pair with x^3 + x^2 - 5x - 61: O(I) = O(J), but neither eigen
+# ideal is invertible over it, so decide screens it and reaches the tower
+NONINVERTIBLE_A = xl.mat([[-3, 4, -2], [-4, -1, -1], [-4, -4, 3]])
+NONINVERTIBLE_B = xl.mat([[-7, -20, 10], [2, 3, -3], [0, -4, 3]])
+
+
 # the stages of decide after hyperbolicity, in order; any run is a
 # subsequence of this, cut where a stage decides
 LEGGED_ORDER = [
     "unimodular_search",
+    "periodic_data",
     "bf_screen",
     "unimodular_search_resumed",
     "bf_module_screen",
@@ -309,7 +317,7 @@ def test_decide_matches_the_screen_then_search_order(rng):
         if n <= 3:
             pairs += [sublattice_pair(rng, n, 4) for _ in range(8 if n == 2 else 4)]
     pairs += [(A1, B1), (A2, B2), (RING_A, RING_B), (LINEAR_PASS_A, LINEAR_PASS_B)]
-    ends, sizes = set(), collections.Counter()
+    ends, sizes, skipped = set(), collections.Counter(), 0
     for A, B in pairs:
         v = decide(A, B)
         stages = [e["stage"] for e in v.evidence]
@@ -324,9 +332,15 @@ def test_decide_matches_the_screen_then_search_order(rng):
         assert all(polys.degree(polys.parse(g)) == 1 for g in linear["family"])
         assert all(polys.degree(polys.parse(g)) >= 2 for g in module["family"])
         outcome, certificate, witness, screen = _screen_then_search(A, B)
-        if outcome is None:
+        if "periodic_data" in stages:
+            # the skipped screens pass in full
+            skipped += 1
+            assert not reports and "tower_route" not in stages
+            assert screen.outcome == "passed_screen"
+        elif outcome is None:
             # both screens passed, and together they are the old one
             assert linear["records"] + module["records"] == list(screen.records)
+        if outcome is None:
             assert v.outcome != "conjugate" or v.evidence[-1]["stage"] == "ideal_route"
             continue
         assert (v.outcome, v.certificate, v.witness) == (outcome, certificate, witness)
@@ -334,10 +348,37 @@ def test_decide_matches_the_screen_then_search_order(rng):
         ("conjugate", "unimodular_search"),
         ("not_conjugate", "bf_screen"),
         ("not_conjugate", "bf_module_screen"),
+        ("unknown", "ideal_route"),
         ("unknown", "tower_route"),
     } <= ends
+    assert skipped
     # the search certified every random conjugate pair, 4 x 4 and 5 x 5 too
     assert sizes[4] == sizes[5] == 2
+
+
+def test_periodic_data_skip_only_where_every_screen_passes(rng):
+    # equal rings and invertible eigen ideals make every BF_g(A) = O / g(beta) O
+    # = BF_g(B); wherever decide skips on that ground, the default family and
+    # the tower polynomials, which it would have screened, all pass
+    tower = tower_polynomials(DEFAULT_CONFIG.tower_depth)
+    fired = collections.Counter()
+    for n in (2, 3, 4):
+        pairs = [sublattice_pair(rng, n, 4 if n < 4 else 2) for _ in range(40 if n < 4 else 16)]
+        for _ in range(10):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+        for A, B in pairs:
+            if not polys.is_irreducible_deg_le4(xl.char_poly(A)):
+                continue
+            v = decide(A, B)
+            if not any(e["stage"] == "periodic_data" for e in v.evidence):
+                continue
+            fired[n] += 1
+            family = default_family(A)
+            full = family + [g for g in tower if g not in family]
+            assert strong_bf_screen(A, B, full).outcome == "passed_screen", (A, B)
+    assert min(fired[n] for n in (2, 3, 4)) >= 5, fired
 
 
 def test_decide_linear_refutation_builds_the_lattice_once(monkeypatch):
@@ -433,9 +474,12 @@ def test_decide_refutes_a_degree_two_pair_inside_the_first_search_phase():
 def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
     # with a first phase shorter than the walk to a certificate outside
     # shell 1, both screens run in between the three legs, and the last leg
-    # ends on the certificate of the uninterrupted search
+    # ends on the certificate of the uninterrupted search; a reducible
+    # characteristic polynomial keeps the screens from being skipped
     while True:
         A = random_hyperbolic(rng, 3, 3)
+        if polys.is_irreducible_deg_le4(xl.char_poly(A)):
+            continue
         U = random_unimodular(rng, 3)
         B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
         whole = decide(A, B)
@@ -448,7 +492,13 @@ def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
     v = decide(A, B)
     assert v.outcome == "conjugate" and v.certificate == whole.certificate
     stages = [e["stage"] for e in v.evidence]
-    assert stages[2:] == LEGGED_ORDER[:5]
+    assert stages[2:] == [
+        "unimodular_search",
+        "bf_screen",
+        "unimodular_search_resumed",
+        "bf_module_screen",
+        "unimodular_search_resumed",
+    ]
     shell, linear, second, module, rest = v.evidence[2:]
     assert shell["result"] == {"found": False, "bound": 5, "candidates": 13}
     assert linear["report"]["outcome"] == "passed_screen"
@@ -459,6 +509,26 @@ def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
     capped = decide(A, B, PipelineConfig(search_max_candidates=tried - 1))
     searches = [e for e in capped.evidence if e["stage"].startswith("unimodular_search")]
     assert [e["result"]["candidates"] for e in searches] == [13, tried - 1]
+
+
+def test_decide_tests_irreducibility_once(monkeypatch):
+    # the ideal route's gate and the field of each eigen ideal ask about the
+    # same characteristic polynomial, and each answer factors its constant
+    # term, so one decision tests it once
+    runs = []
+    original = polys.integer_roots
+
+    def counting(p):
+        runs.append(p)
+        return original(p)
+
+    monkeypatch.setattr(polys, "integer_roots", counting)
+    polys.is_irreducible_deg_le4.cache_clear()
+    pairs = [(A2, B2), (NONINVERTIBLE_A, NONINVERTIBLE_B)]
+    for A, B in pairs:
+        v = decide(A, B)
+        assert "ideal_route" in [e["stage"] for e in v.evidence]
+    assert runs == [xl.char_poly(A) for A, _ in pairs]
 
 
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
@@ -582,17 +652,31 @@ def test_decide_self():
 
 
 def test_decide_example2_unknown():
+    # both eigen ideals of the second worked pair are invertible over
+    # Z[beta], so its screens and tower route are skipped
     v = decide(A2, B2)
     assert v.outcome == "unknown"
+    assert [e["stage"] for e in v.evidence][2:] == [
+        "unimodular_search",
+        "periodic_data",
+        "unimodular_search_resumed",
+        "ideal_route",
+    ]
     stages = {e["stage"]: e for e in v.evidence}
-    assert stages["bf_screen"]["report"]["outcome"] == "passed_screen"
     ideal = stages["ideal_route"]
     assert ideal["rings_equal"]
     assert ideal["weak_equivalence"]["weakly_equivalent"]
     assert not ideal["principal_search"]["principal"]
     assert ideal["principal_search"]["bound"] == 8
-    # the tower route screens the tower polynomials up to depth 4 that the
-    # default family lacks
+    # the non-invertible pair passes the screens, and the tower route
+    # screens the tower polynomials up to depth 4 that the default family lacks
+    v = decide(NONINVERTIBLE_A, NONINVERTIBLE_B)
+    assert v.outcome == "unknown"
+    stages = {e["stage"]: e for e in v.evidence}
+    assert "periodic_data" not in stages
+    assert stages["bf_screen"]["report"]["outcome"] == "passed_screen"
+    assert stages["ideal_route"]["rings_equal"]
+    assert stages["ideal_route"]["weak_equivalence"]["weakly_equivalent"]
     tower = stages["tower_route"]["report"]
     assert tower["outcome"] == "passed_screen"
     assert tower["family"] == ["x^8-x^4+1", "x^8-1", "x^12-1", "x^24-1"]
@@ -655,7 +739,7 @@ def test_decide_ideal_route_on_far_apart_eigen_ideals():
     B = xl.mat([[2, 28169], [71, 1000000]])
     v = decide(A, B)
     assert v.outcome == "unknown"
-    assert [e["stage"] for e in v.evidence][-2:] == ["ideal_route", "tower_route"]
+    assert [e["stage"] for e in v.evidence][-3:] == ["periodic_data", "unimodular_search_resumed", "ideal_route"]
 
 
 WITNESS_1 = {
@@ -802,7 +886,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "651fe2184e17df2a0d11c19d8f030bbfbf06dea0110264689208d7aa77a4bc2d"
+CORPUS_REPORTS_SHA256 = "d544278fd8bcaf6c9924f6373c2aca563424006c3b272b194da08e968462b53d"
 
 
 def test_corpus_reports_are_pinned():
@@ -819,7 +903,7 @@ def test_corpus_reports_are_pinned():
 # sha256 of the reports on 190 sublattice pairs; 74 of them end unknown after
 # both bounded searches exhaust their boxes, so a change to either search
 # that alters a candidate, a count or a generator shows here
-SUBLATTICE_REPORTS_SHA256 = "19f0e18318327ce9c18d049480d000e209e9a1043d744245da30172ef93f8599"
+SUBLATTICE_REPORTS_SHA256 = "832cc67d2c6c8f8d66b6712a654c83bfbc7c3accbba82ba4dffa15baeb797560"
 
 
 def test_sublattice_reports_are_pinned():

@@ -84,7 +84,8 @@ def test_pipeline_does_not_search_the_pair_lattices():
     # has already searched with the same bound and shell order, and a level
     # isomorphism family refutes only where the BF screen over the tower
     # polynomials does, so decide builds no tower and takes only
-    # tower_polynomials from the tower module.
+    # tower_polynomials from the tower module, and its depth check for the
+    # config.
     tree = ast.parse((SRC / "conjugacy_pipeline.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -96,7 +97,7 @@ def test_pipeline_does_not_search_the_pair_lattices():
         if isinstance(node, ast.ImportFrom) and node.module == "tower"
         for alias in node.names
     }
-    assert from_tower == {"tower_polynomials"}
+    assert from_tower == {"tower_polynomials", "_check_depth"}
 
 
 def _mentioned_names(tree):
