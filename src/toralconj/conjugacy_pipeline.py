@@ -109,10 +109,12 @@ class IntertwinerBasis:
 
 
 def intertwiner_lattice(A: Mat, B: Mat) -> IntertwinerBasis:
-    """Integer kernel of C -> A C - C B, rows verified to intertwine.  In
-    decide it is built for every similar pair before any BF screen, since
-    its rank sets the first leg of the search; the module screen's map
-    candidates reuse it."""
+    """Integer kernel of C -> A C - C B, rows verified to intertwine:
+    saturated from the Krylov rows A^i P adj Q when e1 is cyclic for A and
+    B and P Q^-1 intertwines, else from one elimination of the n^2 x n^2
+    system (see finite_modules.intertwiner_kernel).  In decide it is built
+    for every similar pair before any BF screen, since its rank sets the
+    first leg of the search; the module screen's map candidates reuse it."""
     return IntertwinerBasis(n=len(A), basis=intertwiner_kernel(xl.mat(A), xl.mat(B)))
 
 

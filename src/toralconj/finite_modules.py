@@ -309,20 +309,61 @@ def intertwiner_system(A: Mat, B: Mat) -> Mat:
     return tuple(rows)
 
 
+def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
+    """Rows vec(A^i P adj Q), i < n, each divided by its content, where P
+    and Q are the Krylov matrices [e1 | M e1 | ... | M^(n-1) e1] of A and B;
+    None when n = 0, P or Q is singular, or W0 = P Q^-1 fails A W0 = W0 B.
+
+    Otherwise A P = P C and B Q = Q C for one companion matrix C, so A and
+    B are cyclic and similar, and the rational intertwiners are Q[A] W0:
+    the rows span {W : A W = W B} over Q."""
+    n = len(A)
+    if n == 0:
+        return None
+    krylov = []
+    for M in (A, B):
+        cols = [xl.identity(n)[0]]
+        Mt = xl.transpose(M)
+        for _ in range(n - 1):
+            cols.append(xl.vec_mat(cols[-1], Mt))  # M v, as a row
+        if xl.det(cols) == 0:
+            return None
+        krylov.append(xl.transpose(cols))
+    P, Q = krylov
+    W = xl.mat_mul(P, xl.invert_rational(Q)[0])
+    if xl.mat_mul(A, W) != xl.mat_mul(W, B):
+        return None
+    rows = []
+    for _ in range(n):
+        v = tuple(x for row in W for x in row)
+        g = math.gcd(*v)
+        rows.append(tuple(x // g for x in v))
+        W = xl.mat_mul(A, W)
+    return tuple(rows)
+
+
 @functools.lru_cache(maxsize=1)
 def intertwiner_kernel(A: Mat, B: Mat) -> Mat:
     """HNF basis of {W : A W = W B} in row-vectorized form, each row
     verified to intertwine.
 
-    The basis is the saturation of the rational kernel of the n^2 x n^2
-    system, which one fraction-free elimination gives.
+    The basis is the saturation of a rational basis of that space.  When
+    e1 is cyclic for both A and B and P Q^-1 (Krylov matrices of e1)
+    intertwines, the n rows of _krylov_generators are that basis; for every
+    other pair (n = 0, non-cyclic such as M + M, e1 not cyclic, or not
+    similar) one fraction-free elimination of the n^2 x n^2 system gives
+    its rational kernel.  Either way the result is the canonical HNF of the
+    same lattice.
 
     The only builder of this lattice.  Every stage of one decision asks for
     the same pair, so the last result is kept and the lattice is built once;
     A and B must therefore be hashable tuple matrices.
     """
     n = len(A)
-    basis = xl.saturation(xl.rational_kernel(intertwiner_system(A, B)))
+    gens = _krylov_generators(A, B)
+    if gens is None:
+        gens = xl.rational_kernel(intertwiner_system(A, B))
+    basis = xl.saturation(gens)
     for v in basis:
         K = xl.unvec(v, n)
         if xl.mat_mul(A, K) != xl.mat_mul(K, B):
