@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Decide the 1,070 reference pairs and check every output independently.
+
+The pairs are the 120 pairs of the benchmark corpus and the 950 pairs of
+decidebench/corpus.sublattice_pairs drawn with Random(7919 k), k = 1..5,
+and Random(104729 k), k = 1..20, each seed giving 30 pairs with n = 2 and
+entries <= 5, then 8 pairs with n = 3 and entries <= 4.  Every output goes
+through decidebench/checks.check_output.  Prints the outcome counts and the
+sha256 of the reports (one sorted-keys JSON line per pair, in that order),
+and exits 1 when any check fails.
+
+Usage: python scripts/check_pairs.py
+"""
+
+import hashlib
+import json
+import random
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "decidebench")]
+
+import checks  # noqa: E402
+import corpus  # noqa: E402
+
+from toralconj.conjugacy_pipeline import decide  # noqa: E402
+
+SEEDS = [7919 * k for k in range(1, 6)] + [104729 * k for k in range(1, 21)]
+GROUPS = ((2, 5, 30), (3, 4, 8))
+
+
+def reference_pairs() -> list[dict]:
+    pairs = [p for name in ("conj_small", "conj_bigorder", "similar_irreducible") for p in corpus.load(name)]
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for n, bound, count in GROUPS:
+            pairs += corpus.sublattice_pairs(rng, n, bound, count)
+    return pairs
+
+
+def main() -> int:
+    t0 = time.monotonic()
+    pairs = reference_pairs()
+    outcomes: Counter = Counter()
+    reports = []
+    failed = 0
+    for i, pair in enumerate(pairs):
+        verdict = decide(pair["A"], pair["B"])
+        outcomes[verdict.outcome] += 1
+        reports.append(json.dumps(verdict.to_data(), sort_keys=True))
+        reasons = checks.check_output(pair, verdict.outcome, verdict.certificate, verdict.witness)
+        if reasons:
+            failed += 1
+            print(f"pair {i}: {'; '.join(reasons)}")
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    print(
+        f"{len(pairs)} pairs, {failed} failed: {outcomes['conjugate']} conjugate, "
+        f"{outcomes['not_conjugate']} not_conjugate, {outcomes['unknown']} unknown "
+        f"in {time.monotonic() - t0:.1f} s"
+    )
+    print(f"reports sha256 {digest}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,11 +38,11 @@ def pair_two() -> None:
     print(f"screen over {len(screen.family)} polynomials: {screen.outcome}")
     I, v, nf = ideals.eigen_ideal(A2)
     J, w, _ = ideals.eigen_ideal(B2)
-    OI = ideals.multiplier_ring(I)
-    print("multiplier rings equal Z[beta]:", OI == ideals.FractionalIdeal.z_beta(nf))
-    we = ideals.weak_equivalence(I, J)
+    OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
+    print("multiplier rings equal Z[beta]:", OI == OJ == ideals.FractionalIdeal.z_beta(nf))
+    we = ideals.weak_equivalence(I, J, OI, OJ)
     print("weakly equivalent:", we.equivalent)
-    pr = ideals.principal_search(we.X, 8)
+    pr = ideals.principal_search(we.X, OI, 8)
     print(f"principal search on (J:I) at bound 8: found={pr.found} "
           f"({pr.tried} candidates)")
     t0 = time.monotonic()

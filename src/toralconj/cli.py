@@ -221,8 +221,9 @@ def cmd_ideal(args) -> int:
     inputs = {"matrix": _matrix_data(A)}
     if args.sub == "show":
         lines.append(f"eigen ideal basis (HNF over den={I.den}): {[list(r) for r in I.mat]}")
-        lines.append(f"eigenvector entries: {[c.to_str() for c in v]}")
-        result["eigenvector"] = [c.to_str() for c in v]
+        entries = [ideals.FieldElement.make(nf, row).to_str() for row in v]
+        lines.append(f"eigenvector entries: {entries}")
+        result["eigenvector"] = entries
     elif args.sub == "ring":
         O = ideals.multiplier_ring(I)
         result["multiplier_ring"] = O.to_data()
@@ -242,12 +243,12 @@ def cmd_ideal(args) -> int:
         J, w, _ = ideals.eigen_ideal(B)
         result["ideal_right"] = J.to_data()
         if args.sub == "weak-equiv":
-            we = ideals.weak_equivalence(I, J)
+            we = ideals.weak_equivalence(I, J, ideals.multiplier_ring(I), ideals.multiplier_ring(J))
             result["weak_equivalence"] = we.to_data()
             lines.append(f"weakly equivalent: {we.equivalent}" + (f" ({we.reason})" if we.reason else ""))
         else:  # principal
             X = ideals.colon_ideal(J, I)
-            pr = ideals.principal_search(X, args.bound)
+            pr = ideals.principal_search(X, ideals.multiplier_ring(X), args.bound)
             result["colon_ideal"] = X.to_data()
             result["principal_search"] = pr.to_data()
             lines.append(

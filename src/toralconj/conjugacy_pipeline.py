@@ -13,11 +13,12 @@ The tower route is one more BF screen, over the divisors of x^(k!) - 1
 that the family lacks.
 
 For an irreducible characteristic polynomial (n <= 4) the periodic data are
-read off the eigen ideals after leg 1: when both are invertible over one
-multiplier ring O, every BF_g(A) and BF_g(B) is O / g(beta) O, so no screen
-can refute (Latimer-MacDuffee 1933).  Such a pair skips both screens and
-the tower route, walks the rest of the search in one leg, and only the
-ideal route, the homoclinic side, is left to decide it.
+read off the eigen ideals after leg 1, where their multiplier rings are
+built once and passed to every later stage: when both are invertible over
+one multiplier ring O, every BF_g(A) and BF_g(B) is O / g(beta) O, so no
+screen can refute (Latimer-MacDuffee 1933).  Such a pair skips both
+screens and the tower route, walks the rest of the search in one leg, and
+only the ideal route, the homoclinic side, is left to decide it.
 
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
@@ -205,7 +206,7 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
     the rebuilt data, and the rebuilt data must refute."""
     kind = witness.get("kind")
     if kind == "similarity":
-        pa, pb = cached_char_poly(A), cached_char_poly(B)
+        pa, pb = xl.char_poly(A), xl.char_poly(B)
         claims = {"char_poly_left": polys.to_str(pa), "char_poly_right": polys.to_str(pb)}
         refuted = not similarity_check(A, B)
     elif kind == "bf_screen":
@@ -301,15 +302,15 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     # with beta, so BF_g(A) = I / g(beta) I.  An ideal invertible over its
     # ring O is locally principal, so then BF_g(A) = O / g(beta) O for every
     # g; with J invertible over the same O no BF screen can refute, and the
-    # screens and the tower route are skipped.  The ideals and rings built
-    # here serve the ideal route
+    # screens and the tower route are skipped.  The ideals and rings are
+    # built here once and passed to the ideal route
     eigen, skip = None, False
     if hyp and 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa):
         I, v, _ = ideals.eigen_ideal(A)
         J, w, _ = ideals.eigen_ideal(B)
         OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
         eigen = I, v, J, w, OI, OJ
-        skip = OI == OJ and ideals.is_invertible(I) and ideals.is_invertible(J)
+        skip = OI == OJ and ideals.is_invertible(I, OI) and ideals.is_invertible(J, OJ)
     if skip:
         evidence.append({"stage": "periodic_data", "reason": "invertible_over_one_order"})
     else:
@@ -388,10 +389,11 @@ def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineC
             evidence,
             config,
         )
-    we = ideals.weak_equivalence(I, J)
+    we = ideals.weak_equivalence(I, J, OI, OJ)
     record["weak_equivalence"] = we.to_data()
     if we.equivalent:
-        pr = ideals.principal_search(we.X, config.principal_bound)
+        # X Y = O(I) is verified, so O(X) = O(X) X Y = X Y = O(I)
+        pr = ideals.principal_search(we.X, OI, config.principal_bound)
         record["principal_search"] = pr.to_data()
         if pr.found:
             # z O(X) = X with O(X) = O(I) and I X = J gives z I = J

@@ -1,13 +1,15 @@
-"""Number-field side of the invariants: arithmetic in Q(beta) for a monic
-irreducible defining polynomial, eigenvector fractional ideals, multiplier
-rings, colon ideals, weak equivalence, a bounded principality search, and
-the intertwining matrix built from a generator of a colon ideal.
+"""Number-field side of the invariants: Q(beta) for a monic irreducible
+defining polynomial, eigenvector fractional ideals, multiplier rings, colon
+ideals, weak equivalence, a bounded principality search, and the
+intertwining matrix built from a generator of a colon ideal.
 
 Ideals are full-rank Z-lattices in power-basis coordinates, stored as an
 integer HNF matrix over a positive denominator so equality is bit-exact.
+Products, colons and containment work on integer rows: an element acts
+through the integer multiplication matrix of its coordinate row.  A
+multiplier ring is built by the caller and passed on, never cached.
 """
 
-import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -82,39 +84,6 @@ class FieldElement:
             den //= g
         return FieldElement(nf, num, den)
 
-    @staticmethod
-    def from_int(nf: NumberField, c: int) -> "FieldElement":
-        return FieldElement.make(nf, (c,) + (0,) * (nf.n - 1))
-
-    @staticmethod
-    def beta(nf: NumberField) -> "FieldElement":
-        return FieldElement.make(nf, (0, 1) + (0,) * (nf.n - 2))
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def add(self, other: "FieldElement") -> "FieldElement":
-        num = tuple(a * other.den + b * self.den for a, b in zip(self.num, other.num))
-        return FieldElement.make(self.nf, num, self.den * other.den)
-
-    def neg(self) -> "FieldElement":
-        return FieldElement(self.nf, tuple(-x for x in self.num), self.den)
-
-    def sub(self, other: "FieldElement") -> "FieldElement":
-        return self.add(other.neg())
-
-    def mul(self, other: "FieldElement") -> "FieldElement":
-        conv = [0] * (2 * self.nf.n - 1)
-        for i, a in enumerate(self.num):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.num):
-                conv[i + j] += a * b
-        return FieldElement.make(self.nf, self.nf.reduce_poly(conv), self.den * other.den)
-
-    def mul_int(self, c: int) -> "FieldElement":
-        return FieldElement.make(self.nf, tuple(c * x for x in self.num), self.den)
-
     def to_str(self) -> str:
         terms = []
         for i, c in enumerate(self.num):
@@ -133,16 +102,22 @@ class FieldElement:
         return body if self.den == 1 else f"({body})/{self.den}"
 
 
-def multiplication_matrix(z: FieldElement) -> tuple[Mat, int]:
-    """Row-action matrix M with coords(w z) = coords(w) @ M / den."""
-    nf = z.nf
+def multiplication_matrix(nf: NumberField, row: Vec) -> Mat:
+    """Row-action matrix M of the element z with integer coordinates row:
+    coords(w z) = coords(w) @ M, so row i of M holds the coordinates of
+    beta^i z."""
     rows = []
     for i in range(nf.n):
         conv = [0] * (i + nf.n)
-        for j, c in enumerate(z.num):
+        for j, c in enumerate(row):
             conv[i + j] = c
         rows.append(nf.reduce_poly(conv))
-    return tuple(rows), z.den
+    return tuple(rows)
+
+
+def beta_matrix(nf: NumberField) -> Mat:
+    """multiplication_matrix of beta: its rows are beta, ..., beta^n."""
+    return multiplication_matrix(nf, xl.identity(nf.n)[1])
 
 
 @dataclass(frozen=True)
@@ -177,44 +152,27 @@ class FractionalIdeal:
         return ideal
 
     @staticmethod
-    def from_elements(nf: NumberField, gens: list[FieldElement]) -> "FractionalIdeal":
-        """Z[beta]-module generated by the elements: span of each generator
-        times the power basis."""
-        den = 1
-        for g in gens:
-            den = den * g.den // gcd(den, g.den)
-        rows = []
-        beta = FieldElement.beta(nf)
-        for g in gens:
-            cur = g
-            for _ in range(nf.n):
-                rows.append(tuple(x * (den // cur.den) for x in cur.num))
-                cur = cur.mul(beta)
-        return FractionalIdeal.normalize(nf, tuple(rows), den)
-
-    @staticmethod
     def z_beta(nf: NumberField) -> "FractionalIdeal":
         return FractionalIdeal.normalize(nf, xl.identity(nf.n), 1, check_beta=False)
 
-    def basis_elements(self) -> list[FieldElement]:
-        return [FieldElement.make(self.nf, row, self.den) for row in self.mat]
-
-    def contains(self, z: FieldElement) -> bool:
-        scaled = [x * self.den for x in z.num]
-        if any(s % z.den for s in scaled):
-            return False
-        target = tuple(s // z.den for s in scaled)
-        return xl.lattice_membership(self.mat, target) is not None
+    def contains(self, rows: Mat, den: int = 1) -> bool:
+        """Every row / den lies in the lattice."""
+        for row in rows:
+            scaled = [x * self.den for x in row]
+            if any(s % den for s in scaled):
+                return False
+            if xl.lattice_membership(self.mat, tuple(s // den for s in scaled)) is None:
+                return False
+        return True
 
     def is_beta_closed(self) -> bool:
-        beta = FieldElement.beta(self.nf)
-        return all(self.contains(b.mul(beta)) for b in self.basis_elements())
+        return self.contains(xl.mat_mul(self.mat, beta_matrix(self.nf)), self.den)
 
     def contains_one(self) -> bool:
-        return self.contains(FieldElement.from_int(self.nf, 1))
+        return self.contains(xl.identity(self.nf.n)[:1])
 
     def is_subset(self, other: "FractionalIdeal") -> bool:
-        return all(other.contains(b) for b in self.basis_elements())
+        return other.contains(self.mat, self.den)
 
     def scale_int(self, c: int) -> "FractionalIdeal":
         if c == 0:
@@ -224,9 +182,9 @@ class FractionalIdeal:
         )
 
     def scale(self, z: FieldElement) -> "FractionalIdeal":
-        M, zden = multiplication_matrix(z)
+        M = multiplication_matrix(self.nf, z.num)
         return FractionalIdeal.normalize(
-            self.nf, xl.mat_mul(self.mat, M), self.den * zden, check_beta=False
+            self.nf, xl.mat_mul(self.mat, M), self.den * z.den, check_beta=False
         )
 
     def to_data(self) -> dict:
@@ -234,13 +192,10 @@ class FractionalIdeal:
 
 
 def ideal_product(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """HNF span of all pairwise basis products."""
-    prods = [a.mul(b) for a in I.basis_elements() for b in J.basis_elements()]
-    den = 1
-    for z in prods:
-        den = den * z.den // gcd(den, z.den)
-    rows = tuple(tuple(x * (den // z.den) for x in z.num) for z in prods)
-    return FractionalIdeal.normalize(I.nf, rows, den, check_beta=False)
+    """HNF span of all pairwise basis products: the rows of I.mat @ M(b)
+    for each row b of J.mat, over I.den J.den."""
+    rows = tuple(r for b in J.mat for r in xl.mat_mul(I.mat, multiplication_matrix(I.nf, b)))
+    return FractionalIdeal.normalize(I.nf, rows, I.den * J.den, check_beta=False)
 
 
 def colon_ideal(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
@@ -255,18 +210,16 @@ def colon_ideal(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     adj, det = xl.invert_rational(I.mat)
     cols = []
     for row in J.mat:
-        M, _ = multiplication_matrix(FieldElement.make(I.nf, row))
-        cols.extend(xl.transpose(xl.mat_mul(M, adj)))
+        cols.extend(xl.transpose(xl.mat_mul(multiplication_matrix(I.nf, row), adj)))
     dual, dden = xl.invert_rational(xl.transpose(xl.hnf_basis(tuple(cols))))
     return FractionalIdeal.normalize(I.nf, xl.mat_scale(dual, J.den * det), dden * I.den, check_beta=False)
 
 
-@functools.lru_cache(maxsize=2)
 def multiplier_ring(I: FractionalIdeal) -> FractionalIdeal:
     """O(I) = (I : I), with the ring axioms and Z[beta]-containment verified.
 
-    The ideal route asks for the rings of the same two ideals twice (for
-    its record, then inside weak_equivalence), so the last two are kept.
+    Nothing keeps the result: decide builds the rings of its two eigen
+    ideals once and passes them to every stage that needs them.
     """
     O = colon_ideal(I, I)
     if not O.contains_one():
@@ -278,73 +231,57 @@ def multiplier_ring(I: FractionalIdeal) -> FractionalIdeal:
     return O
 
 
-def is_invertible(I: FractionalIdeal) -> bool:
-    """I (O : I) = O for O = O(I): I is invertible over its multiplier ring,
-    hence locally principal, so I / g(beta) I = O / g(beta) O as modules for
-    every g with g(beta) != 0 (Neukirch, Algebraic Number Theory, I.12)."""
-    O = multiplier_ring(I)
+def is_invertible(I: FractionalIdeal, O: FractionalIdeal) -> bool:
+    """I (O : I) = O for O = O(I), which the caller passes: I is invertible
+    over its multiplier ring, hence locally principal, so
+    I / g(beta) I = O / g(beta) O as modules for every g with g(beta) != 0
+    (Neukirch, Algebraic Number Theory, I.12)."""
     return ideal_product(I, colon_ideal(O, I)) == O
 
 
-def eigen_vector(A: Mat, nf: NumberField) -> tuple[FieldElement, ...]:
-    """Row vector v over K with v A = beta v: the first nonzero row of
-    adj(beta I - A), assembled from the Horner matrices of char_poly(A)."""
-    n = len(A)
+def eigen_ideal(A: Mat) -> tuple[FractionalIdeal, Mat, NumberField]:
+    """Fractional ideal spanned by the entries v_i of a row vector v over K
+    with v A = beta v; returns (ideal, V, field), where row i of the
+    integer matrix V holds the coordinates of v_i, made primitive.
+
+    v is the first nonzero row of adj(beta I - A), assembled from the
+    Horner matrices of char_poly(A).  Checked on integer rows: A^T V =
+    V M(beta), which is v A = beta v coordinate by coordinate (so the span
+    is beta-closed, since beta v_i = (v A)_i); the ideal's beta-closure;
+    and its equality with the Z[beta]-span of the v_i, the rows of
+    V M(beta)^i for i < n.
+    """
     p = cached_char_poly(A)
-    if p != nf.p:
-        raise ValueError("field polynomial does not match the matrix")
+    nf = NumberField.create(p)
+    n = nf.n
     # adj(xI - A) = sum_j x^j B_j with B_(n-1) = I and B_(j-1) = A B_j + p_j I
     Bs = [xl.identity(n)]
     for j in range(n - 1, 0, -1):
         Bs.append(xl.mat_add(xl.mat_mul(A, Bs[-1]), xl.mat_scale(xl.identity(n), p[j])))
     Bs.reverse()
     for i in range(n):
-        coords = [
-            FieldElement.make(nf, tuple(Bs[j][i][col] for j in range(n)))
-            for col in range(n)
-        ]
-        if any(not c.is_zero() for c in coords):
-            v = tuple(coords)
-            _verify_eigen(v, A, nf)
-            return v
-    raise InternalInconsistencyError("adjugate of beta I - A vanished entirely")
-
-
-def _verify_eigen(v, A: Mat, nf: NumberField) -> None:
-    beta = FieldElement.beta(nf)
-    for j in range(len(A)):
-        lhs = FieldElement.from_int(nf, 0)
-        for i in range(len(A)):
-            lhs = lhs.add(v[i].mul_int(A[i][j]))
-        if not lhs.sub(v[j].mul(beta)).is_zero():
-            raise InternalInconsistencyError("eigenvector identity v A = beta v failed")
-
-
-def eigen_ideal(A: Mat) -> tuple[FractionalIdeal, tuple[FieldElement, ...], NumberField]:
-    """Fractional ideal spanned by the entries of a beta-eigenvector of A,
-    made primitive inside Z[beta]; returns (ideal, eigenvector, field).
-
-    The span of the entries is automatically beta-closed because
-    beta v_i = (v A)_i is an integer combination of the entries.
-    """
-    p = cached_char_poly(A)
-    nf = NumberField.create(p)
-    v = eigen_vector(A, nf)
-    den = 1
-    for c in v:
-        den = den * c.den // gcd(den, c.den)
-    rows = [tuple(x * (den // c.den) for x in c.num) for c in v]
+        # entry c of row i of adj(beta I - A) is sum_j B_j[i][c] beta^j
+        V = tuple(tuple(B[i][c] for B in Bs) for c in range(n))
+        if any(map(any, V)):
+            break
+    else:
+        raise InternalInconsistencyError("adjugate of beta I - A vanished entirely")
     g = 0
-    for r in rows:
+    for r in V:
         for x in r:
             g = gcd(g, x)
-    # rescale the eigenvector so its entries are primitive integral coordinates
-    v_prim = tuple(FieldElement.make(nf, tuple(x // g for x in r)) for r in rows)
-    ideal = FractionalIdeal.normalize(nf, tuple(c.num for c in v_prim), 1)
-    span = FractionalIdeal.from_elements(nf, list(v_prim))
-    if (span.mat, span.den) != (ideal.mat, ideal.den):
+    V = tuple(tuple(x // g for x in r) for r in V)
+    Mb = beta_matrix(nf)
+    if xl.mat_mul(xl.transpose(A), V) != xl.mat_mul(V, Mb):
+        raise InternalInconsistencyError("eigenvector identity v A = beta v failed")
+    ideal = FractionalIdeal.normalize(nf, V, 1)
+    span, power = [], V
+    for _ in range(n):
+        span.extend(power)
+        power = xl.mat_mul(power, Mb)
+    if FractionalIdeal.normalize(nf, tuple(span), 1, check_beta=False) != ideal:
         raise InternalInconsistencyError("eigen ideal span mismatch")
-    return ideal, v_prim, nf
+    return ideal, V, nf
 
 
 @dataclass(frozen=True)
@@ -365,14 +302,15 @@ class WeakEquivalence:
         return out
 
 
-def weak_equivalence(I: FractionalIdeal, J: FractionalIdeal) -> WeakEquivalence:
-    """Test I X = J, J Y = I, X Y = O for X = (J : I), Y = (I : J).
+def weak_equivalence(
+    I: FractionalIdeal, J: FractionalIdeal, OI: FractionalIdeal, OJ: FractionalIdeal
+) -> WeakEquivalence:
+    """Test I X = J, J Y = I, X Y = O for X = (J : I), Y = (I : J), given
+    the multiplier rings OI = O(I) and OJ = O(J).
 
     All three identities are verified exactly; none is assumed from the
     others.  Requires O(I) = O(J) first.
     """
-    OI = multiplier_ring(I)
-    OJ = multiplier_ring(J)
     if (OI.mat, OI.den) != (OJ.mat, OJ.den):
         return WeakEquivalence(False, "ring_mismatch", None, None)
     X = colon_ideal(J, I)
@@ -405,26 +343,26 @@ class PrincipalResult:
 def norm_form(X: FractionalIdeal) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The integer norm form N(c) = det(sum c_i M_i) of xl.det_form, M_i the
     multiplication matrix of row x_i of X.mat.  For z = sum c_i x_i / X.den,
-    N(c) = det(multiplication_matrix(z)) (X.den / zden)^n."""
-    return xl.det_form([multiplication_matrix(FieldElement.make(X.nf, row))[0] for row in X.mat])
+    N(c) = det(multiplication_matrix(z.num)) (X.den / z.den)^n."""
+    return xl.det_form([multiplication_matrix(X.nf, row) for row in X.mat])
 
 
-def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
-    """Bounded search for z with z O(X) = X over integer combinations of the
-    basis of X with coefficients in [-bound, bound].
+def principal_search(X: FractionalIdeal, O: FractionalIdeal, bound: int) -> PrincipalResult:
+    """Bounded search for z with z O = X over integer combinations of the
+    basis of X with coefficients in [-bound, bound], for O = O(X), which
+    the caller passes.
 
     Candidates run by max-norm shells, one of each +-z since z and -z
     generate the same ideal.  Each z lies in X and X is an O(X)-module, so
-    z O(X) <= X, with equality iff the two covolumes agree.  For
+    z O <= X, with equality iff the two covolumes agree.  For
     z = sum c_i x_i / X.den over the rows x_i of X.mat that reads
     |N(c)| = t = |det X.mat| O.den^n / |det O.mat|, where N is the degree-n
     integer norm form of norm_form, built once per search; each shell is
     solved for N(c) = +-t first, there is no solution when t is not an
     integer, and only a solution becomes a field element, which the HNF
-    equality z O(X) = X confirms.  Absence within the bound is reported as
+    equality z O = X confirms.  Absence within the bound is reported as
     not-found, never as a proof of non-principality.
     """
-    O = multiplier_ring(X)
     n = X.nf.n
     t, r = divmod(abs(xl.det(X.mat)) * O.den**n, abs(xl.det(O.mat)))
 
@@ -437,34 +375,21 @@ def principal_search(X: FractionalIdeal, bound: int) -> PrincipalResult:
     return PrincipalResult(z is not None, z, bound, tried)
 
 
-def xg_matrix(
-    A: Mat,
-    B: Mat,
-    gamma: FieldElement,
-    v: tuple[FieldElement, ...],
-    w: tuple[FieldElement, ...],
-) -> Mat:
+def xg_matrix(A: Mat, B: Mat, gamma: FieldElement, V: Mat, W: Mat) -> Mat:
     """Integer matrix X with gamma v = w X (entrywise over K), verified to
     satisfy X A = B X and det X != 0.
 
-    v and w must be the eigenvector tuples whose entries span I and J.
+    V and W must be the eigenvector coordinate matrices of eigen_ideal,
+    whose rows span I and J.
     """
-    n = len(A)
-    wden = 1
-    for e in w:
-        wden = wden * e.den // gcd(wden, e.den)
-    wmat = tuple(tuple(x * (wden // e.den) for x in e.num) for e in w)
-    # column j of X solves sum_i w_i X_ij = gv_j over the power-basis
-    # coordinates, i.e. x (wmat / wden) = gv.num / gv.den, through one inverse
-    inv, den = xl.invert_rational(wmat)
-    cols = []
-    for j in range(n):
-        gv = gamma.mul(v[j])
-        num = xl.vec_mat(tuple(x * wden for x in gv.num), inv)
-        if any(x % (den * gv.den) for x in num):
-            raise InternalInconsistencyError("X_g solution is not integral")
-        cols.append(tuple(x // (den * gv.den) for x in num))
-    X = xl.transpose(tuple(cols))
+    # column j of X solves sum_i w_i X_ij = gamma v_j over the power-basis
+    # coordinates, i.e. x W = (V M(gamma))_j / gamma.den, through one inverse
+    inv, den = xl.invert_rational(W)
+    cols = xl.mat_mul(xl.mat_mul(V, multiplication_matrix(gamma.nf, gamma.num)), inv)
+    d = den * gamma.den
+    if any(x % d for r in cols for x in r):
+        raise InternalInconsistencyError("X_g solution is not integral")
+    X = xl.transpose(tuple(tuple(x // d for x in r) for r in cols))
     if xl.mat_mul(X, A) != xl.mat_mul(B, X):
         raise InternalInconsistencyError("X_g does not intertwine: X A != B X")
     if xl.det(X) == 0:

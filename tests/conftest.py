@@ -19,6 +19,10 @@ B2 = xl.mat([[-1, 2, 0], [-1, 1, 1], [-5, 9, 2]])
 # that of RING_B (a root acting on the maximal order) the maximal order.
 RING_A = xl.mat([[0, 1, 0], [0, 0, 1], [8, 2, 1]])
 RING_B = xl.mat([[0, 0, 4], [1, -1, 0], [0, 2, 2]])
+# a sublattice pair with x^3 + x^2 - 5x - 61: O(I) = O(J), but neither eigen
+# ideal is invertible over it, so decide screens it and reaches the tower
+NONINVERTIBLE_A = xl.mat([[-3, 4, -2], [-4, -1, -1], [-4, -4, 3]])
+NONINVERTIBLE_B = xl.mat([[-7, -20, 10], [2, 3, -3], [0, -4, 3]])
 
 SEED = 20250811
 

@@ -86,17 +86,18 @@ def test_criterion_2_example2_reproduction():
     I, v, nf = ideals.eigen_ideal(A2)
     J, w, _ = ideals.eigen_ideal(B2)
     zb = ideals.FractionalIdeal.z_beta(nf)
-    assert ideals.multiplier_ring(I) == zb
-    assert ideals.multiplier_ring(J) == zb
+    OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
+    assert OI == zb
+    assert OJ == zb
 
-    we = ideals.weak_equivalence(I, J)
+    we = ideals.weak_equivalence(I, J, OI, OJ)
     assert we.equivalent
     assert ideals.ideal_product(I, we.X) == J
     assert ideals.ideal_product(J, we.Y) == I
-    assert ideals.ideal_product(we.X, we.Y) == ideals.multiplier_ring(I)
+    assert ideals.ideal_product(we.X, we.Y) == OI
 
     X = ideals.colon_ideal(J, I)
-    pr = ideals.principal_search(X, 8)
+    pr = ideals.principal_search(X, ideals.multiplier_ring(X), 8)
     assert not pr.found
 
     # both eigen ideals are invertible over Z[beta], so decide skips the

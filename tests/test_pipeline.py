@@ -31,6 +31,8 @@ from conftest import (
     A2,
     B1,
     B2,
+    NONINVERTIBLE_A,
+    NONINVERTIBLE_B,
     RING_A,
     RING_B,
     direct_sum,
@@ -276,12 +278,6 @@ def _screen_then_search(A, B, config=DEFAULT_CONFIG):
 # the left and Z/7 + Z/126 on the right
 LINEAR_PASS_A = xl.mat([[5, -3], [0, -2]])
 LINEAR_PASS_B = xl.mat([[5, -21], [0, -2]])
-
-
-# a sublattice pair with x^3 + x^2 - 5x - 61: O(I) = O(J), but neither eigen
-# ideal is invertible over it, so decide screens it and reaches the tower
-NONINVERTIBLE_A = xl.mat([[-3, 4, -2], [-4, -1, -1], [-4, -4, 3]])
-NONINVERTIBLE_B = xl.mat([[-7, -20, 10], [2, 3, -3], [0, -4, 3]])
 
 
 # the stages of decide after hyperbolicity, in order; any run is a
@@ -871,6 +867,52 @@ def test_multiplier_ring_refutation_path():
     assert v2.witness["kind"] == "bf_screen"
 
 
+def _spied_calls(monkeypatch, module, name, fn, *args):
+    """The argument tuples of every call to module.name during fn(*args),
+    and fn's result."""
+    real, calls = getattr(module, name), []
+
+    def spy(*spied):
+        calls.append(spied)
+        return real(*spied)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, spy)
+        return calls, fn(*args)
+
+
+def test_witness_rechecks_rebuild_from_the_matrices(monkeypatch):
+    # the emitter's re-check of a multiplier_ring witness builds both rings
+    # again, and that of a similarity witness takes both characteristic
+    # polynomials again, even right after decide has computed them
+    from toralconj import ideal_theory as it
+
+    cfg = PipelineConfig(family_max_shift=0, family_max_power=0, cyclotomic_index=0, unimodular_bound=2)
+    v = decide(RING_A, RING_B, cfg)
+    assert v.witness["kind"] == "multiplier_ring"
+    calls, _ = _spied_calls(monkeypatch, it, "colon_ideal", _emit_not_conjugate, RING_A, RING_B, v.witness, [], cfg)
+    IA, IB = it.eigen_ideal(RING_A)[0], it.eigen_ideal(RING_B)[0]
+    assert calls == [(IA, IA), (IB, IB)]
+
+    B = xl.mat_add(A1, I3)
+    v = decide(A1, B)
+    assert v.witness["kind"] == "similarity"
+    calls, _ = _spied_calls(monkeypatch, xl, "char_poly", _emit_not_conjugate, A1, B, v.witness, [], DEFAULT_CONFIG)
+    assert calls == [(A1,), (B,)]
+
+
+def test_decide_builds_each_multiplier_ring_once(monkeypatch):
+    # stage 4 builds O(I) and O(J) and every later stage takes them as
+    # passed, on a pair that skips the screens and on one that does not
+    from toralconj import ideal_theory as it
+
+    for A, B, skipped in ((A2, B2, True), (NONINVERTIBLE_A, NONINVERTIBLE_B, False)):
+        built, verdict = _spied_calls(monkeypatch, it, "multiplier_ring", decide, A, B)
+        stages = [e["stage"] for e in verdict.evidence]
+        assert ("periodic_data" in stages) == skipped and "ideal_route" in stages
+        assert built == [(it.eigen_ideal(A)[0],), (it.eigen_ideal(B)[0],)]
+
+
 def test_nonmaximal_multiplier_ring_value():
     from toralconj import ideal_theory as it
 
@@ -879,9 +921,9 @@ def test_nonmaximal_multiplier_ring_value():
     OJ = it.multiplier_ring(J)
     # the ring of the eigen ideal of the maximal-order matrix is strictly
     # larger than Z[beta]: it contains (b + b^2)/2
-    half = it.FieldElement.make(nf, (0, 1, 1), 2)
-    assert OJ.contains(half)
-    assert not it.FractionalIdeal.z_beta(nf).contains(half)
+    half = ((0, 1, 1),), 2
+    assert OJ.contains(*half)
+    assert not it.FractionalIdeal.z_beta(nf).contains(*half)
 
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
@@ -915,3 +957,16 @@ def test_sublattice_reports_are_pinned():
     assert sum(r["outcome"] == "unknown" for r in reports) == 74
     text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == SUBLATTICE_REPORTS_SHA256
+
+
+# sha256 of the reports on six 4x4 sublattice pairs; five of them reach the
+# ideal route, so the quartic ideal arithmetic shows here
+QUARTIC_REPORTS_SHA256 = "3330b4398be0e073ddfb1e2f5fcab1c94752ca10e22d7d6675896ea32e50c368"
+
+
+def test_quartic_sublattice_reports_are_pinned():
+    rng = random.Random(4)
+    reports = [decide(*sublattice_pair(rng, 4, 4)).to_data() for _ in range(6)]
+    assert sum(any(e["stage"] == "ideal_route" for e in r["evidence"]) for r in reports) == 5
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == QUARTIC_REPORTS_SHA256
