@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Compare the benchmark of two checkouts in alternating pairs of runs.
+
+Each pair runs `decidebench/run.py --trace 0` once in each checkout on the
+same workload and seed (seed K + i for pair i), the first side alternating
+from pair to pair so that a drift of the host's speed hits both sides alike.
+For every end-to-end metric of the change's BENCHMARK.json the script prints
+each side's median [Q1, Q3], the pairs the change won (in the direction of
+the metric's `better`), and whether the gap between the medians exceeds the
+parent's interquartile distance; then the failed operations of each side.
+It exits 1 when a run exits non-zero or prints no result line.
+
+Usage: python scripts/bench_ab.py PARENT CHANGE --workload W --pairs N
+           --seconds S --seed-base K
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3), inclusive method; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) -> list[dict]:
+    """One row per end-to-end metric from paired run results (the last line
+    of run.py, parsed): each side's quartiles, the pairs the change won, and
+    whether the medians lie further apart than the parent's quartiles."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of runs on each side")
+    rows = []
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        pq, cq = quartiles(p), quartiles(c)
+        rows.append({
+            "metric": name,
+            "parent": pq,
+            "change": cq,
+            "wins": sum(sign * (y - x) > 0 for x, y in zip(p, c)),
+            "pairs": len(p),
+            "beyond_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0],
+        })
+    return rows
+
+
+def render(rows: list[dict], parent: list[dict], change: list[dict]) -> str:
+    def cell(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    lines = ["| metric | parent | change | change won | gap > parent IQR |", "|---|---|---|---|---|"]
+    for r in rows:
+        lines.append(f"| `{r['metric']}` | {cell(r['parent'])} | {cell(r['change'])} | "
+                     f"{r['wins']}/{r['pairs']} | {'yes' if r['beyond_iqr'] else 'no'} |")
+    lines.append(f"failed operations: parent {[r['failed'] for r in parent]}, "
+                 f"change {[r['failed'] for r in change]}")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    done = subprocess.run(
+        [sys.executable, str(checkout / "decidebench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        print(f"{checkout} seed {seed}: exit {done.returncode}\n{done.stderr}", file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed-base", type=int, required=True)
+    args = ap.parse_args(argv)
+    for side in (args.parent, args.change):
+        if not (side / "decidebench" / "run.py").is_file():
+            ap.error(f"{side} holds no decidebench/run.py")
+    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    results: dict[Path, list[dict]] = {args.parent: [], args.change: []}
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
+        for side in order:
+            out = run_once(side.resolve(), args.workload, seed, args.seconds)
+            if out is None:
+                return 1
+            results[side].append(out)
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    parent, change = results[args.parent], results[args.change]
+    print(render(summarize(end_to_end, parent, change), parent, change))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

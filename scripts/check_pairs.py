@@ -7,11 +7,12 @@ and Random(104729 k), k = 1..20, each seed giving 30 pairs with n = 2 and
 entries <= 5, then 8 pairs with n = 3 and entries <= 4.  Every output goes
 through decidebench/checks.check_output.  Prints the outcome counts and the
 sha256 of the reports (one sorted-keys JSON line per pair, in that order),
-and exits 1 when any check fails.
+and exits 1 when any check fails, or when --expect names another digest.
 
-Usage: python scripts/check_pairs.py
+Usage: python scripts/check_pairs.py [--expect SHA256]
 """
 
+import argparse
 import hashlib
 import json
 import random
@@ -41,7 +42,10 @@ def reference_pairs() -> list[dict]:
     return pairs
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--expect", metavar="SHA256", help="the digest the reports must have")
+    args = ap.parse_args(argv)
     t0 = time.monotonic()
     pairs = reference_pairs()
     outcomes: Counter = Counter()
@@ -62,6 +66,9 @@ def main() -> int:
         f"in {time.monotonic() - t0:.1f} s"
     )
     print(f"reports sha256 {digest}")
+    if args.expect is not None and digest != args.expect:
+        print(f"reports sha256 mismatch: expected {args.expect}, got {digest}")
+        return 1
     return 1 if failed else 0
 
 

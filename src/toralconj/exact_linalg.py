@@ -6,6 +6,7 @@ throughout (lattices are row spans, vectors act as v @ M).  No floating point
 anywhere.
 """
 
+import functools
 import itertools
 import operator
 import os
@@ -53,13 +54,18 @@ def _entry(x) -> int:
 
 def mat(rows) -> Mat:
     """rows as a tuple of int tuples; a float or other non-integer entry
-    raises ValueError rather than being truncated."""
+    raises ValueError rather than being truncated.  A tuple of equal-length
+    int tuples is returned as it is, after three passes at C speed."""
+    if type(rows) is tuple and set(map(type, rows)) <= {tuple} and len(set(map(len, rows))) <= 1:
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            return rows
     out = tuple(tuple(_entry(x) for x in row) for row in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -97,10 +103,19 @@ def mat_scale(A: Mat, c: int) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    if dims(A)[1] != dims(B)[0]:
+    return tuple(map(tuple, mat_mul_rows(A, B)))
+
+
+def mat_mul_rows(A: Mat, B: Mat, shift: int = 0) -> list[list[int]]:
+    """A B + shift I (A B square when shift is nonzero) as a list of row
+    lists, the shift added on the diagonal in place."""
+    if (len(A[0]) if A else 0) != len(B):
         raise ValueError("dimension mismatch")
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in A)
+    cols = list(zip(*B))
+    C = [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+    for i in range(len(C) if shift else 0):
+        C[i][i] += shift
+    return C
 
 
 def unvec(v: Vec, n: int) -> Mat:
@@ -171,14 +186,15 @@ def _faddeev_leverrier(M: Mat) -> polys.Poly:
     coeffs[n] = 1
     prev = identity(n)
     for k in range(1, n + 1):
-        C = mat_mul(M, prev)
-        t = sum(C[i][i] for i in range(n))
+        prev = mat_mul_rows(M, prev)
+        t = sum(prev[i][i] for i in range(n))
         if t % k != 0:
             raise InternalInconsistencyError("Faddeev-LeVerrier trace division not exact")
-        coeffs[n - k] = -(t // k)
-        prev = mat_add(C, mat_scale(identity(n), coeffs[n - k]))
+        c = coeffs[n - k] = -(t // k)
+        for i in range(n):
+            prev[i][i] += c
     # prev is now p(M), which must vanish by Cayley-Hamilton
-    if any(any(x != 0 for x in row) for row in prev):
+    if any(map(any, prev)):
         raise InternalInconsistencyError("Cayley-Hamilton verification failed")
     return tuple(coeffs)
 
@@ -192,19 +208,14 @@ def char_poly(M: Mat) -> polys.Poly:
 
 def eval_poly_at_matrix(g: polys.Poly, M: Mat) -> Mat:
     """Horner evaluation of g at a square matrix, from the leading
-    coefficient down, each lower coefficient added on the diagonal."""
+    coefficient down, each lower coefficient added on the diagonal in place."""
     n = len(M)
     if not g:
         return zeros(n, n)
     acc = mat_scale(identity(n), g[-1])
     for c in reversed(g[:-1]):
-        acc = mat_mul(acc, M)
-        if c:
-            acc = tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(acc)
-            )
-    return acc
+        acc = mat_mul_rows(acc, M, c)
+    return tuple(map(tuple, acc))
 
 
 def matrix_power_factorial(M: Mat, k: int) -> Mat:

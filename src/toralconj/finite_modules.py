@@ -334,11 +334,12 @@ def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
     if xl.mat_mul(A, W) != xl.mat_mul(W, B):
         return None
     rows = []
-    for _ in range(n):
+    for k in range(n):
+        if k:
+            W = xl.mat_mul(A, W)
         v = tuple(x for row in W for x in row)
         g = math.gcd(*v)
         rows.append(tuple(x // g for x in v))
-        W = xl.mat_mul(A, W)
     return tuple(rows)
 
 

@@ -257,7 +257,7 @@ def eigen_ideal(A: Mat) -> tuple[FractionalIdeal, Mat, NumberField]:
     # adj(xI - A) = sum_j x^j B_j with B_(n-1) = I and B_(j-1) = A B_j + p_j I
     Bs = [xl.identity(n)]
     for j in range(n - 1, 0, -1):
-        Bs.append(xl.mat_add(xl.mat_mul(A, Bs[-1]), xl.mat_scale(xl.identity(n), p[j])))
+        Bs.append(xl.mat_mul_rows(A, Bs[-1], p[j]))
     Bs.reverse()
     for i in range(n):
         # entry c of row i of adj(beta I - A) is sum_j B_j[i][c] beta^j

@@ -12,7 +12,7 @@ from toralconj import exact_linalg as xl
 from toralconj import polys
 from toralconj.errors import ResourceLimitError
 
-from conftest import A1, A2, char_poly_interpolation, det_cofactor, power_by_repeated_multiplication
+from conftest import A1, A2, char_poly_interpolation, det_cofactor, direct_sum, power_by_repeated_multiplication
 
 I3 = xl.identity(3)
 
@@ -24,6 +24,35 @@ mat_small = st.integers(2, 4).flatmap(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
     ).map(xl.mat)
 )
+
+
+# ------------------------------------------------------------------ mat
+
+def test_mat_returns_integer_tuples_and_refuses_the_rest():
+    M = ((2, 1), (1, 1))
+    assert xl.mat(M) == M and xl.mat([[2, 1], [1, 1]]) == M and xl.mat(()) == ()
+    # a non-integer entry is refused, never truncated, inside a tuple too
+    for bad in (2.5, Fraction(1, 2), "1"):
+        for rows in (((bad, 1), (1, 1)), [[bad, 1], [1, 1]], ((1, 1), [1, bad])):
+            with pytest.raises(ValueError, match="not an integer"):
+                xl.mat(rows)
+    for rows in (((1, 2), (3,)), [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="ragged"):
+            xl.mat(rows)
+    # a bool is converted to the int it stands for, in a tuple as in a list
+    for rows in (((True, 0), (0, 1)), [[True, 0], [0, 1]]):
+        out = xl.mat(rows)
+        assert out == xl.identity(2) and type(out[0][0]) is int
+
+
+def test_identity_is_shared_and_never_mutated():
+    I3_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert xl.identity(3) == I3_rows and hash(xl.identity(3)) == hash(I3_rows)
+    # hnf and snf start their transforms from the shared identity
+    M = ((2, 4, 4), (-6, 6, 12), (10, -4, -16))
+    xl.hnf(M)
+    xl.snf(M)
+    assert xl.identity(3) == I3_rows and xl.identity(0) == ()
 
 
 # ------------------------------------------------------------------ det
@@ -54,6 +83,10 @@ def test_products_match_entrywise_sums(rng):
             xl.vec_mat(v + (1,), B)
         with pytest.raises(ValueError, match="dimension mismatch"):
             xl.mat_mul(A, B + ((1,) * c,))
+    # an empty operand against a nonempty one is a mismatch too
+    for A, B in (((), ((1, 2),)), (((1, 2),), ())):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            xl.mat_mul(A, B)
     assert xl.unvec(tuple(range(9)), 3) == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
@@ -106,8 +139,21 @@ def test_char_poly_examples():
     assert xl.char_poly(xl.identity(2)) == (1, -2, 1)
 
 
-@given(mat_small)
-@settings(max_examples=30)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(xl.mat)
+    )
+)
+@settings(max_examples=60)
+# degenerate inputs, where the trace divisions and the Cayley-Hamilton check
+# see repeated and zero eigenvalues: zero, 3 I, a nilpotent Jordan block and
+# a direct sum with itself
+@example(xl.zeros(4, 4))
+@example(xl.mat_scale(xl.identity(3), 3))
+@example(tuple(tuple(int(j == i + 1) for j in range(5)) for i in range(5)))
+@example(direct_sum(A1, A1))
 def test_char_poly_matches_interpolation_oracle(M):
     assert xl.char_poly(M) == char_poly_interpolation(M)
 

@@ -11,7 +11,7 @@ import pytest
 from toralconj import exact_linalg as xl
 from toralconj import finite_modules, polys
 from toralconj import conjugacy_pipeline as pipeline
-from toralconj.bf_invariants import default_family, strong_bf_screen
+from toralconj.bf_invariants import default_family, hyperbolicity_check, strong_bf_screen
 from toralconj.conjugacy_pipeline import (
     DEFAULT_CONFIG,
     PipelineConfig,
@@ -24,6 +24,7 @@ from toralconj.conjugacy_pipeline import (
 )
 from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
+from toralconj.ideal_theory import eigen_ideal
 from toralconj.tower import tower_polynomials
 
 from conftest import (
@@ -561,6 +562,23 @@ def test_decide_accepts_list_matrices(rng):
     # a float entry is refused, never truncated into another matrix
     with pytest.raises(ValueError):
         decide([[2.5, 1], [1, 1]], [[2, 1], [1, 1]])
+    # every public entry point gives one result for list and tuple input,
+    # and refuses a float inside a tuple as inside a list
+    floats = ((2.5, 1, 0), (1, 0, 4), (6, -2, 23))
+    for f, args in (
+        (hyperbolicity_check, (A1,)),
+        (similarity_check, (A1, B)),
+        (intertwiner_lattice, (A1, B)),
+        (eigen_ideal, (A1,)),
+        (decide, (A1, B)),
+    ):
+        got = [f(*args), f(*([list(r) for r in M] for M in args))]
+        if f is decide:
+            got = [v.to_data() for v in got]
+        assert got[0] == got[1], f.__name__
+        for bad in (floats, [list(r) for r in floats]):
+            with pytest.raises(ValueError):
+                f(bad, *args[1:])
 
 
 def test_intertwiner_lattice_dissimilar_rank_zero():

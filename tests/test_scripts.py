@@ -1,5 +1,7 @@
-"""The two scripts in scripts/ run end to end in a fresh interpreter."""
+"""The scripts in scripts/: two run end to end in a fresh interpreter, and
+the summary of bench_ab.py is checked on synthetic runs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -25,3 +27,35 @@ def test_script_exits_0(argv):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_ab_summary_of_synthetic_runs():
+    bench_ab = load_script("bench_ab")
+    end_to_end = [{"name": "pairs_per_kref", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+
+    def run(rate, setup, failed=0):
+        return {"failed": failed, "metrics": {"pairs_per_kref": {"value": rate}, "setup_s": {"value": setup}}}
+
+    parent = [run(100, 0.10), run(102, 0.09), run(98, 0.11), run(101, 0.10, failed=1)]
+    change = [run(110, 0.11), run(101, 0.09), run(112, 0.10), run(111, 0.10)]
+    rate, setup = bench_ab.summarize(end_to_end, parent, change)
+    # inclusive quartiles of 98, 100, 101, 102 and of 101, 110, 111, 112
+    assert rate["parent"] == (99.5, 100.5, 101.25) and rate["change"] == (107.75, 110.5, 111.25)
+    # higher is better: pair 2 (102 -> 101) is lost; the medians lie 10 apart,
+    # beyond the parent's interquartile distance of 1.75
+    assert (rate["wins"], rate["pairs"], rate["beyond_iqr"]) == (3, 4, True)
+    # lower is better and a tie is no win: only pair 3 (0.11 -> 0.10) is won,
+    # and both medians are 0.10
+    assert (setup["wins"], setup["beyond_iqr"]) == (1, False)
+    table = bench_ab.render([rate, setup], parent, change)
+    assert "| `pairs_per_kref` | 100.5 [99.5, 101.2] | 110.5 [107.8, 111.2] | 3/4 | yes |" in table
+    assert "failed operations: parent [0, 0, 0, 1], change [0, 0, 0, 0]" in table
+    with pytest.raises(ValueError):
+        bench_ab.summarize(end_to_end, parent, change[:3])
