@@ -7,12 +7,11 @@ and Random(104729 k), k = 1..20, each seed giving 30 pairs with n = 2 and
 entries <= 5, then 8 pairs with n = 3 and entries <= 4.  Every output goes
 through decidebench/checks.check_output.  Prints the outcome counts and the
 sha256 of the reports (one sorted-keys JSON line per pair, in that order),
-and exits 1 when any check fails, or when --expect names another digest.
+and exits 1 when any check fails or the digest is not REPORTS_SHA256.
 
-Usage: python scripts/check_pairs.py [--expect SHA256]
+Usage: python scripts/check_pairs.py
 """
 
-import argparse
 import hashlib
 import json
 import random
@@ -32,6 +31,10 @@ from toralconj.conjugacy_pipeline import decide  # noqa: E402
 SEEDS = [7919 * k for k in range(1, 6)] + [104729 * k for k in range(1, 21)]
 GROUPS = ((2, 5, 30), (3, 4, 8))
 
+# sha256 of the reports of the 1,070 pairs; a change that alters reports
+# re-pins it from the digest printed on a mismatch and says so in CHANGES.md
+REPORTS_SHA256 = "8c460dc97dc47cd2b71987e72d972707941ccf3f97d216cab3017fa59fad67a8"
+
 
 def reference_pairs() -> list[dict]:
     pairs = [p for name in ("conj_small", "conj_bigorder", "similar_irreducible") for p in corpus.load(name)]
@@ -42,10 +45,7 @@ def reference_pairs() -> list[dict]:
     return pairs
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--expect", metavar="SHA256", help="the digest the reports must have")
-    args = ap.parse_args(argv)
+def main() -> int:
     t0 = time.monotonic()
     pairs = reference_pairs()
     outcomes: Counter = Counter()
@@ -66,8 +66,8 @@ def main(argv=None) -> int:
         f"in {time.monotonic() - t0:.1f} s"
     )
     print(f"reports sha256 {digest}")
-    if args.expect is not None and digest != args.expect:
-        print(f"reports sha256 mismatch: expected {args.expect}, got {digest}")
+    if digest != REPORTS_SHA256:
+        print(f"reports sha256 mismatch: expected {REPORTS_SHA256}, got {digest}")
         return 1
     return 1 if failed else 0
 

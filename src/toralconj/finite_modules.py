@@ -331,12 +331,13 @@ def _krylov_generators(A: Mat, B: Mat) -> Mat | None:
         krylov.append(xl.transpose(cols))
     P, Q = krylov
     W = xl.mat_mul(P, xl.invert_rational(Q)[0])
-    if xl.mat_mul(A, W) != xl.mat_mul(W, B):
+    AW = xl.mat_mul(A, W)
+    if AW != xl.mat_mul(W, B):
         return None
     rows = []
     for k in range(n):
         if k:
-            W = xl.mat_mul(A, W)
+            W = AW if k == 1 else xl.mat_mul(A, W)
         v = tuple(x for row in W for x in row)
         g = math.gcd(*v)
         rows.append(tuple(x // g for x in v))

@@ -45,20 +45,10 @@ def test_mat_returns_integer_tuples_and_refuses_the_rest():
         assert out == xl.identity(2) and type(out[0][0]) is int
 
 
-def test_identity_is_shared_and_never_mutated():
-    I3_rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert xl.identity(3) == I3_rows and hash(xl.identity(3)) == hash(I3_rows)
-    # hnf and snf start their transforms from the shared identity
-    M = ((2, 4, 4), (-6, 6, 12), (10, -4, -16))
-    xl.hnf(M)
-    xl.snf(M)
-    assert xl.identity(3) == I3_rows and xl.identity(0) == ()
-
-
 # ------------------------------------------------------------------ det
 
 def test_products_match_entrywise_sums(rng):
-    assert xl.mat_mul((), ()) == () and xl.vec_mat((), ()) == ()
+    assert xl.mat_mul((), ()) == () and xl.vec_mat((), ()) == () and xl.identity(0) == ()
     for r, k, c in itertools.product(range(1, 4), range(4), range(4)):
         A = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(r))
         B = tuple(tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(k))
