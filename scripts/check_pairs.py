@@ -5,7 +5,9 @@ The pairs are the 120 pairs of the benchmark corpus and the 950 pairs of
 decidebench/corpus.sublattice_pairs drawn with Random(7919 k), k = 1..5,
 and Random(104729 k), k = 1..20, each seed giving 30 pairs with n = 2 and
 entries <= 5, then 8 pairs with n = 3 and entries <= 4.  Every output goes
-through decidebench/checks.check_output.  Prints the outcome counts and the
+through decidebench/checks.check_output.  Prints the outcome counts, one
+line per outcome and sequence of evidence stages (similarity and
+hyperbolicity left out) with the number of pairs that took it, and the
 sha256 of the reports (one sorted-keys JSON line per pair, in that order),
 and exits 1 when any check fails or the digest is not REPORTS_SHA256.
 
@@ -30,6 +32,8 @@ from toralconj.conjugacy_pipeline import decide  # noqa: E402
 
 SEEDS = [7919 * k for k in range(1, 6)] + [104729 * k for k in range(1, 21)]
 GROUPS = ((2, 5, 30), (3, 4, 8))
+# stages that every similar pair passes through, left out of the stage paths
+COMMON_STAGES = {"similarity", "hyperbolicity"}
 
 # sha256 of the reports of the 1,070 pairs; a change that alters reports
 # re-pins it from the digest printed on a mismatch and says so in CHANGES.md
@@ -49,11 +53,14 @@ def main() -> int:
     t0 = time.monotonic()
     pairs = reference_pairs()
     outcomes: Counter = Counter()
+    paths: Counter = Counter()
     reports = []
     failed = 0
     for i, pair in enumerate(pairs):
         verdict = decide(pair["A"], pair["B"])
         outcomes[verdict.outcome] += 1
+        stages = [e["stage"] for e in verdict.evidence if e["stage"] not in COMMON_STAGES]
+        paths[verdict.outcome, " > ".join(stages)] += 1
         reports.append(json.dumps(verdict.to_data(), sort_keys=True))
         reasons = checks.check_output(pair, verdict.outcome, verdict.certificate, verdict.witness)
         if reasons:
@@ -65,6 +72,8 @@ def main() -> int:
         f"{outcomes['not_conjugate']} not_conjugate, {outcomes['unknown']} unknown "
         f"in {time.monotonic() - t0:.1f} s"
     )
+    for (outcome, path), count in sorted(paths.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{count:5d} {outcome} via {path}")
     print(f"reports sha256 {digest}")
     if digest != REPORTS_SHA256:
         print(f"reports sha256 mismatch: expected {REPORTS_SHA256}, got {digest}")

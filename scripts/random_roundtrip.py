@@ -9,38 +9,23 @@ Usage: python scripts/random_roundtrip.py [count] [seed]
 import random
 import sys
 import time
+from pathlib import Path
 
-from toralconj import exact_linalg as xl
-from toralconj import tower as tw
-from toralconj.bf_invariants import hyperbolicity_check
-from toralconj.conjugacy_pipeline import decide
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "decidebench")]
+
+from corpus import random_matrix, random_unimodular  # noqa: E402
+
+from toralconj import exact_linalg as xl  # noqa: E402
+from toralconj import tower as tw  # noqa: E402
+from toralconj.bf_invariants import hyperbolicity_check  # noqa: E402
+from toralconj.conjugacy_pipeline import decide  # noqa: E402
 
 
 def random_hyperbolic(rng, n=3, bound=9):
     while True:
-        M = tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n))
+        M = random_matrix(rng, n, bound)
         if xl.det(M) != 0 and hyperbolicity_check(M):
-            return M
-
-
-def random_unimodular(rng, n=3, entry_bound=3, ops=6):
-    while True:
-        U = [list(r) for r in xl.identity(n)]
-        for _ in range(ops):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            kind = rng.randrange(3)
-            if kind == 0:
-                c = rng.choice((-1, 1))
-                for col in range(n):
-                    U[i][col] += c * U[j][col]
-            elif kind == 1:
-                U[i], U[j] = U[j], U[i]
-            else:
-                U[i] = [-x for x in U[i]]
-        M = tuple(tuple(r) for r in U)
-        if xl.det(M) in (1, -1) and all(abs(x) <= entry_bound for r in M for x in r):
             return M
 
 
@@ -52,7 +37,7 @@ def main() -> int:
     t0 = time.monotonic()
     for i in range(count):
         A = random_hyperbolic(rng)
-        U = random_unimodular(rng)
+        U = random_unimodular(rng, 3)
         B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
         verdict = decide(A, B)
         if verdict.outcome != "conjugate":

@@ -23,7 +23,7 @@ def pair_one() -> None:
     print("char poly:", polys.to_str(xl.char_poly(A1)))
     ga = bf_group(A1, (1, 1))
     gb = bf_group(B1, (1, 1))
-    print(f"BF_(x+1): factors {ga.invariant_factors} vs {gb.invariant_factors}")
+    print(f"BF_(x+1): factors {ga.factors} vs {gb.factors}")
     t0 = time.monotonic()
     verdict = decide(A1, B1)
     print(f"decide: {verdict.outcome} (witness g = {verdict.witness['g']}) "

@@ -10,19 +10,10 @@ from dataclasses import dataclass, field
 
 from . import exact_linalg as xl
 from . import polys
-from .errors import InfiniteQuotientError, InternalInconsistencyError, ToralConjError
+from .errors import InfiniteQuotientError, InternalInconsistencyError
 from .finite_modules import FiniteModulePresentation, IsoResult, module_iso_exists, quotient
 
 Mat = xl.Mat
-
-
-class BFConstructionError(ToralConjError):
-    """g(A) is singular, so Z^n / Z^n g(A) is infinite."""
-
-    def __init__(self, g: polys.Poly, determinant: int):
-        self.g = g
-        self.determinant = determinant
-        super().__init__(f"g(A) singular (det={determinant}) for g={polys.to_str(g)}")
 
 
 @functools.lru_cache(maxsize=2)
@@ -65,23 +56,9 @@ def invertibility_check(A: Mat, g: polys.Poly) -> bool:
     return _reduce_memo(cached_char_poly(A), tuple(g))[1] != 0
 
 
-@dataclass(frozen=True)
-class BFGroup:
-    g: polys.Poly
-    base: Mat
-    module: FiniteModulePresentation
-
-    @property
-    def order(self) -> int:
-        return self.module.order
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.module.factors
-
-
-def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
-    """BF_g(A) = Z^n / Z^n g(A) with the action of A.
+def bf_group(A: Mat, g: polys.Poly) -> FiniteModulePresentation:
+    """BF_g(A) = Z^n / Z^n g(A) with the action of A; a singular g(A) raises
+    InfiniteQuotientError.
 
     g(A) is evaluated as r(A) for r = g mod char_poly(A), of degree < n;
     the two matrices are equal by Cayley-Hamilton, which char_poly verifies
@@ -92,10 +69,10 @@ def bf_group(A: Mat, g: polys.Poly) -> BFGroup:
     try:
         module = quotient(xl.eval_poly_at_matrix(r, A), A)
     except InfiniteQuotientError:
-        raise BFConstructionError(g, 0) from None
+        raise InfiniteQuotientError(f"g(A) singular (det=0) for g={polys.to_str(g)}") from None
     if module.order != expected:
         raise InternalInconsistencyError("BF order disagrees with the resultant")
-    return BFGroup(g=g, base=A, module=module)
+    return module
 
 
 def default_family(
@@ -166,13 +143,13 @@ def strong_bf_screen(
     for g in family:
         ga = bf_group(A, g)
         gb = bf_group(B, g)
-        res: IsoResult = module_iso_exists(ga.module, gb.module, budget=budget)
+        res: IsoResult = module_iso_exists(ga, gb, budget=budget)
         rec = {
             "g": polys.to_str(g),
             "order_left": ga.order,
             "order_right": gb.order,
-            "factors_left": list(ga.invariant_factors),
-            "factors_right": list(gb.invariant_factors),
+            "factors_left": list(ga.factors),
+            "factors_right": list(gb.factors),
             "iso": res.to_data(),
         }
         records.append(rec)

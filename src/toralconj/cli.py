@@ -123,7 +123,7 @@ def cmd_bf(args) -> int:
         "bf",
         {"matrix": _matrix_data(A), "g": polys.to_str(g)},
         {},
-        {"order": group.order, "invariant_factors": list(group.invariant_factors)},
+        {"order": group.order, "invariant_factors": list(group.factors)},
     )
     _emit(
         report,
@@ -131,7 +131,7 @@ def cmd_bf(args) -> int:
         [
             f"BF_{{{polys.to_str(g)}}} of the {len(A)}x{len(A)} input:",
             f"  order: {group.order}",
-            f"  invariant factors: {list(group.invariant_factors)}",
+            f"  invariant factors: {list(group.factors)}",
         ],
         started,
     )
@@ -175,12 +175,8 @@ def cmd_tower(args) -> int:
         return 1
     tower = build_tower(A, args.levels)
     levels = [
-        {
-            "k": lv.k,
-            "order": lv.module.order,
-            "invariant_factors": list(lv.module.factors),
-        }
-        for lv in tower.levels
+        {"k": k, "order": lv.order, "invariant_factors": list(lv.factors)}
+        for k, lv in enumerate(tower.levels, 1)
     ]
     result: dict = {"levels": levels}
     lines = ["tower levels:"]

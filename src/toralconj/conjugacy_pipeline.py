@@ -211,7 +211,7 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
         refuted = not similarity_check(A, B)
     elif kind == "bf_screen":
         g = polys.parse(witness["g"])
-        GA, GB = bf_group(A, g).module, bf_group(B, g).module
+        GA, GB = bf_group(A, g), bf_group(B, g)
         claims = {"left": GA.fingerprint(), "right": GB.fingerprint()}
         refuted = module_iso_exists(GA, GB, budget=config.iso_budget).verdict == "no"
     elif kind == "multiplier_ring":

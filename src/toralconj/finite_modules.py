@@ -44,10 +44,6 @@ class FiniteModulePresentation:
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
-    def zero(self) -> Vec:
-        return (0,) * len(self.factors)
-
     def reduce(self, m: Vec) -> Vec:
         """Canonical coordinates of m + Z^n M."""
         if len(m) != self.n:

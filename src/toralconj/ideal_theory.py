@@ -174,13 +174,6 @@ class FractionalIdeal:
     def is_subset(self, other: "FractionalIdeal") -> bool:
         return other.contains(self.mat, self.den)
 
-    def scale_int(self, c: int) -> "FractionalIdeal":
-        if c == 0:
-            raise ValueError("scaling by zero")
-        return FractionalIdeal.normalize(
-            self.nf, xl.mat_scale(self.mat, abs(c)), self.den, check_beta=False
-        )
-
     def scale(self, z: FieldElement) -> "FractionalIdeal":
         M = multiplication_matrix(self.nf, z.num)
         return FractionalIdeal.normalize(

@@ -6,7 +6,7 @@ All arithmetic is exact over Z; rational work uses fractions.Fraction.
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InternalInconsistencyError
 from .intfactor import divisors
@@ -304,7 +304,7 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
                 if p1 != bb * p3:
                     continue
                 disc = p3 * p3 - 4 * (p2 - 2 * bb)
-                if disc >= 0 and _is_square(disc) and (p3 + _isqrt(disc)) % 2 == 0:
+                if disc >= 0 and _is_square(disc) and (p3 + isqrt(disc)) % 2 == 0:
                     return False
             else:
                 num = p1 - p3 * bb
@@ -317,16 +317,10 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
     return True
 
 
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
-
-
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = _isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 

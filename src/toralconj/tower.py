@@ -30,23 +30,17 @@ Vec = xl.Vec
 
 
 @dataclass(frozen=True)
-class TowerLevel:
-    k: int
-    module: FiniteModulePresentation  # BF_g(A) at g = x^(k!) - 1; relations A^(k!) - I
-
-
-@dataclass(frozen=True)
 class Tower:
     base: Mat
     depth: int
-    levels: tuple[TowerLevel, ...]
+    levels: tuple[FiniteModulePresentation, ...]  # G_k = BF_g(A) at g = x^(k!) - 1, index k - 1
     epis: dict                 # (k, l) -> ModuleMap for l <= k
 
     @property
     def n(self) -> int:
         return len(self.base)
 
-    def level(self, k: int) -> TowerLevel:
+    def level(self, k: int) -> FiniteModulePresentation:
         return self.levels[k - 1]
 
 
@@ -64,17 +58,14 @@ def build_tower(A: Mat, depth: int) -> Tower:
     if not hyperbolicity_check(A):
         raise ToralConjError("matrix is not hyperbolic; tower quotients need det(A^r - I) != 0")
     A = xl.mat(A)
-    levels = [
-        TowerLevel(k=k, module=bf_group(A, polys.x_pow_minus_one(factorial(k))).module)
-        for k in range(1, depth + 1)
-    ]
-    for lower, upper in zip(levels, levels[1:]):
-        if not all(map(lower.module.contains, upper.module.relations)):
-            raise InternalInconsistencyError(f"nesting N_{upper.k} <= N_{lower.k} failed")
+    levels = [bf_group(A, polys.x_pow_minus_one(factorial(k))) for k in range(1, depth + 1)]
+    for k, (lower, upper) in enumerate(zip(levels, levels[1:]), 1):
+        if not all(map(lower.contains, upper.relations)):
+            raise InternalInconsistencyError(f"nesting N_{k + 1} <= N_{k} failed")
     epis: dict = {}
     for k in range(1, depth + 1):
         for l in range(1, k + 1):
-            epis[(k, l)] = _canonical_epi(levels[k - 1].module, levels[l - 1].module)
+            epis[(k, l)] = _canonical_epi(levels[k - 1], levels[l - 1])
     _verify_epi_compatibility(levels, epis)
     return Tower(base=A, depth=depth, levels=tuple(levels), epis=epis)
 
@@ -137,7 +128,7 @@ class CoherentElement:
 
 def iota(tower: Tower, m: Vec) -> CoherentElement:
     """The canonical embedding of a lattice point: level-wise reduction."""
-    return CoherentElement(tuple(lv.module.reduce(m) for lv in tower.levels))
+    return CoherentElement(tuple(lv.reduce(m) for lv in tower.levels))
 
 
 def is_coherent(tower: Tower, c: CoherentElement) -> bool:
@@ -153,7 +144,7 @@ def gamma_action(tower: Tower, c: CoherentElement) -> CoherentElement:
     if not is_coherent(tower, c):
         raise ValueError("incoherent element")
     return CoherentElement(
-        tuple(lv.module.act(e) for lv, e in zip(tower.levels, c.levels))
+        tuple(lv.act(e) for lv, e in zip(tower.levels, c.levels))
     )
 
 
@@ -172,7 +163,7 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     inverses = []
     norm_bounds = []
     for lv in tower.levels:
-        M = lv.module.relations
+        M = lv.relations
         inv, den = xl.invert_rational(M)
         inverses.append((inv, den))
         norm_bounds.append(xl.inverse_infinity_norm_bound(M))
@@ -182,14 +173,14 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     # symmetric under negation: walk one of each +-m, mirror below
     for m in xl.shell_vectors(n, bound, up_to_sign=True):
         least = None
-        for lv, (inv, den) in zip(tower.levels, inverses):
-            member = lv.module.contains(m)
+        for k, (lv, (inv, den)) in enumerate(zip(tower.levels, inverses), 1):
+            member = lv.contains(m)
             xi_num = xl.vec_mat(m, inv)
             member_inv = all(x % den == 0 for x in xi_num)
             if member != member_inv:
-                disagreements.append({"m": list(m), "k": lv.k})
+                disagreements.append({"m": list(m), "k": k})
             if not member:
-                least = lv.k
+                least = k
                 break
         if least is None:
             stuck.append(m)
@@ -209,8 +200,8 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
         "escape_counts_by_level": dict(sorted(counts.items())),
         "inconclusive_at_depth": [list(v) for v in stuck],
         "inverse_norm_bounds": [
-            {"k": lv.k, "bound": f"{b.numerator}/{b.denominator}"}
-            for lv, b in zip(tower.levels, norm_bounds)
+            {"k": k, "bound": f"{b.numerator}/{b.denominator}"}
+            for k, b in enumerate(norm_bounds, 1)
         ],
     }
 
@@ -297,8 +288,8 @@ def level_iso_family(
             if g in screened:
                 continue
             screened.add(g)
-            qa = bf_group(towA.base, g).module
-            qb = bf_group(towB.base, g).module
+            qa = bf_group(towA.base, g)
+            qb = bf_group(towB.base, g)
             mism = invariant_mismatch(qa, qb)
             if mism is not None:
                 return LevelIsoOutcome(
@@ -312,9 +303,7 @@ def level_iso_family(
                         "right": qb.fingerprint(),
                     },
                 )
-        res = module_iso_exists(
-            towA.level(k).module, towB.level(k).module, budget=budget
-        )
+        res = module_iso_exists(towA.level(k), towB.level(k), budget=budget)
         if res.verdict == "no":
             return LevelIsoOutcome(
                 kind="not_found_at_level",
@@ -346,7 +335,7 @@ def transport_family(towA: Tower, towB: Tower, C: Mat, depth: int | None = None)
         raise ValueError("transport matrix does not intertwine")
     maps = []
     for k in range(1, K + 1):
-        m = map_from_ambient(towA.level(k).module, towB.level(k).module, C)
+        m = map_from_ambient(towA.level(k), towB.level(k), C)
         if m is None or not m.is_isomorphism():
             raise ValueError(f"transport matrix is not bijective at level {k}")
         maps.append(m)
@@ -361,15 +350,15 @@ def _family_by_projection(towA: Tower, towB: Tower, K: int, sigma: ModuleMap) ->
     representatives; well-defined because an isomorphism maps the image
     submodule (x^(l!) - 1) G_K onto its counterpart."""
     maps: list[ModuleMap] = []
-    GK_A = towA.level(K).module
+    GK_A = towA.level(K)
     for l in range(1, K + 1):
-        Gl_A = towA.level(l).module
-        Gl_B = towB.level(l).module
+        Gl_A = towA.level(l)
+        Gl_B = towB.level(l)
         rows = []
         for j in range(Gl_A.rank):
             gen = Gl_A.lift(tuple(1 if i == j else 0 for i in range(Gl_A.rank)))
             img = sigma.apply(GK_A.reduce(gen))
-            rep = towB.level(K).module.lift(img)
+            rep = towB.level(K).lift(img)
             rows.append(Gl_B.reduce(rep))
         maps.append(ModuleMap(Gl_A, Gl_B, tuple(rows)))
     return tuple(maps)
@@ -392,11 +381,11 @@ def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) 
     if depth == 0:
         return PairLattice(depth=0, basis=xl.identity(2 * n))
     psi = family.maps[depth - 1]
-    GB = towB.level(depth).module
+    GB = towB.level(depth)
     rows = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        rows.append(tuple(int(x) for x in psi.apply(towA.level(depth).module.reduce(e))))
+        rows.append(tuple(int(x) for x in psi.apply(towA.level(depth).reduce(e))))
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         rows.append(tuple(-x for x in GB.reduce(e)))
@@ -450,8 +439,8 @@ def classify_delta(
     for delta in deltas:
         k = delta.depth
         psi = family.maps[k - 1]
-        GA = towA.level(k).module
-        GB = towB.level(k).module
+        GA = towA.level(k)
+        GB = towB.level(k)
         ctil = tuple(
             GB.lift(psi.apply(GA.reduce(tuple(1 if j == i else 0 for j in range(n)))))
             for i in range(n)

@@ -359,7 +359,7 @@ def test_ideal_route_is_invariant_under_integer_scaling(rng):
         X = it.colon_ideal(J, I)
         search = _principal_search(X, 4)
         for s in (2, 6, 35):
-            sI = I.scale_int(s)
+            sI = I.scale(_elem(I.nf, (s,) + (0,) * (I.nf.n - 1)))
             assert sI != I
             we_s = _weak_equivalence(sI, J)
             assert (we_s.equivalent, we_s.reason) == (we.equivalent, we.reason)
@@ -423,7 +423,7 @@ def test_principal_search_trivial(nf):
     zb = it.FractionalIdeal.z_beta(nf)
     res = _principal_search(zb, 1)
     assert res.found
-    two = zb.scale_int(2)
+    two = zb.scale(_elem(nf, (2,) + (0,) * (nf.n - 1)))
     res2 = _principal_search(two, 2)
     assert res2.found
     assert it.multiplier_ring(two).scale(res2.generator) == two

@@ -26,8 +26,8 @@ def towA2():
 # ------------------------------------------------------------------ construction
 
 def test_build_tower_orders(towA1, towA2):
-    assert [lv.module.order for lv in towA1.levels][:2] == [16, 512]
-    assert towA2.levels[0].module.order == 10
+    assert [lv.order for lv in towA1.levels][:2] == [16, 512]
+    assert towA2.levels[0].order == 10
 
 
 def test_build_tower_rejects_non_hyperbolic():
@@ -55,9 +55,9 @@ def test_nesting_on_generators(towA1, towA2):
             upper = tower.level(k + 1)
             lower = tower.level(k)
             power = xl.matrix_power_factorial(tower.base, k + 1)
-            assert upper.module.relations == xl.mat_sub(power, I3)
-            lower_hnf = xl.hnf_basis(lower.module.relations)
-            for row in upper.module.relations:
+            assert upper.relations == xl.mat_sub(power, I3)
+            lower_hnf = xl.hnf_basis(lower.relations)
+            for row in upper.relations:
                 assert xl.lattice_membership(lower_hnf, row) is not None
 
 
@@ -98,7 +98,7 @@ def test_iota_homomorphism(towA1):
     c1, c2 = tw.iota(towA1, m1), tw.iota(towA1, m2)
     cs = tw.iota(towA1, s)
     for k in range(towA1.depth):
-        mod = towA1.levels[k].module
+        mod = towA1.levels[k]
         added = tuple(
             (a + b) % d for a, b, d in zip(c1.levels[k], c2.levels[k], mod.factors)
         )
@@ -197,7 +197,7 @@ def test_delta_identity_family(towA1):
     out = tw.level_iso_family(towA1, towA1, 2)
     delta = tw.delta_lattice(towA1, towA1, out.family, 2)
     # Delta = {(m, m~) : m - m~ in N_2}
-    N2 = towA1.level(2).module.relations
+    N2 = towA1.level(2).relations
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert xl.lattice_membership(delta.basis, e + e) is not None
@@ -246,7 +246,7 @@ def test_transport_family_identity(towA1):
 
 def test_probe_e1_escapes_at_level_1(towA1):
     # the first standard basis vector is not in N_1 for this matrix
-    assert not towA1.level(1).module.contains((1, 0, 0))
+    assert not towA1.level(1).contains((1, 0, 0))
 
 
 def test_delta_depth_zero_is_everything(towA1):
@@ -361,12 +361,12 @@ def test_graph_solvability_matches_affine_oracle(rng, n):
         fam = tw.transport_family(tA, tB, xl.unimodular_inverse(U))
         kern = intertwiner_kernel(A, B)
         for k in (1, 2, 3):
-            GA, GB = tA.level(k).module, tB.level(k).module
+            GA, GB = tA.level(k), tB.level(k)
             ctil = tuple(
                 GB.lift(fam.maps[k - 1].apply(GA.reduce(e))) for e in xl.identity(n)
             )
             shifted = ((ctil[0][0] + 1,) + ctil[0][1:],) + ctil[1:]
-            Nb = tB.level(k).module.relations
+            Nb = tB.level(k).relations
             assert tw._graph_repr_solvable(kern, ctil, Nb)
             assert _graph_repr_solvable_affine(A, B, ctil, Nb)
             got = tw._graph_repr_solvable(kern, shifted, Nb)
