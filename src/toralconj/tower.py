@@ -12,17 +12,9 @@ from math import factorial
 
 from . import exact_linalg as xl
 from . import polys
-from .bf_invariants import bf_group, hyperbolicity_check
+from .bf_invariants import bf_group, hyperbolicity_check, strong_bf_screen
 from .errors import InternalInconsistencyError, ResourceLimitError, ToralConjError
-from .finite_modules import (
-    FiniteModulePresentation,
-    IsoResult,
-    ModuleMap,
-    intertwiner_kernel,
-    invariant_mismatch,
-    map_from_ambient,
-    module_iso_exists,
-)
+from .finite_modules import FiniteModulePresentation, ModuleMap, intertwiner_kernel, map_from_ambient
 from .intfactor import divisors
 
 Mat = xl.Mat
@@ -50,8 +42,9 @@ def _check_depth(depth: int) -> None:
 
 
 def build_tower(A: Mat, depth: int) -> Tower:
-    """Construct levels 1..depth, verifying nesting N_(k+1) <= N_k and the
-    compatibility of all canonical epimorphisms; fails loudly otherwise."""
+    """Construct levels 1..depth, verifying nesting N_k <= N_l for l <= k and
+    the compatibility of all canonical epimorphisms [m]_k -> [m]_l; fails
+    loudly otherwise."""
     if depth < 1:
         raise ValueError("depth must be positive")
     _check_depth(depth)
@@ -59,28 +52,17 @@ def build_tower(A: Mat, depth: int) -> Tower:
         raise ToralConjError("matrix is not hyperbolic; tower quotients need det(A^r - I) != 0")
     A = xl.mat(A)
     levels = [bf_group(A, polys.x_pow_minus_one(factorial(k))) for k in range(1, depth + 1)]
-    for k, (lower, upper) in enumerate(zip(levels, levels[1:]), 1):
-        if not all(map(lower.contains, upper.relations)):
-            raise InternalInconsistencyError(f"nesting N_{k + 1} <= N_{k} failed")
     epis: dict = {}
     for k in range(1, depth + 1):
         for l in range(1, k + 1):
-            epis[(k, l)] = _canonical_epi(levels[k - 1], levels[l - 1])
+            epi = map_from_ambient(levels[k - 1], levels[l - 1], xl.identity(len(A)))
+            if epi is None:
+                raise InternalInconsistencyError(f"nesting N_{k} <= N_{l} failed")
+            if not (epi.is_well_defined() and epi.intertwines() and epi.is_surjective()):
+                raise InternalInconsistencyError("canonical epimorphism failed verification")
+            epis[(k, l)] = epi
     _verify_epi_compatibility(levels, epis)
     return Tower(base=A, depth=depth, levels=tuple(levels), epis=epis)
-
-
-def _canonical_epi(Gk: FiniteModulePresentation, Gl: FiniteModulePresentation) -> ModuleMap:
-    """[m]_k -> [m]_l on canonical generators; verified surjective and
-    intertwining."""
-    rows = tuple(
-        Gl.reduce(Gk.lift(tuple(1 if i == j else 0 for i in range(Gk.rank))))
-        for j in range(Gk.rank)
-    )
-    epi = ModuleMap(Gk, Gl, rows)
-    if not (epi.is_well_defined() and epi.intertwines() and epi.is_surjective()):
-        raise InternalInconsistencyError("canonical epimorphism failed verification")
-    return epi
 
 
 def _verify_epi_compatibility(levels, epis) -> None:
@@ -166,7 +148,8 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
         M = lv.relations
         inv, den = xl.invert_rational(M)
         inverses.append((inv, den))
-        norm_bounds.append(xl.inverse_infinity_norm_bound(M))
+        if n:  # Z^0 has no nonzero vector, and M no column to bound
+            norm_bounds.append(xl.inverse_infinity_norm_bound(M))
     escape_at: dict[Vec, int] = {}
     stuck: list[Vec] = []
     disagreements = []
@@ -236,27 +219,16 @@ class LevelIsoOutcome:
     witness: dict | None = None
 
 
-def _divisor_polynomials(k: int) -> list[polys.Poly]:
-    """Cyclotomic divisors and proper x^e - 1 divisors of x^(k!) - 1."""
-    m = factorial(k)
-    out: list[polys.Poly] = []
-    for d in divisors(m):
-        out.append(polys.cyclotomic(d))
-    for e in divisors(m):
-        if e < m:
-            g = polys.x_pow_minus_one(e)
-            if g not in out:
-                out.append(g)
-    return out
-
-
 def tower_polynomials(depth: int) -> list[polys.Poly]:
-    """The divisors of x^(k!) - 1, then x^(k!) - 1, for k = 1..depth, once
-    each: every BF_g that an isomorphism of the levels G_depth induces."""
+    """The divisors of x^(k!) - 1 for k = 1..depth, once each: per k the
+    cyclotomics Phi_d for d | k!, then x^e - 1 for e | k!, ending with
+    x^(k!) - 1 itself.  These are every BF_g that an isomorphism of the
+    levels G_depth induces."""
     _check_depth(depth)
     out: list[polys.Poly] = []
     for k in range(1, depth + 1):
-        for g in _divisor_polynomials(k) + [polys.x_pow_minus_one(factorial(k))]:
+        ds = divisors(factorial(k))
+        for g in [polys.cyclotomic(d) for d in ds] + [polys.x_pow_minus_one(e) for e in ds]:
             if g not in out:
                 out.append(g)
     return out
@@ -268,59 +240,39 @@ def level_iso_family(
     depth: int | None = None,
     budget: int = 100_000,
 ) -> LevelIsoOutcome:
-    """Search for a compatible family of level isomorphisms.
+    """Search for a compatible family of level isomorphisms up to level K.
 
-    Per level, first screen the canonical quotients BF_g by every divisor g
-    of x^(k!) - 1 not screened at a lower level (any level isomorphism
-    induces an isomorphism of the corresponding BF_g quotients, so a
-    fingerprint mismatch there refutes the level); then run the module
-    isomorphism search on the level itself.  A family found at the deepest
-    level is pushed down by projection, which is automatically compatible,
-    and re-verified.
+    One BF screen over tower_polynomials(K): an isomorphism of G_K induces
+    one of every quotient BF_g with g | x^(K!) - 1, so a refuted g refutes
+    from the least level k whose polynomials contain it (G_k is its own
+    quotient).  An isomorphism of G_K = BF_(x^(K!) - 1) is pushed down by
+    the canonical epimorphisms, which is automatically compatible, and the
+    whole family is re-verified.
     """
     K = depth or min(towA.depth, towB.depth)
     if K > min(towA.depth, towB.depth):
         raise ValueError("requested depth exceeds tower depth")
-    deepest: IsoResult | None = None
-    screened: set = set()
-    for k in range(1, K + 1):
-        for g in _divisor_polynomials(k):
-            if g in screened:
-                continue
-            screened.add(g)
-            qa = bf_group(towA.base, g)
-            qb = bf_group(towB.base, g)
-            mism = invariant_mismatch(qa, qb)
-            if mism is not None:
-                return LevelIsoOutcome(
-                    kind="not_found_at_level",
-                    level=k,
-                    witness={
-                        "kind": "canonical_quotient",
-                        "divisor": polys.to_str(g),
-                        "mismatch": mism,
-                        "left": qa.fingerprint(),
-                        "right": qb.fingerprint(),
-                    },
-                )
-        res = module_iso_exists(towA.level(k), towB.level(k), budget=budget)
-        if res.verdict == "no":
-            return LevelIsoOutcome(
-                kind="not_found_at_level",
-                level=k,
-                witness={"kind": "module_iso_no", "detail": res.witness},
-            )
-        if res.verdict == "unknown":
-            return LevelIsoOutcome(
-                kind="unknown",
-                witness={"kind": "budget", "level": k, "detail": res.witness},
-            )
-        if k == K:
-            deepest = res
-    if deepest is None or deepest.iso is None:
-        raise InternalInconsistencyError("deepest level gave no isomorphism")
-    maps = _family_by_projection(towA, towB, K, deepest.iso)
-    family = LevelIsoFamily(source=towA, target=towB, maps=maps)
+    screen = strong_bf_screen(towA.base, towB.base, tower_polynomials(K), budget=budget)
+    rec = screen.records[-1]
+    if screen.outcome == "not_equivalent":
+        return LevelIsoOutcome(
+            kind="not_found_at_level",
+            level=next(k for k in range(1, K + 1) if screen.witness in tower_polynomials(k)),
+            witness={
+                "kind": "canonical_quotient",
+                "divisor": rec["g"],
+                "mismatch": rec["iso"]["witness"],
+                "left": {"order": rec["order_left"], "invariant_factors": rec["factors_left"]},
+                "right": {"order": rec["order_right"], "invariant_factors": rec["factors_right"]},
+            },
+        )
+    if rec["iso"]["verdict"] != "yes":
+        return LevelIsoOutcome(
+            kind="unknown",
+            witness={"kind": "budget", "level": K, "detail": rec["iso"]["witness"]},
+        )
+    sigma = ModuleMap(towA.level(K), towB.level(K), xl.mat(rec["iso"]["iso_matrix"]))
+    family = LevelIsoFamily(source=towA, target=towB, maps=_family_by_projection(towA, towB, K, sigma))
     if not family.verify():
         raise InternalInconsistencyError("projected level family failed verification")
     return LevelIsoOutcome(kind="found", family=family)
@@ -346,21 +298,18 @@ def transport_family(towA: Tower, towB: Tower, C: Mat, depth: int | None = None)
 
 
 def _family_by_projection(towA: Tower, towB: Tower, K: int, sigma: ModuleMap) -> tuple[ModuleMap, ...]:
-    """Derive Psi_l for l < K from the deepest isomorphism by projecting
-    representatives; well-defined because an isomorphism maps the image
-    submodule (x^(l!) - 1) G_K onto its counterpart."""
-    maps: list[ModuleMap] = []
+    """Derive Psi_l for l < K from the deepest isomorphism: lift each
+    generator of G_l(A) to G_K(A), apply sigma, and project by the canonical
+    epimorphism G_K(B) -> G_l(B); well-defined because an isomorphism maps
+    the image submodule (x^(l!) - 1) G_K onto its counterpart."""
     GK_A = towA.level(K)
+    maps: list[ModuleMap] = []
     for l in range(1, K + 1):
         Gl_A = towA.level(l)
-        Gl_B = towB.level(l)
-        rows = []
-        for j in range(Gl_A.rank):
-            gen = Gl_A.lift(tuple(1 if i == j else 0 for i in range(Gl_A.rank)))
-            img = sigma.apply(GK_A.reduce(gen))
-            rep = towB.level(K).lift(img)
-            rows.append(Gl_B.reduce(rep))
-        maps.append(ModuleMap(Gl_A, Gl_B, tuple(rows)))
+        rows = tuple(
+            towB.epis[(K, l)].apply(sigma.apply(GK_A.reduce(Gl_A.lift(e)))) for e in xl.identity(Gl_A.rank)
+        )
+        maps.append(ModuleMap(Gl_A, towB.level(l), rows))
     return tuple(maps)
 
 

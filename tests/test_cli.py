@@ -385,6 +385,26 @@ def test_out_of_range_options_exit_1(mats, argv):
     assert done.stderr.startswith("error: --")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bf", "E", "x+1"],
+        ["screen", "E", "E"],
+        ["tower", "E", "--verify"],
+        ["ideal", "E", "show"],
+        ["decide", "E", "E"],
+    ],
+    ids=["bf", "screen", "tower_verify", "ideal_show", "decide"],
+)
+def test_empty_matrix_never_ends_in_a_traceback(tmp_path, argv):
+    # Z^0 is a valid input with one element; each command answers or refuses
+    p = tmp_path / "E.json"
+    p.write_text('{"n": 0, "rows": []}')
+    done = run_fresh([str(p) if a == "E" else a for a in argv])
+    assert done.returncode in (0, 1, 2), done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_decide_tower_depth_0_screens_nothing(capsys, tmp_path):
     M, N = write(tmp_path, "MX.txt", BIG_ENTRIES_SUM_M), write(tmp_path, "NX.txt", BIG_ENTRIES_SUM_N)
     code, out, _ = run(capsys, ["decide", M, N, "--tower-depth", "0", "--json"])

@@ -59,6 +59,18 @@ def test_only_bf_invariants_evaluates_polynomials_at_matrices():
     assert callers == {"bf_invariants.py"}
 
 
+def test_only_the_screen_and_decide_compare_modules():
+    # one comparison of two BF quotients: strong_bf_screen runs
+    # module_iso_exists, which decide also calls on its witnesses, and the
+    # tower reads the screen's records; invariant_mismatch is no second one
+    callers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for name in _called_names(ast.parse(path.read_text(), filename=str(path))):
+            callers.setdefault(name, set()).add(path.name)
+    assert callers.get("module_iso_exists") == {"bf_invariants.py", "conjugacy_pipeline.py"}
+    assert "invariant_mismatch" not in callers
+
+
 def test_finite_modules_inverts_no_matrix_outside_the_smith_form():
     # snf returns V with its exact inverse, so quotient and the hom
     # lattice build their coordinates without a second inversion

@@ -1,5 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+from toralconj import bf_invariants
 from toralconj import exact_linalg as xl
 from toralconj import polys
 from toralconj import tower as tw
@@ -166,19 +171,20 @@ def test_level_iso_self(towA1):
 
 
 def test_level_iso_screens_each_divisor_once(towA2, monkeypatch):
-    # x^24 - 1 has 14 distinct screened divisors (8 cyclotomic, 6 more
-    # x^e - 1); a divisor that passed at a lower level is not rebuilt
+    # x^24 - 1 has 15 distinct divisors in the screen (8 cyclotomic, 7 more
+    # x^e - 1 with x^24 - 1 itself); a divisor that passed at a lower level
+    # is not rebuilt, so each is built once per matrix
     calls = []
 
     def counting_bf_group(A, g):
         calls.append(g)
         return bf_group(A, g)
 
-    monkeypatch.setattr(tw, "bf_group", counting_bf_group)
+    monkeypatch.setattr(bf_invariants, "bf_group", counting_bf_group)
     out = tw.level_iso_family(towA2, towA2, 4)
     assert out.kind == "found"
-    assert len(calls) == 28
-    assert len(set(calls)) == 14 == len(tw._divisor_polynomials(4))
+    assert len(calls) == 30
+    assert len(set(calls)) == 15 == len(tw.tower_polynomials(4))
 
 
 def test_level_iso_conjugate_pair(rng):
@@ -297,11 +303,13 @@ def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
 
 
 def test_tower_polynomials_depth_4():
+    # per level, the cyclotomics of the divisors of k!, then x^e - 1 for the
+    # divisors e of k!, each polynomial once
     got = [polys.to_str(g) for g in tw.tower_polynomials(4)]
-    assert got[:3] == ["x-1", "x+1", "x^2-1"]
-    assert got[-1] == "x^24-1"
-    assert len(got) == len(set(got)) == 15
-    assert set(tw._divisor_polynomials(4)) | {polys.x_pow_minus_one(24)} == set(tw.tower_polynomials(4))
+    assert got == [
+        "x-1", "x+1", "x^2-1", "x^2+x+1", "x^2-x+1", "x^3-1", "x^6-1", "x^2+1",
+        "x^4+1", "x^4-x^2+1", "x^8-x^4+1", "x^4-1", "x^8-1", "x^12-1", "x^24-1",
+    ]
     assert tw.tower_polynomials(0) == []
 
 
@@ -328,6 +336,33 @@ def test_level_iso_family_agrees_with_the_tower_screen(rng):
         elif out.kind == "not_found_at_level":
             assert screen.outcome == "not_equivalent"
     assert kinds.count("found") >= 4 and kinds.count("not_found_at_level") >= 2
+
+
+# sha256 of level_iso_family's outcomes (kind, level, witness and family
+# matrices) on 31 seeded pairs at K = 1, 2, 3; a change that alters an
+# outcome updates this value and says so
+LEVEL_ISO_OUTCOMES_SHA256 = "f97755352c7fd44d061bd8a63b51bdee748b942ee86dd48756f069492763b3d2"
+
+
+def test_level_iso_family_outcomes_are_pinned():
+    rng = random.Random(11)
+    pairs = [(A1, B1), (A2, B2), (with_eigenvalue(A1, 2), with_eigenvalue(B1, 2))]
+    for n in (2, 3):
+        for _ in range(4):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+    pairs += [sublattice_pair(rng, n, 4) for n in (2, 3) for _ in range(10)]
+    outcomes = []
+    for A, B in pairs:
+        tA, tB = tw.build_tower(A, 3), tw.build_tower(B, 3)
+        for K in (1, 2, 3):
+            out = tw.level_iso_family(tA, tB, K, budget=DEFAULT_CONFIG.iso_budget)
+            maps = [m.mat for m in out.family.maps] if out.family else None
+            outcomes.append(json.dumps([out.kind, out.level, out.witness, maps], sort_keys=True))
+    kinds = [json.loads(o)[0] for o in outcomes]
+    assert (kinds.count("found"), kinds.count("not_found_at_level")) == (84, 9)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == LEVEL_ISO_OUTCOMES_SHA256
 
 
 # ------------------------------------------------------------------ graph solvability oracle
