@@ -9,7 +9,10 @@ through decidebench/checks.check_output.  Prints the outcome counts, one
 line per outcome and sequence of evidence stages (similarity and
 hyperbolicity left out) with the number of pairs that took it, and the
 sha256 of the reports (one sorted-keys JSON line per pair, in that order),
-and exits 1 when any check fails or the digest is not REPORTS_SHA256.
+and exits 1 when any check fails or the digest is not REPORTS_SHA256.  A
+2 x 2 pair also fails when it ends unknown or when its evidence holds a
+bounded search (unimodular_search or principal_search): the binary forms
+decide every such pair before either search.
 
 Usage: python scripts/check_pairs.py
 """
@@ -37,7 +40,7 @@ COMMON_STAGES = {"similarity", "hyperbolicity"}
 
 # sha256 of the reports of the 1,070 pairs; a change that alters reports
 # re-pins it from the digest printed on a mismatch and says so in CHANGES.md
-REPORTS_SHA256 = "8c460dc97dc47cd2b71987e72d972707941ccf3f97d216cab3017fa59fad67a8"
+REPORTS_SHA256 = "1471049b762e1a3730d87a2fe8c5e027c0195e51fc45453a27116915818a2fe6"
 
 
 def reference_pairs() -> list[dict]:
@@ -47,6 +50,15 @@ def reference_pairs() -> list[dict]:
         for n, bound, count in GROUPS:
             pairs += corpus.sublattice_pairs(rng, n, bound, count)
     return pairs
+
+
+def binary_form_faults(verdict) -> list[str]:
+    """Why a 2 x 2 verdict did not come from the binary forms alone."""
+    faults = ["2x2 pair ended unknown"] if verdict.outcome == "unknown" else []
+    for e in verdict.evidence:
+        if e["stage"].startswith("unimodular_search") or "principal_search" in e:
+            faults.append(f"2x2 pair ran a bounded search in {e['stage']}")
+    return faults
 
 
 def main() -> int:
@@ -63,6 +75,8 @@ def main() -> int:
         paths[verdict.outcome, " > ".join(stages)] += 1
         reports.append(json.dumps(verdict.to_data(), sort_keys=True))
         reasons = checks.check_output(pair, verdict.outcome, verdict.certificate, verdict.witness)
+        if pair["n"] == 2:
+            reasons += binary_form_faults(verdict)
         if reasons:
             failed += 1
             print(f"pair {i}: {'; '.join(reasons)}")

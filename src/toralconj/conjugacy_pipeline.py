@@ -1,24 +1,32 @@
-"""Decision pipeline: orchestrates similarity, a unimodular search in the
-intertwiner lattice walked in three legs with the BF screens between them,
-the fractional-ideal route, and the tower route into a single verdict with
-machine-checkable evidence.  A certificate makes every BF_g isomorphic and a
-refutation is sound whenever it runs, so the order of search and screens
-changes the evidence only.  The search comes first because it is cheap and
-certifies most conjugate pairs: leg 1 walks shell 1 (max-norm 1) before the
-screen over the linear polynomials x - c, leg 2 walks on to
+"""Decision pipeline: orchestrates similarity, the binary quadratic forms of
+a 2 x 2 pair, a unimodular search in the intertwiner lattice walked in three
+legs with the BF screens between them, the fractional-ideal route, and the
+tower route into a single verdict with machine-checkable evidence.
+
+For n = 2 the proper classes of the binary quadratic forms of A and B
+decide every similar pair right after similarity (see binary_forms), with
+a conjugator or a binary_form_class witness; only a pair whose reduction
+walk runs past binary_forms.MAX_STEPS goes on to the stages below.
+
+For n >= 3, and for such a pair, a certificate makes every BF_g isomorphic
+and a refutation is sound whenever it runs, so the order of search and
+screens changes the evidence only.  The search comes first because it is
+cheap and certifies most conjugate pairs: leg 1 walks shell 1 (max-norm 1)
+before the screen over the linear polynomials x - c, leg 2 walks on to
 FIRST_SEARCH_CANDIDATES before the screen over the rest of the family, and
 leg 3 walks the rest after it.  A pair refuted at degree 1 thus pays shell 1
 only, and leg 1 is skipped where shell 1 is long (rank > 6).
 The tower route is one more BF screen, over the divisors of x^(k!) - 1
 that the family lacks.
 
-For an irreducible characteristic polynomial (n <= 4) the periodic data are
-read off the eigen ideals after leg 1, where their multiplier rings are
-built once and passed to every later stage: when both are invertible over
-one multiplier ring O, every BF_g(A) and BF_g(B) is O / g(beta) O, so no
-screen can refute (Latimer-MacDuffee 1933).  Such a pair skips both
-screens and the tower route, walks the rest of the search in one leg, and
-only the ideal route, the homoclinic side, is left to decide it.
+For an irreducible characteristic polynomial (3 <= n <= 4) the periodic
+data are read off the eigen ideals after leg 1, where their multiplier
+rings are built once and passed to every later stage: when both are
+invertible over one multiplier ring O, every BF_g(A) and BF_g(B) is
+O / g(beta) O, so no screen can refute (Latimer-MacDuffee 1933).  Such a
+pair skips both screens and the tower route, walks the rest of the search
+in one leg, and only the ideal route, the homoclinic side, is left to
+decide it.
 
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
@@ -28,6 +36,7 @@ its budgets.
 
 from dataclasses import asdict, dataclass
 
+from . import binary_forms
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
@@ -158,6 +167,10 @@ def unimodular_search(
     return SearchOutcome(C is not None, C, bound, tried)
 
 
+# the claims of a binary_form_class witness, as binary_forms.compare names them
+FORM_CLASS_KEYS = ("discriminant", "left", "right")
+
+
 # decide walks the search up to this many candidates before the degree >= 2
 # screen, and the rest, up to search_max_candidates, after it; shell 1 runs
 # before the degree-1 screen only when it is no longer than this (rank <= 6)
@@ -214,6 +227,10 @@ def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verd
         GA, GB = bf_group(A, g), bf_group(B, g)
         claims = {"left": GA.fingerprint(), "right": GB.fingerprint()}
         refuted = module_iso_exists(GA, GB, budget=config.iso_budget).verdict == "no"
+    elif kind == "binary_form_class":
+        rebuilt = binary_forms.compare(A, B)[0] if len(A) == 2 else {}
+        claims = {key: rebuilt.get(key) for key in FORM_CLASS_KEYS}
+        refuted = "right" in rebuilt and rebuilt["right"] not in rebuilt["left"]
     elif kind == "multiplier_ring":
         ra = ideals.multiplier_ring(ideals.eigen_ideal(A)[0])
         rb = ideals.multiplier_ring(ideals.eigen_ideal(B)[0])
@@ -268,7 +285,18 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     hyp = hyperbolicity_check(A)
     evidence.append({"stage": "hyperbolicity", "hyperbolic": hyp})
 
-    # (3-6) one unimodular search in the intertwiner lattice, walked in three
+    # (3) n = 2: the proper classes of binary quadratic forms decide every
+    # pair whose walks stay under binary_forms.MAX_STEPS
+    if len(A) == 2:
+        classes, C = binary_forms.compare(A, B)
+        evidence.append({"stage": "binary_forms", **classes})
+        if C is not None:
+            return _emit_conjugate(A, B, C, evidence, config)
+        if "right" in classes:
+            witness = {"kind": "binary_form_class", **{key: classes[key] for key in FORM_CLASS_KEYS}}
+            return _emit_not_conjugate(A, B, witness, evidence, config)
+
+    # (4-7) one unimodular search in the intertwiner lattice, walked in three
     # legs with the two BF screens between them.  A unimodular C with
     # A C = C B induces BF_g(A) = BF_g(B) for every g, so no screen can
     # refute a pair the search certifies: the order changes the evidence only
@@ -289,7 +317,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         tried = search.tried
         return search.conjugator
 
-    # (3) leg 1: shell 1, the (3^rank - 1) / 2 vectors of max-norm 1, where
+    # (4) leg 1: shell 1, the (3^rank - 1) / 2 vectors of max-norm 1, where
     # most certificates lie; skipped when it is longer than the first
     # FIRST_SEARCH_CANDIDATES (rank > 6), so that a pair refuted at degree 1
     # pays a few candidates at most
@@ -298,14 +326,14 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if C is not None:
         return _emit_conjugate(A, B, C, evidence, config)
 
-    # (4) periodic data: for irreducible chi, Z^n with A is the eigen ideal I
+    # (5) periodic data: for irreducible chi, Z^n with A is the eigen ideal I
     # with beta, so BF_g(A) = I / g(beta) I.  An ideal invertible over its
     # ring O is locally principal, so then BF_g(A) = O / g(beta) O for every
     # g; with J invertible over the same O no BF screen can refute, and the
     # screens and the tower route are skipped.  The ideals and rings are
     # built here once and passed to the ideal route
     eigen, skip = None, False
-    if hyp and 2 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa):
+    if hyp and 3 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa):
         I, v, _ = ideals.eigen_ideal(A)
         J, w, _ = ideals.eigen_ideal(B)
         OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
@@ -314,7 +342,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     if skip:
         evidence.append({"stage": "periodic_data", "reason": "invertible_over_one_order"})
     else:
-        # (5) BF screen over the degree-1 members x - c: BF_{x-c} carries the
+        # (6) BF screen over the degree-1 members x - c: BF_{x-c} carries the
         # scalar action c, so order and invariant factors settle each one
         # (equal groups make the identity an isomorphism) without a module map
         family = default_family(
@@ -329,12 +357,12 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         if screen.outcome == "not_equivalent":
             return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-        # (5) leg 2: the walk on to its first FIRST_SEARCH_CANDIDATES candidates
+        # (6) leg 2: the walk on to its first FIRST_SEARCH_CANDIDATES candidates
         C = leg(FIRST_SEARCH_CANDIDATES)
         if C is not None:
             return _emit_conjugate(A, B, C, evidence, config)
 
-        # (6) BF screen over the members of degree >= 2; its candidate module
+        # (7) BF screen over the members of degree >= 2; its candidate module
         # maps reuse the lattice
         rest = [g for g in family if polys.degree(g) >= 2]
         screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
@@ -342,22 +370,22 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         if screen.outcome == "not_equivalent":
             return _emit_not_conjugate(A, B, _bf_witness(screen), evidence, config)
 
-    # (6) leg 3, or the one leg after leg 1 when the screens are skipped: the
+    # (7) leg 3, or the one leg after leg 1 when the screens are skipped: the
     # rest of the walk over the ((2 bound + 1)^rank - 1) / 2 candidates, up
     # to search_max_candidates
     C = leg(walk)
     if C is not None:
         return _emit_conjugate(A, B, C, evidence, config)
 
-    # (7) ideal route (irreducible characteristic polynomial only)
+    # (8) ideal route (irreducible characteristic polynomial only)
     if eigen is not None:
         verdict = _ideal_route(A, B, eigen, evidence, config)
         if verdict is not None:
             return verdict
 
-    # (8) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
+    # (9) tower route: a level isomorphism G_K(A) = G_K(B) induces one of
     # every quotient BF_g for g | x^(K!) - 1, so screen the tower polynomials
-    # that stages 5 and 6 have not
+    # that stages 6 and 7 have not
     if hyp and not skip:
         extra = [g for g in tower_polynomials(config.tower_depth) if g not in family]
         screen = strong_bf_screen(A, B, extra, budget=config.iso_budget)
@@ -369,7 +397,7 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
 
 def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineConfig) -> Verdict | None:
-    """Stage 7 on eigen = (I, v, J, w, O(I), O(J)), built in stage 4."""
+    """Stage 8 on eigen = (I, v, J, w, O(I), O(J)), built in stage 5."""
     I, v, J, w, OI, OJ = eigen
     rings_equal = OI == OJ
     record: dict = {

@@ -281,9 +281,11 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
     Monic integer polynomials factor into monic integer polynomials, so it is
     enough to exclude integer roots and, in degree 4, integer quadratic
     factors x^2 + a x + b with b dividing the constant term.  Both factor
-    the constant term, and one decision asks three times about the same
-    characteristic polynomial (the ideal route's gate, then the field of
-    each eigen ideal), so the last two answers are kept.
+    the constant term, and one decision on a 3 x 3 or 4 x 4 pair asks
+    three times about the same characteristic polynomial (the ideal route's
+    gate, then the field of each eigen ideal; a 2 x 2 pair is decided by
+    its binary quadratic forms and never asks), so the last two answers
+    are kept.
     """
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:

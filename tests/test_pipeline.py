@@ -24,7 +24,7 @@ from toralconj.conjugacy_pipeline import (
 )
 from toralconj.errors import InternalInconsistencyError
 from toralconj.finite_modules import intertwiner_kernel
-from toralconj.ideal_theory import eigen_ideal
+from toralconj.ideal_theory import eigen_ideal, multiplier_ring, principal_search, weak_equivalence
 from toralconj.tower import tower_polynomials
 
 from conftest import (
@@ -304,7 +304,8 @@ def test_decide_matches_the_screen_then_search_order(rng):
     # a certificate makes every BF_g isomorphic and a refutation rules one
     # out, so walking the search in legs between the degree-1 and the
     # degree >= 2 screens gives the outcome, certificate and witness of
-    # screening the whole family first
+    # screening the whole family first; a 2 x 2 pair ends at the binary
+    # forms, with the outcome of the old order wherever that decides
     pairs = []
     for n in (2, 3, 4, 5):
         for _ in range(3 if n <= 3 else 2):
@@ -314,13 +315,19 @@ def test_decide_matches_the_screen_then_search_order(rng):
         if n <= 3:
             pairs += [sublattice_pair(rng, n, 4) for _ in range(8 if n == 2 else 4)]
     pairs += [(A1, B1), (A2, B2), (RING_A, RING_B), (LINEAR_PASS_A, LINEAR_PASS_B)]
+    pairs.append((with_eigenvalue(LINEAR_PASS_A, 3), with_eigenvalue(LINEAR_PASS_B, 3)))
     ends, sizes, skipped = set(), collections.Counter(), 0
     for A, B in pairs:
         v = decide(A, B)
         stages = [e["stage"] for e in v.evidence]
         assert stages[:2] == ["similarity", "hyperbolicity"]
-        assert _is_subsequence(stages[2:], LEGGED_ORDER), stages
         ends.add((v.outcome, stages[-1]))
+        if len(A) == 2:
+            assert stages[2:] == ["binary_forms"] and v.outcome != "unknown"
+            outcome = _screen_then_search(A, B)[0]
+            assert outcome in (None, v.outcome)
+            continue
+        assert _is_subsequence(stages[2:], LEGGED_ORDER), stages
         if v.outcome == "conjugate" and stages[-1].startswith("unimodular_search"):
             sizes[len(A)] += 1
         reports = {e["stage"]: e["report"] for e in v.evidence if e["stage"].startswith("bf_")}
@@ -342,6 +349,8 @@ def test_decide_matches_the_screen_then_search_order(rng):
             continue
         assert (v.outcome, v.certificate, v.witness) == (outcome, certificate, witness)
     assert {
+        ("conjugate", "binary_forms"),
+        ("not_conjugate", "binary_forms"),
         ("conjugate", "unimodular_search"),
         ("not_conjugate", "bf_screen"),
         ("not_conjugate", "bf_module_screen"),
@@ -359,7 +368,7 @@ def test_periodic_data_skip_only_where_every_screen_passes(rng):
     # the tower polynomials, which it would have screened, all pass
     tower = tower_polynomials(DEFAULT_CONFIG.tower_depth)
     fired = collections.Counter()
-    for n in (2, 3, 4):
+    for n in (3, 4):
         pairs = [sublattice_pair(rng, n, 4 if n < 4 else 2) for _ in range(40 if n < 4 else 16)]
         for _ in range(10):
             A = random_hyperbolic(rng, n, 3)
@@ -375,7 +384,7 @@ def test_periodic_data_skip_only_where_every_screen_passes(rng):
             family = default_family(A)
             full = family + [g for g in tower if g not in family]
             assert strong_bf_screen(A, B, full).outcome == "passed_screen", (A, B)
-    assert min(fired[n] for n in (2, 3, 4)) >= 5, fired
+    assert min(fired[n] for n in (3, 4)) >= 5, fired
 
 
 def test_decide_linear_refutation_builds_the_lattice_once(monkeypatch):
@@ -748,12 +757,24 @@ def test_decide_4x4_entries_30_without_factoring(no_factoring):
 
 def test_decide_ideal_route_on_far_apart_eigen_ideals():
     # the eigen ideal of A fits inside that of B only after scaling by
-    # 28169 = 17 * 1657; the route compares them as built
+    # 28169 = 17 * 1657; the ideal arithmetic compares them as built, and
+    # X = (J : I) has no generator in the bound-8 box.  decide refutes the
+    # pair at the binary forms: F_B lies in neither class of F_A
     A = xl.mat([[1000001, 1000000], [1, 1]])
     B = xl.mat([[2, 28169], [71, 1000000]])
+    (I, _, _), (J, _, _) = eigen_ideal(A), eigen_ideal(B)
+    assert I.to_data() == {"basis": [[1, 999999], [0, 1000000]], "den": 1}
+    assert J.to_data() == {"basis": [[1, 28167], [0, 28169]], "den": 1}
+    OI, OJ = multiplier_ring(I), multiplier_ring(J)
+    assert OI == OJ and OI.to_data() == {"basis": [[1, 0], [0, 1]], "den": 1}
+    we = weak_equivalence(I, J, OI, OJ)
+    assert we.equivalent
+    assert we.X.to_data() == {"basis": [[1, 28166999999], [0, 28169000000]], "den": 1000000}
+    assert not principal_search(we.X, OI, 8).found
     v = decide(A, B)
-    assert v.outcome == "unknown"
-    assert [e["stage"] for e in v.evidence][-3:] == ["periodic_data", "unimodular_search_resumed", "ideal_route"]
+    assert v.outcome == "not_conjugate" and v.witness["kind"] == "binary_form_class"
+    assert [e["stage"] for e in v.evidence] == ["similarity", "hyperbolicity", "binary_forms"]
+    assert v.witness["right"] not in v.witness["left"]
 
 
 WITNESS_1 = {
@@ -782,6 +803,11 @@ Z_BETA = {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "den": 1}
 HALF_RING = {"basis": [[2, 0, 0], [0, 1, 1], [0, 0, 2]], "den": 2}
 SIMILARITY = {"kind": "similarity", "char_poly_left": "x^3-23x^2+7x-1", "char_poly_right": "x^3-2x^2-8x-1"}
 RING = {"kind": "multiplier_ring", "left": Z_BETA, "right": HALF_RING}
+# x^2 - 15: F_A = x^2 - 15 y^2 and F_B = 3 x^2 - 5 y^2 lie in different
+# classes of discriminant 60, and F_B in neither of those of A
+FORM_A = xl.mat([[0, 15], [1, 0]])
+FORM_B = xl.mat([[0, 5], [3, 0]])
+FORMS = {"kind": "binary_form_class", "discriminant": 60, "left": [[1, 8, 1], [6, 18, 11]], "right": [3, 12, 7]}
 
 
 @pytest.mark.parametrize(
@@ -794,8 +820,20 @@ RING = {"kind": "multiplier_ring", "left": Z_BETA, "right": HALF_RING}
         (A1, A2, SIMILARITY, {"char_poly_left": "x^3-2x^2-8x-1", "char_poly_right": "x^3-23x^2+7x-1"}),
         (RING_A, RING_B, RING, {"left": HALF_RING, "right": Z_BETA}),
         (RING_A, RING_B, RING, {"right": {"basis": [[2, 0, 0], [0, 1, 1], [0, 0, 1]], "den": 2}}),
+        (FORM_A, FORM_B, FORMS, {"left": [[3, 12, 7], [2, 10, 5]], "right": [1, 8, 1]}),
+        (FORM_A, FORM_B, FORMS, {"right": [3, 0, -5]}),
     ],
-    ids=["bf_swapped", "bf_fake_order", "bf_missing", "sim_left", "sim_swapped", "ring_swapped", "ring_fake"],
+    ids=[
+        "bf_swapped",
+        "bf_fake_order",
+        "bf_missing",
+        "sim_left",
+        "sim_swapped",
+        "ring_swapped",
+        "ring_fake",
+        "forms_swapped",
+        "forms_fake_representative",
+    ],
 )
 def test_witness_recheck_compares_the_claimed_data(A, B, genuine, tampered):
     # the genuine witness re-verifies; a witness whose claims differ from what
@@ -803,6 +841,18 @@ def test_witness_recheck_compares_the_claimed_data(A, B, genuine, tampered):
     assert _emit_not_conjugate(A, B, genuine, [], DEFAULT_CONFIG).outcome == "not_conjugate"
     with pytest.raises(InternalInconsistencyError, match="witness claims"):
         _emit_not_conjugate(A, B, dict(genuine, **tampered), [], DEFAULT_CONFIG)
+
+
+def test_binary_form_witness_of_a_self_pair_does_not_reverify():
+    # the swapped witness above is that of (B, A), and F_B itself is in the
+    # class claimed, just not its representative; against A itself the
+    # rebuilt classes match the claims, but F_A lies in its own class
+    v = decide(FORM_A, FORM_B)
+    assert (v.outcome, v.witness) == ("not_conjugate", FORMS)
+    assert decide(FORM_B, FORM_A).witness == dict(FORMS, left=[[3, 12, 7], [2, 10, 5]], right=[1, 8, 1])
+    self_witness = dict(FORMS, right=FORMS["left"][0])
+    with pytest.raises(InternalInconsistencyError, match="does not re-verify"):
+        _emit_not_conjugate(FORM_A, FORM_A, self_witness, [], DEFAULT_CONFIG)
 
 
 def test_decide_tower_route_refutes_with_bf_witness():
@@ -920,7 +970,7 @@ def test_witness_rechecks_rebuild_from_the_matrices(monkeypatch):
 
 
 def test_decide_builds_each_multiplier_ring_once(monkeypatch):
-    # stage 4 builds O(I) and O(J) and every later stage takes them as
+    # stage 5 builds O(I) and O(J) and every later stage takes them as
     # passed, on a pair that skips the screens and on one that does not
     from toralconj import ideal_theory as it
 
@@ -946,7 +996,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "d544278fd8bcaf6c9924f6373c2aca563424006c3b272b194da08e968462b53d"
+CORPUS_REPORTS_SHA256 = "ec6176e29353ade3056de7c5dd5875ececf639e0b6d9ea2ce841d061af2a9b96"
 
 
 def test_corpus_reports_are_pinned():
@@ -960,10 +1010,11 @@ def test_corpus_reports_are_pinned():
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == CORPUS_REPORTS_SHA256
 
 
-# sha256 of the reports on 190 sublattice pairs; 74 of them end unknown after
-# both bounded searches exhaust their boxes, so a change to either search
-# that alters a candidate, a count or a generator shows here
-SUBLATTICE_REPORTS_SHA256 = "832cc67d2c6c8f8d66b6712a654c83bfbc7c3accbba82ba4dffa15baeb797560"
+# sha256 of the reports on 190 sublattice pairs; the 150 2 x 2 pairs end at
+# the binary forms, and 21 of the 40 3 x 3 pairs end unknown after both
+# bounded searches exhaust their boxes, so a change to either search that
+# alters a candidate, a count or a generator shows here
+SUBLATTICE_REPORTS_SHA256 = "b4d0d5b111ed3987b9ceed12b1f827bb7c908d78cafdf2541717762aa0bb1592"
 
 
 def test_sublattice_reports_are_pinned():
@@ -972,7 +1023,7 @@ def test_sublattice_reports_are_pinned():
         rng = random.Random(7919 * k)
         pairs = [sublattice_pair(rng, 2, 5) for _ in range(30)] + [sublattice_pair(rng, 3, 4) for _ in range(8)]
         reports += [decide(A, B).to_data() for A, B in pairs]
-    assert sum(r["outcome"] == "unknown" for r in reports) == 74
+    assert sum(r["outcome"] == "unknown" for r in reports) == 21
     text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == SUBLATTICE_REPORTS_SHA256
 
