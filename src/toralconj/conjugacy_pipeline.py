@@ -162,7 +162,7 @@ def unimodular_search(
     if basis.rank**basis.n <= ((2 * bound + 1) ** basis.rank - 1) // 2 <= max_candidates:
         solutions = (xl.det_form([xl.unvec(row, basis.n) for row in basis.basis]), {1, -1})
     C, tried = xl.bounded_search(
-        basis.rank, bound, accept, max_candidates, up_to_sign=True, start=start, solutions=solutions
+        basis.rank, bound, accept, max_candidates, start=start, solutions=solutions
     )
     return SearchOutcome(C is not None, C, bound, tried)
 

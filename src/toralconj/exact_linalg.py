@@ -304,7 +304,6 @@ def hnf(M: Mat, transform: bool = True) -> tuple[Mat, Mat]:
     U = [list(r) for r in identity(nrows)] if transform else [[] for _ in range(nrows)]
     urange = range(nrows) if transform else range(0)
     piv = 0
-    pivots: list[int] = []
     for col in range(ncols):
         # clear everything below position piv in this column
         pivot_row = None
@@ -348,7 +347,6 @@ def hnf(M: Mat, transform: bool = True) -> tuple[Mat, Mat]:
                     W[i][j] -= q * W[piv][j]
                 for j in urange:
                     U[i][j] -= q * U[piv][j]
-        pivots.append(col)
         piv += 1
     H = tuple(tuple(r) for r in W[:piv])
     return H, tuple(tuple(r) for r in U) if transform else ()
@@ -671,12 +669,11 @@ def form_value(form, c) -> int:
     return total
 
 
-def _shell(rank: int, rho: int, up_to_sign: bool):
+def _shell(rank: int, rho: int):
     values = [*range(-rho, 0), *range(1, rho + 1)]
-    heads = values[rho:] if up_to_sign else values
     for size in range(1, rank + 1):
         for support in itertools.combinations(range(rank), size):
-            for nonzero in itertools.product(heads, *[values] * (size - 1)):
+            for nonzero in itertools.product(range(1, rho + 1), *[values] * (size - 1)):
                 if rho in nonzero or -rho in nonzero:
                     c = [0] * rank
                     for i, x in zip(support, nonzero):
@@ -684,32 +681,32 @@ def _shell(rank: int, rho: int, up_to_sign: bool):
                     yield tuple(c)
 
 
-def shell_vectors(rank: int, radius: int, up_to_sign: bool = False):
-    """Nonzero integer coefficient vectors of max-norm <= radius, sparse
-    first: by shell radius rho ascending, then by the number of nonzero
-    entries, then by their positions in itertools.combinations order, then
-    by their values lexicographically over {-rho..rho} minus 0, at least one
-    of them +-rho.  So the single lattice rows +-rho e_i lead each shell.
-    With up_to_sign, only the member of each pair +-c whose first nonzero
-    entry is positive.  Each shell is generated lazily and holds the same
+def shell_vectors(rank: int, radius: int):
+    """One of each pair +-c of nonzero integer coefficient vectors of
+    max-norm <= radius, the one whose first nonzero entry is positive,
+    sparse first: by shell radius rho ascending, then by the number of
+    nonzero entries, then by their positions in itertools.combinations
+    order, then by their values lexicographically over {-rho..rho} minus 0,
+    at least one of them +-rho.  So the single lattice rows rho e_i lead
+    each shell.  Each shell is generated lazily and holds the same
     vectors as in lexicographic order, so a walk that exhausts its box tries
     the same candidates in either order; a walk stopped by a candidate cap
     tries a different subset, and may find or miss what the other finds."""
     for rho in range(1, radius + 1):
-        yield from _shell(rank, rho, up_to_sign)
+        yield from _shell(rank, rho)
 
 
-def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False, heads=None) -> set[Vec]:
-    """The vectors of shell rho of shell_vectors(rank, ., up_to_sign) at which
-    a form from det_form takes a value in the set targets.
+def shell_solutions(form, targets, rank: int, rho: int, heads=None) -> set[Vec]:
+    """The vectors of shell rho of shell_vectors(rank, .) at which a form
+    from det_form takes a value in the set targets.
 
     Solved line by line along the last coordinate x: F(h, x) =
     sum_k G_k(h) x^k, each G_k evaluated once per head h whose first nonzero
     entry is positive (or h = 0 with x = rho), then each x one dot product
     with the powers of x.  x runs over -rho..rho when max |h_i| = rho, else
-    over +-rho.  Without up_to_sign, -c joins when F(-c) is a target.
-    A dict heads keeps the G_k of each head across the shells of one form,
-    since every head of shell rho recurs in the shells after it."""
+    over +-rho.  A dict heads keeps the G_k of each head across the shells
+    of one form, since every head of shell rho recurs in the shells after
+    it."""
     degree = len(form[0][1]) if form else 0
     # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out
     parts: list[list] = [[] for _ in range(degree + 1)]
@@ -731,8 +728,6 @@ def shell_solutions(form, targets, rank: int, rho: int, up_to_sign: bool = False
             v = sum(map(operator.mul, G, powers[x]))
             if v in targets:
                 out.add(h + (x,))
-            if not up_to_sign and (-1) ** degree * v in targets:
-                out.add(tuple(-y for y in h) + (-x,))
     return out
 
 
@@ -741,14 +736,13 @@ def bounded_search(
     bound: int,
     accept,
     max_candidates: int | None = None,
-    up_to_sign: bool = False,
     start: int = 0,
     solutions=None,
 ):
-    """(first non-None accept(c), tried) over shell_vectors(rank, bound,
-    up_to_sign); (None, tried) when the shells or max_candidates run out.
-    With start, the first start vectors (whole shells by count) are skipped
-    and counted as tried, so a search resumes where a capped one stopped.
+    """(first non-None accept(c), tried) over shell_vectors(rank, bound);
+    (None, tried) when the shells or max_candidates run out.  With start,
+    the first start vectors (whole shells by count) are skipped and counted
+    as tried, so a search resumes where a capped one stopped.
 
     solutions = (form, targets) promises that accept(c) is None unless
     form_value(form, c) is in targets.  Each shell walked to its end is then
@@ -757,17 +751,17 @@ def bounded_search(
     (result, tried) is that of the plain walk."""
     tried, last, heads = start, 0, {}
     for rho in range(1, bound + 1):
-        first, last = last, last + ((2 * rho + 1) ** rank - (2 * rho - 1) ** rank) // (2 if up_to_sign else 1)
+        first, last = last, last + ((2 * rho + 1) ** rank - (2 * rho - 1) ** rank) // 2
         stop = last if max_candidates is None else min(last, max_candidates)
         if tried >= stop:
             continue
         keep = None
         if solutions is not None and stop == last:
-            keep = shell_solutions(*solutions, rank, rho, up_to_sign, heads)
+            keep = shell_solutions(*solutions, rank, rho, heads)
             if not keep:
                 tried = last
                 continue
-        for c in itertools.islice(_shell(rank, rho, up_to_sign), tried - first, stop - first):
+        for c in itertools.islice(_shell(rank, rho), tried - first, stop - first):
             tried += 1
             if keep is None or c in keep:
                 hit = accept(c)

@@ -517,7 +517,7 @@ def module_iso_exists(
 
         # -W induces an isomorphism exactly when W does, so one of each +-W
         shells = INTERTWINER_SHELLS if len(kern) <= 4 else 1
-        m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried, up_to_sign=True)
+        m, t = xl.bounded_search(len(kern), shells, accept, min(budget, 20_000) - tried)
         tried += t
         if m is not None:
             return IsoResult("yes", iso=m, tried=tried)

@@ -364,7 +364,7 @@ def principal_search(X: FractionalIdeal, O: FractionalIdeal, bound: int) -> Prin
         return z if O.scale(z) == X else None
 
     solutions = (norm_form(X), set() if r else {t, -t})
-    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True, solutions=solutions)
+    z, tried = xl.bounded_search(n, bound, accept, solutions=solutions)
     return PrincipalResult(z is not None, z, bound, tried)
 
 

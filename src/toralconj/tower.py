@@ -33,6 +33,8 @@ class Tower:
         return len(self.base)
 
     def level(self, k: int) -> FiniteModulePresentation:
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"tower level {k} outside 1..{self.depth}")
         return self.levels[k - 1]
 
 
@@ -154,7 +156,7 @@ def injectivity_probe(tower: Tower, bound: int) -> dict:
     stuck: list[Vec] = []
     disagreements = []
     # symmetric under negation: walk one of each +-m, mirror below
-    for m in xl.shell_vectors(n, bound, up_to_sign=True):
+    for m in xl.shell_vectors(n, bound):
         least = None
         for k, (lv, (inv, den)) in enumerate(zip(tower.levels, inverses), 1):
             member = lv.contains(m)
@@ -349,9 +351,8 @@ def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) 
 
 @dataclass(frozen=True)
 class DeltaClassification:
-    kind: str                         # "graph_of_conjugator" | "shrinking_nonfunctional" | "indeterminate"
+    kind: str                         # "graph_of_conjugator" | "indeterminate"
     conjugator: Mat | None
-    per_level: tuple[dict, ...]
 
 
 def classify_delta(
@@ -360,74 +361,50 @@ def classify_delta(
     family: LevelIsoFamily,
     deltas: list[PairLattice],
     search_bound: int = 5,
-    max_candidates: int = 200_000,
 ) -> DeltaClassification:
     """Decide whether the deepest pair lattice is the graph of an honest
     conjugator plus {0} x N_K.
 
-    The family induces an integer matrix C~ per level with Delta_k =
-    graph(C~) + {0} x N_k; a conjugacy certificate is an exact intertwiner
-    C (A C = C B) congruent to C~ row-wise mod N_k with det C = +-1.
+    The family induces an integer matrix C~ with Delta_K = graph(C~) +
+    {0} x N_K; a conjugacy certificate is an exact intertwiner C
+    (A C = C B) congruent to C~ row-wise mod N_K with det C = +-1.  Each
+    coarser Delta_k contains Delta_K, so only Delta_K is searched.
     Existence of any such intertwiner is one membership test in the
-    intertwiner lattice plus the row blocks of N_k;
-    the unimodular one is then sought over small coefficient shells of the
-    intertwiner lattice, filtered by the congruence.  The per-level record
-    keeps the smallest |det| among intertwiners whose graph lies in
-    Delta_k; strict growth of that index (an unsolvable level counting as
-    infinite) is reported as shrinking.
+    intertwiner lattice plus the row blocks of N_K; the unimodular one is
+    then sought over small coefficient shells of the intertwiner lattice,
+    one of each +-c, C or -C filtered by the congruence.
     """
+    if not deltas or deltas[-1].depth < 1:
+        raise ValueError("classify_delta needs a deepest pair lattice of depth >= 1")
     A, B = towA.base, towB.base
     n = towA.n
     for d1, d2 in zip(deltas, deltas[1:]):
         for row in d2.basis:
             if xl.lattice_membership(d1.basis, row) is None:
                 raise InternalInconsistencyError("pair lattices are not nested")
+    K = deltas[-1].depth
+    GA, GB = towA.level(K), towB.level(K)
+    ctil = tuple(GB.lift(family.maps[K - 1].apply(GA.reduce(e))) for e in xl.identity(n))
     kern = intertwiner_kernel(A, B)
-    per_level: list[dict] = []
-    conjugator = None
-    for delta in deltas:
-        k = delta.depth
-        psi = family.maps[k - 1]
-        GA = towA.level(k)
-        GB = towB.level(k)
-        ctil = tuple(
-            GB.lift(psi.apply(GA.reduce(tuple(1 if j == i else 0 for j in range(n)))))
-            for i in range(n)
-        )
-        solvable = _graph_repr_solvable(kern, ctil, GB.relations)
-        rec: dict = {"level": k, "solvable": solvable}
-        best = None
+    if not _graph_repr_solvable(kern, ctil, GB.relations):
+        return DeltaClassification("indeterminate", None)
 
-        def accept(c):
-            nonlocal best
-            C = xl.unvec(xl.vec_mat(c, kern), n)
-            if not all(map(GB.contains, xl.mat_sub(C, ctil))):
-                return None
-            d = abs(xl.det(C))
-            if d and (best is None or d < best):
-                best = d
-            return C if d == 1 else None
+    def accept(c):
+        C = xl.unvec(xl.vec_mat(c, kern), n)
+        for S in (C, xl.mat_neg(C)):
+            if all(map(GB.contains, xl.mat_sub(S, ctil))) and xl.det(S) in (1, -1):
+                return S
+        return None
 
-        found = None
-        if solvable:
-            found, _ = xl.bounded_search(len(kern), search_bound, accept, max_candidates)
-        rec["min_abs_det"] = best
-        per_level.append(rec)
-        if k == deltas[-1].depth and found is not None:
-            if xl.mat_mul(A, found) != xl.mat_mul(found, B) or abs(xl.det(found)) != 1:
-                raise InternalInconsistencyError("conjugator candidate failed re-verification")
-            for i in range(n):
-                e = tuple(1 if j == i else 0 for j in range(n))
-                pair = e + xl.vec_mat(e, found)
-                if xl.lattice_membership(deltas[-1].basis, pair) is None:
-                    raise InternalInconsistencyError("conjugator graph not inside pair lattice")
-            conjugator = found
-    if conjugator is not None:
-        return DeltaClassification("graph_of_conjugator", conjugator, tuple(per_level))
-    vals = [r["min_abs_det"] for r in per_level]
-    if len(vals) >= 2 and _strictly_growing(vals):
-        return DeltaClassification("shrinking_nonfunctional", None, tuple(per_level))
-    return DeltaClassification("indeterminate", None, tuple(per_level))
+    found, _ = xl.bounded_search(len(kern), search_bound, accept, 200_000)
+    if found is None:
+        return DeltaClassification("indeterminate", None)
+    if xl.mat_mul(A, found) != xl.mat_mul(found, B) or abs(xl.det(found)) != 1:
+        raise InternalInconsistencyError("conjugator candidate failed re-verification")
+    for e in xl.identity(n):
+        if xl.lattice_membership(deltas[-1].basis, e + xl.vec_mat(e, found)) is None:
+            raise InternalInconsistencyError("conjugator graph not inside pair lattice")
+    return DeltaClassification("graph_of_conjugator", found)
 
 
 def _graph_repr_solvable(kern: Mat, ctil: Mat, Nb: Mat) -> bool:
@@ -442,11 +419,3 @@ def _graph_repr_solvable(kern: Mat, ctil: Mat, Nb: Mat) -> bool:
     vec = tuple(x for row in ctil for x in row)
     return xl.lattice_membership(xl.hnf_basis(kern + blocks), vec) is not None
 
-
-def _strictly_growing(vals: list) -> bool:
-    for a, b in zip(vals, vals[1:]):
-        if a is None:            # infinite stays infinite: not strict growth
-            return False
-        if b is not None and b <= a:
-            return False
-    return True

@@ -428,7 +428,6 @@ def test_inverse_norm_bound_exact_value():
 
 def test_shell_vectors_rank_zero_is_empty():
     assert list(xl.shell_vectors(0, 3)) == []
-    assert list(xl.shell_vectors(0, 3, up_to_sign=True)) == []
     assert xl.bounded_search(0, 3, lambda c: c) == (None, 0)
 
 
@@ -437,19 +436,18 @@ def test_shell_vectors_order_and_signs(rank, radius):
     import itertools
 
     box = [c for c in itertools.product(range(-radius, radius + 1), repeat=rank) if any(c)]
-    both = list(xl.shell_vectors(rank, radius))
+    walk = list(xl.shell_vectors(rank, radius))
 
     def sparse_first(c):
         support = tuple(i for i, x in enumerate(c) if x)
         return (max(map(abs, c)), len(support), support, tuple(c[i] for i in support))
 
-    # every nonzero vector of the box once, by shell, then by support size,
-    # support positions and nonzero values
-    assert both == sorted(box, key=sparse_first)
-    half = list(xl.shell_vectors(rank, radius, up_to_sign=True))
-    assert len(half) == len(box) // 2
-    assert set(half) | {tuple(-x for x in c) for c in half} == set(box)
-    assert half == [c for c in both if next(x for x in c if x) > 0]
+    # one of each +-c of the box, the one whose first nonzero entry is
+    # positive, by shell, then by support size, support positions and
+    # nonzero values
+    assert len(walk) == len(box) // 2
+    assert set(walk) | {tuple(-x for x in c) for c in walk} == set(box)
+    assert walk == sorted((c for c in box if next(x for x in c if x) > 0), key=sparse_first)
 
 
 def test_bounded_search_first_hit_and_cap():
@@ -464,7 +462,7 @@ def test_bounded_search_first_hit_and_cap():
     assert seen == list(xl.shell_vectors(2, 3))[:tried]
     assert xl.bounded_search(2, 3, accept, max_candidates=5) == (None, 5)
     assert xl.bounded_search(2, 3, lambda c: None, max_candidates=0) == (None, 0)
-    assert xl.bounded_search(2, 3, lambda c: None, up_to_sign=True) == (None, 24)
+    assert xl.bounded_search(2, 3, lambda c: None) == (None, 24)
 
 
 def test_bounded_search_resumes_after_start():
@@ -508,18 +506,21 @@ def test_det_form_matches_the_determinant_of_the_sum(data):
 def _form_and_shell(data, max_rho):
     n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
     form = xl.det_form(data.draw(_mats(n, rank)))
-    rho, up_to_sign = data.draw(st.integers(1, max_rho)), data.draw(st.booleans())
-    return form, rank, rho, up_to_sign
+    return form, rank, data.draw(st.integers(1, max_rho))
 
 
 @given(st.data())
 @settings(max_examples=60)
 def test_shell_solutions_match_the_filtered_shell(data):
-    form, rank, rho, up_to_sign = _form_and_shell(data, 3)
-    shell = [c for c in xl.shell_vectors(rank, rho, up_to_sign) if max(map(abs, c)) == rho]
+    # against the box: shell rho, first nonzero entry positive
+    form, rank, rho = _form_and_shell(data, 3)
+    zero = (0,) * rank
+    shell = [
+        c for c in itertools.product(range(-rho, rho + 1), repeat=rank) if max(map(abs, c)) == rho and c > zero
+    ]
     values = [xl.form_value(form, c) for c in shell]
     targets = set(data.draw(st.lists(st.sampled_from(values + [-1, 0, 1]), max_size=3)))
-    solved = xl.shell_solutions(form, targets, rank, rho, up_to_sign)
+    solved = xl.shell_solutions(form, targets, rank, rho)
     assert solved == {c for c, v in zip(shell, values) if v in targets}
 
 
@@ -528,8 +529,8 @@ def test_shell_solutions_match_the_filtered_shell(data):
 def test_bounded_search_with_solutions_walks_the_same(data):
     # start and the cap may fall inside a shell, and accept rejects some
     # solutions, as the HNF check of principal_search does
-    form, rank, bound, up_to_sign = _form_and_shell(data, 3)
-    walk = list(xl.shell_vectors(rank, bound, up_to_sign))
+    form, rank, bound = _form_and_shell(data, 3)
+    walk = list(xl.shell_vectors(rank, bound))
     values = [xl.form_value(form, c) for c in walk]
     targets = set(data.draw(st.lists(st.sampled_from(values), max_size=3)))
     modulus = data.draw(st.integers(2, 4))
@@ -539,8 +540,8 @@ def test_bounded_search_with_solutions_walks_the_same(data):
 
     start = data.draw(st.integers(0, len(walk) + 1))
     cap = data.draw(st.none() | st.integers(0, len(walk) + 1))
-    plain = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start)
-    solved = xl.bounded_search(rank, bound, accept, cap, up_to_sign, start, solutions=(form, targets))
+    plain = xl.bounded_search(rank, bound, accept, cap, start)
+    solved = xl.bounded_search(rank, bound, accept, cap, start, solutions=(form, targets))
     assert solved == plain
 
 
@@ -551,14 +552,14 @@ def test_bounded_search_evaluates_each_head_once(monkeypatch):
     rng = random.Random(4)
     form = xl.det_form([tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)) for _ in range(4)])
     targets = set(range(-9, 10))
-    fresh = [xl.shell_solutions(form, targets, 4, rho, True) for rho in range(1, 6)]
+    fresh = [xl.shell_solutions(form, targets, 4, rho) for rho in range(1, 6)]
     heads = {}
-    assert [xl.shell_solutions(form, targets, 4, rho, True, heads) for rho in range(1, 6)] == fresh
+    assert [xl.shell_solutions(form, targets, 4, rho, heads) for rho in range(1, 6)] == fresh
     assert len(heads) == 666
     evaluated, seen = [], []
     original = xl.form_value
     monkeypatch.setattr(xl, "form_value", lambda part, h: evaluated.append(h) or original(part, h))
-    assert xl.bounded_search(4, 5, seen.append, up_to_sign=True, solutions=(form, targets)) == (None, 7320)
+    assert xl.bounded_search(4, 5, seen.append, solutions=(form, targets)) == (None, 7320)
     assert len(evaluated) == 4 * len(set(evaluated)) == 4 * 666
     solutions = set().union(*fresh)
-    assert seen == [c for c in xl.shell_vectors(4, 5, up_to_sign=True) if c in solutions] != []
+    assert seen == [c for c in xl.shell_vectors(4, 5) if c in solutions] != []

@@ -481,7 +481,7 @@ def test_principal_search_covolume_filter_matches_hnf(rng):
         n = X.nf.n
         basis = _basis_elements(X)
         found = False
-        for c in xl.shell_vectors(n, 3, up_to_sign=True):
+        for c in xl.shell_vectors(n, 3):
             z = _element_sum(c, basis)
             M, zden = it.multiplication_matrix(z.nf, z.num), z.den
             covolumes_agree = (
@@ -517,7 +517,7 @@ def test_norm_form_matches_multiplication_determinant(pair, rng):
         form = it.norm_form(X)
         assert 0 < len(form) <= len(list(itertools.combinations_with_replacement(range(n), n)))
         basis = _basis_elements(X)
-        for c in xl.shell_vectors(n, 3, up_to_sign=True):
+        for c in xl.shell_vectors(n, 3):
             z = _element_sum(c, basis)
             M, zden = it.multiplication_matrix(z.nf, z.num), z.den
             assert X.den % zden == 0
@@ -544,7 +544,7 @@ def _reference_principal_search(X, bound):
         passed += 1
         return z if O.scale(z) == X else None
 
-    z, tried = xl.bounded_search(n, bound, accept, up_to_sign=True)
+    z, tried = xl.bounded_search(n, bound, accept)
     return it.PrincipalResult(z is not None, z, bound, tried), passed
 
 

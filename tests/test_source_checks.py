@@ -111,6 +111,13 @@ def test_pipeline_does_not_search_the_pair_lattices():
     assert from_tower == {"tower_polynomials", "_check_depth"}
 
 
+def _users():
+    """The files whose use keeps a definition alive: the package but its
+    re-exports, the scripts and the benchmark's tracer."""
+    package = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    return package + sorted((ROOT / "scripts").rglob("*.py")) + [ROOT / "decidebench" / "layertrace.py"]
+
+
 def _mentioned_names(tree):
     """Names, attributes, import aliases and identifier strings (the
     benchmark's tracer looks functions up by their names)."""
@@ -133,9 +140,8 @@ def test_every_definition_is_named_outside_the_tests():
     # its name with a live one, such as a to_data.  A re-export in
     # __init__.py is not a use.
     package = sorted(SRC.rglob("*.py"))
-    users = [p for p in package if p.name != "__init__.py"] + sorted((ROOT / "scripts").rglob("*.py")) + [ROOT / "decidebench" / "layertrace.py"]
     mentioned, attributes = set(), set()
-    for path in users:
+    for path in _users():
         tree = ast.parse(path.read_text(), filename=str(path))
         mentioned.update(_mentioned_names(tree))
         attributes.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
@@ -152,6 +158,33 @@ def test_every_definition_is_named_outside_the_tests():
                 name = f"{owner[id(node)]}.{node.name}" if id(node) in owner else node.name
                 unnamed.append(f"{path.name}:{node.lineno} {name}")
     assert not unnamed
+
+
+def _is_dataclass(node):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # a field that nothing reads is deleted with the code that fills it.  A
+    # field counts as read only where an attribute of its name is loaded; the
+    # check goes by name, so it misses a dead field that shares its name with
+    # a live attribute elsewhere, such as a kind.
+    read = set()
+    for path in _users():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{path.name} {cls.name}.{field.target.id}"
+        for path in sorted(SRC.rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert not unread
 
 
 def _load_layertrace():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -269,12 +270,11 @@ def test_classify_identity_certificate_is_identity(towA1):
     assert cls.conjugator == I3
 
 
-def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
-    # classify_delta walks the same intertwiner lattice, bound and shell order
-    # as unimodular_search, with an extra congruence filter and without the
-    # +-c halving; below rank 6 neither walk reaches the candidate cap, so a
-    # conjugator read off the pair lattices is one the direct search finds.
-    bound = DEFAULT_CONFIG.unimodular_bound
+def _classify_cases(rng):
+    """Pairs with n = 2, 3 and their families at depth 3, as (A, B, towers,
+    families): conjugate pairs (A, U A U^-1) with the level-isomorphism
+    and the transport family, and sublattice pairs with the
+    level-isomorphism family where one is found."""
     pairs = []
     for n in (2, 3):
         for _ in range(3):
@@ -283,23 +283,121 @@ def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
             pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U)), U))
         for _ in range(4 if n == 2 else 2):
             pairs.append(sublattice_pair(rng, n, 4) + (None,))
-    graphs = 0
+    cases = []
     for A, B, U in pairs:
-        lattice = intertwiner_lattice(A, B)
-        assert (2 * bound + 1) ** lattice.rank <= DEFAULT_CONFIG.search_max_candidates
         tA, tB = tw.build_tower(A, 3), tw.build_tower(B, 3)
         families = [tw.level_iso_family(tA, tB, budget=DEFAULT_CONFIG.iso_budget).family]
         if U is not None:
             families.append(tw.transport_family(tA, tB, xl.unimodular_inverse(U)))
+        cases.append((A, B, tA, tB, [fam for fam in families if fam is not None]))
+    return cases
+
+
+def _deepest_ctil(tA, tB, fam):
+    """C~ at the family's deepest level K, row i the lift of Psi_K([e_i])."""
+    K = len(fam.maps)
+    GA, GB = tA.level(K), tB.level(K)
+    return tuple(GB.lift(fam.maps[K - 1].apply(GA.reduce(e))) for e in xl.identity(tA.n))
+
+
+def _classify_oracle(tA, tB, fam, bound):
+    """Reference oracle for classify_delta: the first C = sum c_i K_i over
+    the whole box |c_i| <= bound, both signs and in plain lexicographic
+    order, that is unimodular and row-congruent to C~ mod N_K; no
+    solvability shortcut."""
+    n, K = tA.n, len(fam.maps)
+    GB = tB.level(K)
+    ctil = _deepest_ctil(tA, tB, fam)
+    kern = intertwiner_kernel(tA.base, tB.base)
+    for c in itertools.product(range(-bound, bound + 1), repeat=len(kern)):
+        C = xl.unvec(xl.vec_mat(c, kern), n)
+        if xl.det(C) in (1, -1) and all(GB.contains(r) for r in xl.mat_sub(C, ctil)):
+            return C
+    return None
+
+
+def test_classify_delta_conjugators_are_found_by_unimodular_search(rng):
+    # classify_delta walks the same intertwiner lattice, bound and shell order
+    # as unimodular_search, one of each +-c, with an extra congruence filter
+    # that either sign may pass; below rank 6 neither walk reaches the
+    # candidate cap, so a conjugator read off the pair lattices is one the
+    # direct search finds.
+    bound = DEFAULT_CONFIG.unimodular_bound
+    graphs = 0
+    for A, B, tA, tB, families in _classify_cases(rng):
+        lattice = intertwiner_lattice(A, B)
+        assert (2 * bound + 1) ** lattice.rank <= DEFAULT_CONFIG.search_max_candidates
         for fam in families:
-            if fam is None:
-                continue
             deltas = [tw.delta_lattice(tA, tB, fam, k) for k in (1, 2, 3)]
             cls = tw.classify_delta(tA, tB, fam, deltas, search_bound=bound)
             if cls.kind == "graph_of_conjugator":
                 graphs += 1
                 assert unimodular_search(lattice, bound).found
     assert graphs >= 6
+
+
+def test_classify_delta_searches_the_deepest_lattice_once(rng, monkeypatch):
+    # Delta_3 lies inside Delta_1 and Delta_2, and only it can certify, so
+    # one search runs, and only where the graph equation is solvable at K
+    calls = []
+    search = xl.bounded_search
+    monkeypatch.setattr(xl, "bounded_search", lambda *args: calls.append(args[:2]) or search(*args))
+    bound = DEFAULT_CONFIG.unimodular_bound
+    solvable = 0
+    for A, B, tA, tB, families in _classify_cases(rng):
+        kern = intertwiner_kernel(A, B)
+        for fam in families:
+            deltas = [tw.delta_lattice(tA, tB, fam, k) for k in (1, 2, 3)]
+            calls.clear()
+            tw.classify_delta(tA, tB, fam, deltas, search_bound=bound)
+            expected = tw._graph_repr_solvable(kern, _deepest_ctil(tA, tB, fam), tB.level(3).relations)
+            assert calls == [(len(kern), bound)] * expected
+            solvable += expected
+    assert solvable >= 9
+
+
+def test_level_refuses_an_index_outside_the_tower(towA1):
+    # level k is levels[k - 1] for k = 1..depth; level(0) must not wrap
+    # round to the deepest level, nor a depth-0 pair lattice be classified
+    # through the family's deepest map
+    assert [towA1.level(k) for k in range(1, 5)] == list(towA1.levels)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError):
+            towA1.level(k)
+    fam = tw.transport_family(towA1, towA1, I3, depth=2)
+    for deltas in ([tw.delta_lattice(towA1, towA1, fam, 0)], []):
+        with pytest.raises(ValueError):
+            tw.classify_delta(towA1, towA1, fam, deltas)
+
+
+# sha256 of classify_delta's (is graph, conjugator) on the families of
+# _classify_cases and the level-isomorphism family of worked pair 2, at
+# depth 3 and the default unimodular bound; a change that alters a
+# conjugator updates this value and says so
+CLASSIFY_DELTA_SHA256 = "72ad1c8f7a9e57666d30ea7b462075d73bf6a49a865b519125044d5a9fc0b938"
+
+
+def test_classify_delta_matches_the_two_sign_box_oracle(rng):
+    bound = DEFAULT_CONFIG.unimodular_bound
+    cases = [(tA, tB, fam) for _, _, tA, tB, families in _classify_cases(rng) for fam in families]
+    tA2, tB2 = tw.build_tower(A2, 3), tw.build_tower(B2, 3)
+    cases.append((tA2, tB2, tw.level_iso_family(tA2, tB2, 3).family))
+    outcomes = []
+    for tA, tB, fam in cases:
+        deltas = [tw.delta_lattice(tA, tB, fam, k) for k in (1, 2, 3)]
+        cls = tw.classify_delta(tA, tB, fam, deltas, search_bound=bound)
+        graph = cls.kind == "graph_of_conjugator"
+        assert graph == (_classify_oracle(tA, tB, fam, bound) is not None)
+        C = cls.conjugator
+        if graph:
+            assert xl.mat_mul(tA.base, C) == xl.mat_mul(C, tB.base) and xl.det(C) in (1, -1)
+            assert all(tB.level(3).contains(r) for r in xl.mat_sub(C, _deepest_ctil(tA, tB, fam)))
+        else:
+            assert C is None
+        outcomes.append(json.dumps([graph, [list(r) for r in C] if graph else None]))
+    graphs = sum(json.loads(o)[0] for o in outcomes)
+    assert (len(outcomes), graphs) == (18, 9)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CLASSIFY_DELTA_SHA256
 
 
 def test_tower_polynomials_depth_4():
