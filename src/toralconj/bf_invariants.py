@@ -6,7 +6,7 @@ A screen pass is a necessary-condition filter only and is reported as
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import exact_linalg as xl
 from . import polys
@@ -105,11 +105,37 @@ def default_family(
 
 @dataclass(frozen=True)
 class ScreenReport:
+    """The comparisons of one screen, (g, BF_g(A), BF_g(B), result) per
+    polynomial screened; the last is the refutation when there is one."""
+
     family: tuple[polys.Poly, ...]
-    outcome: str                      # "not_equivalent" | "passed_screen" | "partial_unknown"
-    witness: polys.Poly | None
-    records: tuple[dict, ...]
-    undecided: tuple[polys.Poly, ...] = field(default_factory=tuple)
+    compared: tuple[tuple[polys.Poly, FiniteModulePresentation, FiniteModulePresentation, IsoResult], ...]
+
+    @property
+    def outcome(self) -> str:
+        """not_equivalent, partial_unknown or passed_screen."""
+        verdicts = {res.verdict for *_, res in self.compared}
+        if "no" in verdicts:
+            return "not_equivalent"
+        return "partial_unknown" if "unknown" in verdicts else "passed_screen"
+
+    @property
+    def witness(self) -> polys.Poly | None:
+        return self.compared[-1][0] if self.outcome == "not_equivalent" else None
+
+    @property
+    def records(self) -> tuple[dict, ...]:
+        return tuple(
+            {
+                "g": polys.to_str(g),
+                "order_left": ga.order,
+                "order_right": gb.order,
+                "factors_left": list(ga.factors),
+                "factors_right": list(gb.factors),
+                "iso": res.to_data(),
+            }
+            for g, ga, gb, res in self.compared
+        )
 
     def to_data(self) -> dict:
         out = {
@@ -119,8 +145,8 @@ class ScreenReport:
         }
         if self.witness is not None:
             out["witness"] = polys.to_str(self.witness)
-        if self.undecided:
-            out["undecided"] = [polys.to_str(g) for g in self.undecided]
+        if self.outcome == "partial_unknown":
+            out["undecided"] = [polys.to_str(g) for g, *_, res in self.compared if res.verdict == "unknown"]
         return out
 
 
@@ -138,41 +164,11 @@ def strong_bf_screen(
     """
     if family is None:
         family = default_family(A)
-    records: list[dict] = []
-    undecided: list[polys.Poly] = []
+    compared = []
     for g in family:
-        ga = bf_group(A, g)
-        gb = bf_group(B, g)
-        res: IsoResult = module_iso_exists(ga, gb, budget=budget)
-        rec = {
-            "g": polys.to_str(g),
-            "order_left": ga.order,
-            "order_right": gb.order,
-            "factors_left": list(ga.factors),
-            "factors_right": list(gb.factors),
-            "iso": res.to_data(),
-        }
-        records.append(rec)
+        ga, gb = bf_group(A, g), bf_group(B, g)
+        res = module_iso_exists(ga, gb, budget=budget)
+        compared.append((g, ga, gb, res))
         if res.verdict == "no":
-            return ScreenReport(
-                family=tuple(family),
-                outcome="not_equivalent",
-                witness=g,
-                records=tuple(records),
-            )
-        if res.verdict == "unknown":
-            undecided.append(g)
-    if undecided:
-        return ScreenReport(
-            family=tuple(family),
-            outcome="partial_unknown",
-            witness=None,
-            records=tuple(records),
-            undecided=tuple(undecided),
-        )
-    return ScreenReport(
-        family=tuple(family),
-        outcome="passed_screen",
-        witness=None,
-        records=tuple(records),
-    )
+            break
+    return ScreenReport(family=tuple(family), compared=tuple(compared))

@@ -158,10 +158,10 @@ def cmd_screen(args) -> int:
     lines = [f"screen outcome: {rep.outcome}"]
     if rep.witness is not None:
         lines.append(f"witness polynomial: {polys.to_str(rep.witness)}")
-    for rec in rep.records:
+    for g, ga, gb, res in rep.compared:
         lines.append(
-            f"  g={rec['g']}: orders {rec['order_left']}/{rec['order_right']}"
-            f" factors {rec['factors_left']}/{rec['factors_right']} iso={rec['iso']['verdict']}"
+            f"  g={polys.to_str(g)}: orders {ga.order}/{gb.order}"
+            f" factors {list(ga.factors)}/{list(gb.factors)} iso={res.verdict}"
         )
     _emit(report, args.json, lines, started)
     return 2 if rep.outcome == "partial_unknown" else 0

@@ -205,13 +205,8 @@ def _emit_conjugate(A: Mat, B: Mat, C: Mat, evidence, config) -> Verdict:
 
 
 def _bf_witness(screen: ScreenReport) -> dict:
-    rec = screen.records[-1]
-    return {
-        "kind": "bf_screen",
-        "g": polys.to_str(screen.witness),
-        "left": {"order": rec["order_left"], "invariant_factors": rec["factors_left"]},
-        "right": {"order": rec["order_right"], "invariant_factors": rec["factors_right"]},
-    }
+    g, GA, GB, _ = screen.compared[-1]
+    return {"kind": "bf_screen", "g": polys.to_str(g), "left": GA.fingerprint(), "right": GB.fingerprint()}
 
 
 def _emit_not_conjugate(A: Mat, B: Mat, witness: dict, evidence, config) -> Verdict:

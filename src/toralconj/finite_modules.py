@@ -418,60 +418,40 @@ def _hom_from_coords(c: Vec, vq_inv: Mat, basis: Mat, rs: int, rt: int, tfactors
     )
 
 
+def _mixed_radix(index: int, box: Vec) -> Vec:
+    """The index-th point of the box in lexicographic order (last
+    coordinate fastest), without building the box's ranges."""
+    coords = []
+    for d in reversed(box):
+        index, c = divmod(index, d)
+        coords.append(c)
+    return tuple(reversed(coords))
+
+
 def _component_iso_search(S: FiniteModulePresentation, T: FiniteModulePresentation, p: int, budget: int):
     """Search for an intertwining isomorphism between p-primary components.
 
     Returns (F or None, tried, complete); complete=True means the whole hom
     set was decided, so F=None is then a certified non-existence.
+
+    One lazy walk over at most budget points of a box of hom coordinates:
+    the whole hom set, or the sub-box of coordinates <= rank when that fits
+    the budget and the hom set does not, for square elementary-abelian
+    components over p > rank.  There isomorphy is a nonzero det over F_p of
+    degree <= rank in each coordinate, so the sub-box decides it.
     """
-    rs, rt = S.rank, T.rank
     basis, diag, vq_inv = _hom_lattice_quotient(S, T)
-    total = 1
-    for d in diag:
-        total *= d
-    tried = 0
-
-    # Elementary-abelian components over a large prime: isomorphy is a
-    # nonvanishing determinant over F_p, decided on a small grid because the
-    # determinant has degree <= rank in each coefficient.
-    if (
-        total > budget
-        and rs == rt
-        and all(d == p for d in S.factors)
-        and all(d == p for d in T.factors)
-        and p > rt
-    ):
-        gens = [row for row, d in zip(
-            (xl.vec_mat(tuple(1 if i == j else 0 for j in range(len(diag))), vq_inv) for i in range(len(diag))),
-            diag) if d > 1]
-        mats = [
-            tuple(tuple(xl.vec_mat(g, basis)[i * rt + j] % p for j in range(rt)) for i in range(rs))
-            for g in gens
-        ]
-        grid = range(min(rt, p - 1) + 1)
-        npts = (len(grid)) ** len(mats)
-        if npts <= budget:
-            for cs in itertools.product(grid, repeat=len(mats)):
-                tried += 1
-                F = tuple(
-                    tuple(sum(c * m[i][j] for c, m in zip(cs, mats)) % p for j in range(rt))
-                    for i in range(rs)
-                )
-                if xl.det(F) % p != 0:
-                    return F, tried, True
-            return None, tried, True
-
-    # the full enumeration, or a budget-limited prefix of it that is honest
-    # about incompleteness
-    for c in itertools.product(*(range(d) for d in diag)):
-        if tried >= budget:
-            return None, tried, False
-        tried += 1
-        F = _hom_from_coords(c, vq_inv, basis, rs, rt, T.factors)
-        m = ModuleMap(S, T, F)
-        if m.is_surjective():
-            return F, tried, True
-    return None, tried, True
+    box = diag
+    if S.rank == T.rank < p and all(d == p for d in S.factors + T.factors):
+        grid = tuple(min(d, T.rank + 1) for d in diag)
+        if math.prod(diag) > budget >= math.prod(grid):
+            box = grid
+    walk = min(math.prod(box), budget)
+    for index in range(walk):
+        F = _hom_from_coords(_mixed_radix(index, box), vq_inv, basis, S.rank, T.rank, T.factors)
+        if ModuleMap(S, T, F).is_surjective():
+            return F, index + 1, True
+    return None, walk, math.prod(box) <= budget
 
 
 # max-norm radius of the ambient intertwiner candidates when the intertwiner

@@ -236,6 +236,14 @@ def tower_polynomials(depth: int) -> list[polys.Poly]:
     return out
 
 
+def _family_depth(towA: Tower, towB: Tower, depth: int | None) -> int:
+    """depth, or both towers' depth when None; it must lie in 1..that."""
+    top = min(towA.depth, towB.depth)
+    if depth is not None and not 1 <= depth <= top:
+        raise ValueError(f"family depth {depth} outside 1..{top}")
+    return top if depth is None else depth
+
+
 def level_iso_family(
     towA: Tower,
     towB: Tower,
@@ -251,30 +259,24 @@ def level_iso_family(
     the canonical epimorphisms, which is automatically compatible, and the
     whole family is re-verified.
     """
-    K = depth or min(towA.depth, towB.depth)
-    if K > min(towA.depth, towB.depth):
-        raise ValueError("requested depth exceeds tower depth")
+    K = _family_depth(towA, towB, depth)
     screen = strong_bf_screen(towA.base, towB.base, tower_polynomials(K), budget=budget)
-    rec = screen.records[-1]
-    if screen.outcome == "not_equivalent":
+    g, GA, GB, res = screen.compared[-1]
+    if res.verdict == "no":
         return LevelIsoOutcome(
             kind="not_found_at_level",
-            level=next(k for k in range(1, K + 1) if screen.witness in tower_polynomials(k)),
+            level=next(k for k in range(1, K + 1) if g in tower_polynomials(k)),
             witness={
                 "kind": "canonical_quotient",
-                "divisor": rec["g"],
-                "mismatch": rec["iso"]["witness"],
-                "left": {"order": rec["order_left"], "invariant_factors": rec["factors_left"]},
-                "right": {"order": rec["order_right"], "invariant_factors": rec["factors_right"]},
+                "divisor": polys.to_str(g),
+                "mismatch": res.witness,
+                "left": GA.fingerprint(),
+                "right": GB.fingerprint(),
             },
         )
-    if rec["iso"]["verdict"] != "yes":
-        return LevelIsoOutcome(
-            kind="unknown",
-            witness={"kind": "budget", "level": K, "detail": rec["iso"]["witness"]},
-        )
-    sigma = ModuleMap(towA.level(K), towB.level(K), xl.mat(rec["iso"]["iso_matrix"]))
-    family = LevelIsoFamily(source=towA, target=towB, maps=_family_by_projection(towA, towB, K, sigma))
+    if res.verdict != "yes":
+        return LevelIsoOutcome(kind="unknown", witness={"kind": "budget", "level": K, "detail": res.witness})
+    family = LevelIsoFamily(source=towA, target=towB, maps=_family_by_projection(towA, towB, K, res.iso))
     if not family.verify():
         raise InternalInconsistencyError("projected level family failed verification")
     return LevelIsoOutcome(kind="found", family=family)
@@ -284,7 +286,7 @@ def transport_family(towA: Tower, towB: Tower, C: Mat, depth: int | None = None)
     """The family [m]_k -> [m C]_k induced by an exact intertwiner C with
     A C = C B that is bijective at every level (e.g. a conjugator);
     compatibility is automatic and the whole family is re-verified."""
-    K = depth or min(towA.depth, towB.depth)
+    K = _family_depth(towA, towB, depth)
     if xl.mat_mul(towA.base, C) != xl.mat_mul(C, towB.base):
         raise ValueError("transport matrix does not intertwine")
     maps = []
@@ -324,29 +326,25 @@ class PairLattice:
     basis: Mat
 
 
+def _level_matrix(towA: Tower, towB: Tower, family: LevelIsoFamily, K: int) -> Mat:
+    """C~ with Psi_K([m]_K) = [m C~]_K: row i lifts Psi_K([e_i]_K)."""
+    GA, GB = towA.level(K), towB.level(K)
+    return tuple(GB.lift(family.maps[K - 1].apply(GA.reduce(e))) for e in xl.identity(towA.n))
+
+
 def delta_lattice(towA: Tower, towB: Tower, family: LevelIsoFamily, depth: int) -> PairLattice:
-    """Delta_K = {(m, m~) : Psi_k([m]_k) = [m~]_k for all k <= depth},
-    computed as a congruence kernel at the deepest level (compatibility makes
-    the lower levels automatic).  Depth 0 is the empty constraint Z^(2n)."""
+    """Delta_K = {(m, m~) : Psi_k([m]_k) = [m~]_k for all k <= depth}.
+
+    Compatibility makes the lower levels automatic, and Psi_K([m]_K) =
+    [m C~]_K, so Delta_K = graph(C~) + {0} x N_K: the HNF of the rows
+    (e_i, C~_i) and (0, nu) for the relations nu of N_K.  Depth 0 is the
+    empty constraint Z^(2n)."""
     n = towA.n
     if depth == 0:
         return PairLattice(depth=0, basis=xl.identity(2 * n))
-    psi = family.maps[depth - 1]
-    GB = towB.level(depth)
-    rows = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        rows.append(tuple(int(x) for x in psi.apply(towA.level(depth).reduce(e))))
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        rows.append(tuple(-x for x in GB.reduce(e)))
-    basis = xl.congruence_kernel(tuple(rows), GB.factors)
-    if len(basis) != 2 * n:
-        raise InternalInconsistencyError("pair lattice is not full rank")
-    for nu in GB.relations:
-        if xl.lattice_membership(basis, (0,) * n + nu) is None:
-            raise InternalInconsistencyError("pair lattice misses {0} x N_K")
-    return PairLattice(depth=depth, basis=basis)
+    graph = tuple(e + row for e, row in zip(xl.identity(n), _level_matrix(towA, towB, family, depth)))
+    kernel = tuple((0,) * n + nu for nu in towB.level(depth).relations)
+    return PairLattice(depth=depth, basis=xl.hnf_basis(graph + kernel))
 
 
 @dataclass(frozen=True)
@@ -383,8 +381,8 @@ def classify_delta(
             if xl.lattice_membership(d1.basis, row) is None:
                 raise InternalInconsistencyError("pair lattices are not nested")
     K = deltas[-1].depth
-    GA, GB = towA.level(K), towB.level(K)
-    ctil = tuple(GB.lift(family.maps[K - 1].apply(GA.reduce(e))) for e in xl.identity(n))
+    GB = towB.level(K)
+    ctil = _level_matrix(towA, towB, family, K)
     kern = intertwiner_kernel(A, B)
     if not _graph_repr_solvable(kern, ctil, GB.relations):
         return DeltaClassification("indeterminate", None)

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import random
 from math import factorial
 
 import pytest
@@ -9,11 +13,12 @@ from toralconj.bf_invariants import (
     default_family,
     hyperbolicity_check,
     invertibility_check,
+    ScreenReport,
     strong_bf_screen,
 )
 from toralconj.errors import InfiniteQuotientError
 
-from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, with_eigenvalue
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, sublattice_pair, with_eigenvalue
 
 I3 = xl.identity(3)
 
@@ -176,3 +181,57 @@ def test_screen_conjugate_pairs_pass(rng):
         fam = default_family(A, max_shift=2, max_power=3, cyclotomic_index=4)
         rep = strong_bf_screen(A, B, fam)
         assert rep.outcome == "passed_screen"
+
+
+def test_screen_report_holds_the_comparisons():
+    assert [f.name for f in dataclasses.fields(ScreenReport)] == ["family", "compared"]
+    rep = strong_bf_screen(A1, B1)
+    g, GA, GB, res = rep.compared[-1]
+    assert (g, rep.witness, res.verdict) == ((1, 1), (1, 1), "no")
+    assert len(rep.compared) == rep.family.index(g) + 1
+    assert all(r.verdict == "yes" for *_, r in rep.compared[:-1])
+    assert (GA, GB) == (bf_group(A1, g), bf_group(B1, g))
+    assert rep.records[-1]["iso"] == res.to_data()
+    assert "undecided" not in rep.to_data()
+
+
+def test_screen_undecided_only_for_partial_unknown():
+    # budget 0 leaves x^3 - 1 of worked pair 2 and x^4 + 1 of worked pair 1
+    # undecided; a refutation after an undecided member writes no list
+    rep = strong_bf_screen(A2, B2, [(-1, 0, 0, 1), (1, 1)], budget=0)
+    assert rep.outcome == "partial_unknown" and rep.witness is None
+    assert rep.to_data()["undecided"] == ["x^3-1"]
+    rep = strong_bf_screen(A1, B1, [(1, 0, 0, 0, 1), (1, 1)], budget=0)
+    assert [res.verdict for *_, res in rep.compared] == ["unknown", "no"]
+    assert rep.outcome == "not_equivalent" and "undecided" not in rep.to_data()
+
+
+# sha256 of strong_bf_screen(...).to_data() on the cases of
+# test_screen_reports_are_pinned; a change that alters a report updates
+# this value and says so
+SCREEN_REPORTS_SHA256 = "87b3f85a7ec9027f5f4f5989f68696f484eb6e660112aad5322f0badb0ceaeea"
+
+
+def test_screen_reports_are_pinned():
+    # seeded 3x3 and 4x4 similar pairs, four conjugate and eight of prime
+    # index per size, over the default family at budgets 1, 7 and 5,000.
+    # Pair 14 at budget 1 is left out: the old eager walk built the ranges
+    # of a hom set too large for memory there, and the lazy walk's unknown
+    # is covered by test_lazy_walk_of_a_huge_hom_set_ends_unknown
+    rng = random.Random(33)
+    pairs = []
+    for n in (3, 4):
+        for _ in range(4):
+            A = random_hyperbolic(rng, n, 3)
+            U = random_unimodular(rng, n)
+            pairs.append((A, xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))))
+        pairs += [sublattice_pair(rng, n, 4 if n == 3 else 2) for _ in range(8)]
+    reports = [
+        json.dumps(strong_bf_screen(A, B, budget=budget).to_data(), sort_keys=True)
+        for i, (A, B) in enumerate(pairs)
+        for budget in (1, 7, 5000)
+        if (i, budget) != (14, 1)
+    ]
+    outcomes = [json.loads(r)["outcome"] for r in reports]
+    assert [outcomes.count(o) for o in ("not_equivalent", "partial_unknown", "passed_screen")] == [3, 22, 46]
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == SCREEN_REPORTS_SHA256

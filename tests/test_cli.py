@@ -129,6 +129,20 @@ def test_screen_not_similar(capsys, mats):
     assert json.loads(out)["result"]["outcome"] == "not_similar"
 
 
+def test_screen_at_budget_zero_ends_partial_unknown_without_a_traceback(tmp_path):
+    # at g = x^4 + 1 both BF groups are Z/7 + Z/98858726414, and a component
+    # hom set is far too large to enumerate; the walk stops at the budget
+    P = write(tmp_path, "P.txt", [[12, 0, 8], [3, 1, -6], [-6, 9, 0]])
+    Q = write(tmp_path, "Q.txt", [[0, 9, 6], [-6, 1, -3], [-8, 0, 12]])
+    done = run_fresh(["screen", P, Q, "--budget", "0", "--json"])
+    assert (done.returncode, done.stderr) == (2, "")
+    result = json.loads(done.stdout)["result"]
+    assert result["outcome"] == "partial_unknown"
+    assert result["undecided"] == ["x^2-1", "x^4-1", "x^4+1"]
+    rec = next(r for r in result["records"] if r["g"] == "x^4+1")
+    assert rec["factors_left"] == rec["factors_right"] == [7, 98858726414]
+
+
 def test_tower_command(capsys, mats):
     code, out, _ = run(capsys, ["tower", mats["A1"], "--levels", "2", "--json"])
     assert code == 0

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,7 @@ from toralconj import exact_linalg as xl
 from toralconj import finite_modules as fm
 from toralconj.bf_invariants import default_family
 from toralconj.errors import IllFormedActionError, InfiniteQuotientError, InternalInconsistencyError
-from toralconj.intfactor import factorint
+from toralconj.intfactor import factorint, is_prime
 
 from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
 
@@ -374,6 +378,94 @@ def test_large_prime_component_grid_certified_no():
     assert res.verdict == "no"
     assert res.witness["reason"] == "exhausted_search"
     assert res.tried < 100
+
+
+def test_lazy_walk_of_a_huge_hom_set_ends_unknown():
+    # Z/p^2 with actions 2 and 2 + p: equal mod p, so the per-prime
+    # polynomials agree, and the hom set has p elements.  The walk stops at
+    # the budget without building the box's ranges.
+    p = 10**12 + 39
+    assert is_prime(p)
+    S = fm.quotient(((p * p,),), ((2,),))
+    T = fm.quotient(((p * p,),), ((2 + p,),))
+    res = fm.module_iso_exists(S, T, budget=1000)
+    assert res.verdict == "unknown"
+    assert res.witness == {"reason": "budget_exhausted", "primes_undecided": [p]}
+    assert res.tried == 1001
+
+
+def test_mixed_radix_walks_the_box_in_product_order():
+    box = (3, 1, 4, 2)
+    assert [fm._mixed_radix(i, box) for i in range(math.prod(box))] == list(
+        itertools.product(*(range(d) for d in box))
+    )
+
+
+def _primary_pair(rng, p, exps, iso):
+    """Z^r / Z^r diag(p^e) with a random action, and the same group with a
+    random action (iso=False) or the action carried over by a random W with
+    L W = L, det W = 1 (iso=True, so the two are isomorphic)."""
+    d = [p**e for e in exps]
+    r = len(d)
+    rel = tuple(tuple(x if i == j else 0 for j, x in enumerate(d)) for i in range(r))
+
+    def action():
+        return xl.mat([[rng.randrange(d[j]) * (d[j] // math.gcd(d[i], d[j])) % d[j] for j in range(r)] for i in range(r)])
+
+    act = action()
+    if not iso:
+        return fm.quotient(rel, act), fm.quotient(rel, action())
+    # exps ascend, so entry (i, j) of W is free below the diagonal and a
+    # multiple of d_j / d_i above it
+    low = [[int(i == j) or (rng.randrange(-3, 4) if i > j else 0) for j in range(r)] for i in range(r)]
+    up = [[int(i == j) or (rng.randrange(-3, 4) * d[j] // d[i] if i < j else 0) for j in range(r)] for i in range(r)]
+    W = xl.mat_mul(xl.mat(low), xl.mat(up))
+    act2 = xl.mat_mul(xl.mat_mul(xl.unimodular_inverse(W), act), W)
+    return fm.quotient(rel, act), fm.quotient(rel, xl.mat([[x % dj for x, dj in zip(row, d)] for row in act2]))
+
+
+# sha256 of _component_iso_search's (F, tried, complete) on the cases of
+# test_component_search_outcomes_are_pinned; a change that alters an outcome
+# updates this value and says so
+COMPONENT_SEARCH_SHA256 = "ae21493d0975bfca5626248ff027d5622c7a3d373a06061130174599a9ec7c6d"
+
+
+def test_component_search_outcomes_are_pinned():
+    # seeded p-primary pairs, half of them isomorphic, one in four with p^2
+    # factors, at every budget whose walk is at most 3,000 candidates or that
+    # takes the F_p grid (elementary abelian, square, p > rank and
+    # prod(diag) > budget >= prod(grid))
+    rng = random.Random(32)
+    outcomes, on_grid = [], 0
+    for p in (2, 3, 5, 7, 101, 1009):
+        for r in (1, 2, 3):
+            for k in range(8):
+                exps = sorted(rng.choice((1, 2)) for _ in range(r)) if k % 4 == 3 else [1] * r
+                S, T = _primary_pair(rng, p, exps, iso=k % 2 == 0)
+                diag = fm._hom_lattice_quotient(S, T)[1]
+                size, grid = math.prod(diag), math.prod(min(d, r + 1) for d in diag)
+                square = S.rank == T.rank < p and all(d == p for d in S.factors + T.factors)
+                for budget in (1, 2, 3, 5, 8, 13, 27, 64, 100, 250, 1000, 10_000, 100_000):
+                    takes_grid = square and size > budget >= grid
+                    if min(size, budget) > 3000 and not takes_grid:
+                        continue
+                    on_grid += takes_grid
+                    F, tried, complete = fm._component_iso_search(S, T, p, budget)
+                    if F is not None:
+                        assert fm.ModuleMap(S, T, F).is_isomorphism()
+                    outcomes.append(json.dumps([p, budget, F, tried, complete]))
+    assert (len(outcomes), on_grid) == (1868, 238)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == COMPONENT_SEARCH_SHA256
+
+
+def test_maps_that_are_not_well_defined():
+    # Z/2 -> Z/4: [1] -> [1] sends 2 = 0 to 2 != 0, and W = 1 carries the
+    # relation 2 outside 4Z
+    Z2, Z4 = fm.quotient(((2,),), ((1,),)), fm.quotient(((4,),), ((1,),))
+    assert not fm.ModuleMap(Z2, Z4, ((1,),)).is_well_defined()
+    assert fm.ModuleMap(Z2, Z4, ((2,),)).is_well_defined()
+    assert fm.map_from_ambient(Z2, Z4, ((1,),)) is None
+    assert fm.map_from_ambient(Z2, Z4, ((2,),)).mat == ((2,),)
 
 
 def test_conjugation_invariance_small_det(rng):

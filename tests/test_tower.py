@@ -12,7 +12,7 @@ from toralconj import tower as tw
 from toralconj.bf_invariants import bf_group, strong_bf_screen
 from toralconj.conjugacy_pipeline import DEFAULT_CONFIG, intertwiner_lattice, unimodular_search
 from toralconj.errors import ResourceLimitError, ToralConjError
-from toralconj.finite_modules import intertwiner_kernel
+from toralconj.finite_modules import ModuleMap, intertwiner_kernel
 
 from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular, sublattice_pair, with_eigenvalue
 
@@ -354,6 +354,72 @@ def test_classify_delta_searches_the_deepest_lattice_once(rng, monkeypatch):
             assert calls == [(len(kern), bound)] * expected
             solvable += expected
     assert solvable >= 9
+
+
+def test_family_depth_must_be_a_level_of_both_towers(towA1):
+    # depth None means both towers' depth; 0 is refused like any depth
+    # outside 1..depth, not read as "not given"
+    towA1_2 = tw.build_tower(A1, 2)
+    for depth in (0, -1, 3):
+        with pytest.raises(ValueError):
+            tw.level_iso_family(towA1, towA1_2, depth)
+        with pytest.raises(ValueError):
+            tw.transport_family(towA1, towA1_2, I3, depth=depth)
+    assert len(tw.level_iso_family(towA1, towA1_2).family.maps) == 2
+    assert len(tw.transport_family(towA1, towA1_2, I3).maps) == 2
+
+
+def test_level_iso_family_unknown_under_a_small_budget():
+    # at budget 1 the primary components of G_3 of worked pair 2 stay
+    # undecided; at budget 5 a family is found
+    tA, tB = tw.build_tower(A2, 3), tw.build_tower(B2, 3)
+    out = tw.level_iso_family(tA, tB, 3, budget=1)
+    assert (out.kind, out.family, out.level) == ("unknown", None, None)
+    assert out.witness == {
+        "kind": "budget",
+        "level": 3,
+        "detail": {"reason": "budget_exhausted", "primes_undecided": [2, 5, 13]},
+    }
+    assert tw.level_iso_family(tA, tB, 3, budget=5).kind == "found"
+
+
+def _delta_by_congruence(tA, tB, fam, K):
+    """Reference oracle for delta_lattice: the pairs (m, m~) with
+    Psi_K([m]_K) = [m~]_K, as a congruence kernel in G_K(B)'s coordinates."""
+    n, GB = tA.n, tB.level(K)
+    rows = [fam.maps[K - 1].apply(tA.level(K).reduce(e)) for e in xl.identity(n)]
+    rows += [tuple(-x for x in GB.reduce(e)) for e in xl.identity(n)]
+    return xl.congruence_kernel(tuple(rows), GB.factors)
+
+
+def test_delta_lattice_matches_the_congruence_oracle(rng):
+    cases = 0
+    for _, _, tA, tB, families in _classify_cases(rng):
+        for fam in families:
+            for K in (1, 2, 3):
+                assert tw.delta_lattice(tA, tB, fam, K).basis == _delta_by_congruence(tA, tB, fam, K)
+                cases += 1
+    assert cases >= 45
+
+
+def test_classify_delta_indeterminate_without_an_intertwiner(monkeypatch):
+    # G_1 of [[5, 2], [2, 1]] is (Z/2)^2 with the trivial action, so every
+    # group automorphism is a level isomorphism; the intertwiners of A with
+    # itself reach only two of the six mod N_1, so for four the graph
+    # equation has no solution and no search runs
+    A = xl.mat([[5, 2], [2, 1]])
+    t = tw.build_tower(A, 1)
+    G = t.level(1)
+    assert G.factors == (2, 2)
+    monkeypatch.setattr(xl, "bounded_search", lambda *args: pytest.fail("search ran"))
+    kinds = []
+    for M in (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))):
+        fam = tw.LevelIsoFamily(t, t, (ModuleMap(G, G, M),))
+        assert fam.verify()
+        ctil = _deepest_ctil(t, t, fam)
+        assert not _graph_repr_solvable_affine(A, A, ctil, G.relations)
+        kinds.append(tw.classify_delta(t, t, fam, [tw.delta_lattice(t, t, fam, 1)]).kind)
+    assert kinds == ["indeterminate"] * 4
 
 
 def test_level_refuses_an_index_outside_the_tower(towA1):
