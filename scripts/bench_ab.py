@@ -7,7 +7,10 @@ from pair to pair so that a drift of the host's speed hits both sides alike.
 For every end-to-end metric of the change's BENCHMARK.json the script prints
 each side's median [Q1, Q3], the pairs the change won (in the direction of
 the metric's `better`), and whether the gap between the medians exceeds the
-parent's interquartile distance; then the failed operations of each side.
+parent's interquartile distance; then the failed operations of each side,
+and the corpus indices of the pairs that set `decide_tail_ref` and
+`decide_p50_ref` in each side's last run, read from the run's
+`decidebench/results/<workload>-seed<seed>-trace0.json`.
 It exits 1 when a run exits non-zero or prints no result line.
 
 Usage: python scripts/bench_ab.py PARENT CHANGE --workload W --pairs N
@@ -66,6 +69,32 @@ def render(rows: list[dict], parent: list[dict], change: list[dict]) -> str:
     return "\n".join(lines)
 
 
+# the per-pair rank metrics whose setting pairs are named
+RANKED = ("decide_tail_ref", "decide_p50_ref")
+
+
+def setting_pairs(detail: dict) -> dict[str, list[int]]:
+    """For each RANKED metric of one run's detail file, the corpus indices of
+    the pairs whose median time is its value, or of the two pairs it lies
+    between (the median of an even number of pairs)."""
+    medians = [(statistics.median(p["times_ref"]), i) for i, p in enumerate(detail["pairs"]) if p["times_ref"]]
+    out = {}
+    for name in RANKED:
+        value = detail["metrics"][name]["value"]
+        exact = [i for m, i in medians if m == value]
+        if not exact:
+            exact = [max((m, i) for m, i in medians if m < value)[1], min((m, i) for m, i in medians if m > value)[1]]
+        out[name] = exact
+    return out
+
+
+def render_setting_pairs(parent: dict, change: dict) -> str:
+    p, c = setting_pairs(parent), setting_pairs(change)
+    return "\n".join(
+        f"pairs setting `{name}` at seed {parent['seed']}: parent {p[name]}, change {c[name]}" for name in RANKED
+    )
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     done = subprocess.run(
         [sys.executable, str(checkout / "decidebench" / "run.py"), "--workload", workload,
@@ -104,6 +133,9 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     parent, change = results[args.parent], results[args.change]
     print(render(summarize(end_to_end, parent, change), parent, change))
+    stem = f"{args.workload}-seed{args.seed_base + args.pairs - 1}-trace0.json"
+    details = [json.loads((side / "decidebench" / "results" / stem).read_text()) for side in (args.parent, args.change)]
+    print(render_setting_pairs(*details))
     return 0
 
 

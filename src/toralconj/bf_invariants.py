@@ -46,7 +46,12 @@ def hyperbolicity_check(A: Mat) -> bool:
 def _reduce_memo(chi: polys.Poly, g: polys.Poly) -> tuple[polys.Poly, int]:
     """(g mod chi, |res(chi, g)|) for a monic chi, computed once per pair:
     the family's invertibility test and the BF groups of both matrices of a
-    similar pair, whose characteristic polynomials agree, all ask for them."""
+    similar pair, whose characteristic polynomials agree, all ask for them.
+
+    For g = x + a below the degree of chi, g mod chi is g and
+    |res(chi, g)| = |chi(-a)|, one Horner pass instead of a determinant."""
+    if len(g) == 2 and g[1] == 1 and polys.degree(chi) >= 2:
+        return g, abs(polys.eval_at(chi, -g[0]))
     return polys.divmod_exact(g, chi)[1], abs(xl.resultant(chi, g))
 
 
@@ -75,14 +80,10 @@ def bf_group(A: Mat, g: polys.Poly) -> FiniteModulePresentation:
     return module
 
 
-def default_family(
-    A: Mat,
-    max_shift: int = 5,
-    max_power: int = 6,
-    cyclotomic_index: int = 12,
-) -> list[polys.Poly]:
-    """The screening family {x -+ c} + {x^m -+ 1} + small cyclotomics,
-    deduplicated in a fixed order and filtered by invertibility for A."""
+def family_candidates(max_shift: int = 5, max_power: int = 6, cyclotomic_index: int = 12) -> list[polys.Poly]:
+    """{x -+ c} + {x^m -+ 1} + small cyclotomics, deduplicated in a fixed
+    order; every member of degree 1 comes before every other one, since
+    x -+ 1 and Phi_1, Phi_2 lead their lists."""
     cands: list[polys.Poly] = []
     for c in range(1, max_shift + 1):
         cands.append((-c, 1))
@@ -92,15 +93,18 @@ def default_family(
         cands.append(polys.x_pow_plus_one(m))
     for d in range(1, cyclotomic_index + 1):
         cands.append(polys.cyclotomic(d))
-    seen = set()
-    out = []
-    for g in cands:
-        if g in seen:
-            continue
-        seen.add(g)
-        if invertibility_check(A, g):
-            out.append(g)
-    return out
+    return list(dict.fromkeys(cands))
+
+
+def default_family(
+    A: Mat,
+    max_shift: int = 5,
+    max_power: int = 6,
+    cyclotomic_index: int = 12,
+) -> list[polys.Poly]:
+    """The screening family: family_candidates filtered by invertibility
+    for A."""
+    return [g for g in family_candidates(max_shift, max_power, cyclotomic_index) if invertibility_check(A, g)]
 
 
 @dataclass(frozen=True)

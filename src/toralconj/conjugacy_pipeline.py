@@ -44,8 +44,9 @@ from .bf_invariants import (
     ScreenReport,
     bf_group,
     cached_char_poly,
-    default_family,
+    family_candidates,
     hyperbolicity_check,
+    invertibility_check,
     strong_bf_screen,
 )
 from .errors import InternalInconsistencyError
@@ -84,8 +85,8 @@ DEFAULT_CONFIG = PipelineConfig()
 def similarity_check(A: Mat, B: Mat) -> bool:
     """Similarity over Q.
 
-    Characteristic polynomials must agree.  A squarefree one (gcd with its
-    derivative constant) is already decisive: every matrix with that
+    Characteristic polynomials must agree.  A squarefree one
+    (polys.is_squarefree) is already decisive: every matrix with that
     polynomial is cyclic, so its rational canonical form is the companion
     matrix.  Otherwise A ~ B iff the spaces C(X, Y) = {W : X W = W Y} of
     (A, A), (A, B) and (B, B) have one dimension (Byrnes and Gauger, 1977).
@@ -97,7 +98,7 @@ def similarity_check(A: Mat, B: Mat) -> bool:
     pa, pb = cached_char_poly(A), cached_char_poly(B)
     if pa != pb:
         return False
-    if polys.degree(polys.poly_gcd(pa, polys.derivative(pa))) == 0:
+    if polys.is_squarefree(pa):
         return True
     systems = (intertwiner_system(X, Y) for X, Y in ((A, A), (A, B), (B, B)))
     return len({xl.rank(S) for S in systems}) == 1
@@ -339,14 +340,11 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
     else:
         # (6) BF screen over the degree-1 members x - c: BF_{x-c} carries the
         # scalar action c, so order and invariant factors settle each one
-        # (equal groups make the identity an isomorphism) without a module map
-        family = default_family(
-            A,
-            max_shift=config.family_max_shift,
-            max_power=config.family_max_power,
-            cyclotomic_index=config.cyclotomic_index,
-        )
-        linear = [g for g in family if polys.degree(g) == 1]
+        # (equal groups make the identity an isomorphism) without a module map.
+        # The family is default_family(A), filtered here one degree at a time
+        # so that a pair refuted at degree 1 tests no member of degree >= 2
+        candidates = family_candidates(config.family_max_shift, config.family_max_power, config.cyclotomic_index)
+        linear = [g for g in candidates if polys.degree(g) == 1 and invertibility_check(A, g)]
         screen = strong_bf_screen(A, B, linear, budget=config.iso_budget)
         evidence.append({"stage": "bf_screen", "report": screen.to_data()})
         if screen.outcome == "not_equivalent":
@@ -359,7 +357,8 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
         # (7) BF screen over the members of degree >= 2; its candidate module
         # maps reuse the lattice
-        rest = [g for g in family if polys.degree(g) >= 2]
+        rest = [g for g in candidates if polys.degree(g) >= 2 and invertibility_check(A, g)]
+        family = linear + rest
         screen = strong_bf_screen(A, B, rest, budget=config.iso_budget)
         evidence.append({"stage": "bf_module_screen", "report": screen.to_data()})
         if screen.outcome == "not_equivalent":

@@ -5,7 +5,9 @@ so trial division alone is not enough.  The module isomorphism test factors
 only after its cheap candidate maps have failed, and then only the largest
 invariant factor, which has the primes of the order and fewer bits.
 Everything here is deterministic: the rho walk uses fixed increments, so
-repeated runs factor identically.
+repeated runs factor identically.  A perfect power r^k is split by an exact
+integer k-th root before rho, which would take about sqrt(r) steps to find
+its factor r (seconds for the square of a 40-bit prime).
 """
 
 from math import gcd
@@ -62,6 +64,24 @@ def _pollard_rho(n: int) -> int:
     raise ResourceLimitError(f"pollard rho found no factor of {n}")
 
 
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r^k for the least prime k that gives one, else (m, 1).
+    m has no prime factor up to 47, so r > 2^5 and k <= bit_length / 5."""
+    for k in range(2, m.bit_length() // 5 + 1):
+        if not is_prime(k):
+            continue
+        # integer Newton from above converges to the floor of the k-th root
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; empty for |n| <= 1."""
     n = abs(n)
@@ -72,17 +92,22 @@ def factorint(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    # (m, e): m^e is left to factor
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
+            continue
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.append((r, e * k))
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return dict(sorted(out.items()))
 
 

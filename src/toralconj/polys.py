@@ -143,6 +143,14 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a
 
 
+def is_squarefree(p: Poly) -> bool:
+    """gcd(p, p') is constant.  For a quadratic that is a nonzero
+    discriminant, read off with no gcd."""
+    if len(p) == 3:
+        return p[1] * p[1] != 4 * p[0] * p[2]
+    return degree(poly_gcd(p, derivative(p))) == 0
+
+
 def reverse(p: Poly) -> Poly:
     """Reciprocal polynomial x^deg(p) * p(1/x); requires p(0) != 0 to keep degree."""
     return trim(reversed(p))

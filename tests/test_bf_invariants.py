@@ -8,9 +8,12 @@ import pytest
 
 from toralconj import exact_linalg as xl
 from toralconj import polys
+from toralconj import bf_invariants
 from toralconj.bf_invariants import (
+    _reduce_memo,
     bf_group,
     default_family,
+    family_candidates,
     hyperbolicity_check,
     invertibility_check,
     ScreenReport,
@@ -142,6 +145,64 @@ def test_default_family_contents():
     # every member is invertible at A1
     for g in fam:
         assert invertibility_check(A1, g)
+
+
+def test_family_candidates_put_degree_one_first():
+    # the pipeline screens the degree-1 members at stage 6 and the rest at
+    # stage 7, so family == linear + rest needs them first in every config,
+    # also where x -+ 1 come from x^1 -+ 1 or from Phi_1, Phi_2
+    assert family_candidates() == list(dict.fromkeys(_family_candidates()))
+    for shift, power, index in [(5, 6, 12), (0, 6, 12), (1, 1, 12), (0, 0, 12), (0, 0, 1), (2, 0, 0), (0, 3, 0)]:
+        cands = family_candidates(shift, power, index)
+        degrees = [polys.degree(g) for g in cands]
+        assert degrees == sorted(degrees, key=lambda d: d > 1) and len(set(cands)) == len(cands)
+        for A in (A1, xl.mat([[1, 1], [1, 0]])):
+            family = default_family(A, shift, power, index)
+            assert family == [g for g in cands if invertibility_check(A, g)]
+            assert family == [g for g in family if polys.degree(g) == 1] + [g for g in family if polys.degree(g) >= 2]
+
+
+def test_linear_reduction_reads_the_resultant_off_chi(rng):
+    # |res(chi, x + a)| = |chi(-a)| for monic chi of degree >= 2, 0 at a root
+    chis = []
+    for _ in range(60):
+        d = rng.randint(2, 6)
+        chi = tuple(rng.randint(-9, 9) for _ in range(d)) + (1,)
+        if rng.random() < 0.5:
+            # force a root in [-8, 8]
+            root = rng.randint(-8, 8)
+            chi = polys.mul((-root, 1), chi[1:])
+        chis.append(chi)
+    zeros = 0
+    for chi in chis:
+        for a in range(-8, 9):
+            g = (a, 1)
+            r, order = _reduce_memo(chi, g)
+            assert (r, order) == (polys.divmod_exact(g, chi)[1], abs(xl.resultant(chi, g)))
+            zeros += order == 0
+    assert zeros >= 20
+
+
+def test_linear_refutation_runs_no_resultant_of_degree_two_or_more(monkeypatch):
+    # the first worked pair is refuted at stage 6 by x + 1; the members of
+    # degree >= 2 are neither tested for invertibility nor screened
+    from toralconj.conjugacy_pipeline import decide
+
+    degrees, resultant = [], xl.resultant
+
+    def counting(f, g):
+        degrees.append(polys.degree(g))
+        return resultant(f, g)
+
+    monkeypatch.setattr(bf_invariants.xl, "resultant", counting)
+    _reduce_memo.cache_clear()
+    v = decide(A1, B1)
+    assert v.outcome == "not_conjugate" and v.evidence[-1]["stage"] == "bf_screen"
+    assert [d for d in degrees if d >= 2] == []
+    # the whole family, for the CLI screen, still tests every member
+    _reduce_memo.cache_clear()
+    default_family(A1)
+    assert max(degrees) >= 2
 
 
 def test_screen_example1():

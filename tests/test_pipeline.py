@@ -451,7 +451,7 @@ def test_decide_certifies_in_shell_one_without_the_screens(rng, monkeypatch):
         if v.outcome == "conjugate" and len(v.evidence) == 3:
             assert v.evidence[-1]["result"]["candidates"] <= 13
             pairs.append((A, B, v.certificate))
-    monkeypatch.setattr(pipeline, "default_family", forbidden)
+    monkeypatch.setattr(pipeline, "family_candidates", forbidden)
     monkeypatch.setattr(pipeline, "bf_group", forbidden)
     monkeypatch.setattr(bf_invariants, "bf_group", forbidden)
     for A, B, C in pairs:
@@ -1025,6 +1025,32 @@ def test_sublattice_reports_are_pinned():
     assert sum(r["outcome"] == "unknown" for r in reports) == 21
     text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == SUBLATTICE_REPORTS_SHA256
+
+
+# sha256 of the reports on four 3x3 pairs under two small families, one
+# per config; the pairs end at stage 6, at the ideal route after the
+# periodic-data skip, after stage 7, and at the tower route
+SMALL_FAMILY_REPORTS_SHA256 = {
+    "shift0": "d2bd989213935c3be01f629f4bdab624a998eb78f24d03ad37d30faac4fb570f",
+    "shift1_power1": "6226bd7682fc024705f3106fd93b2171801ef8eab688393832cb5665be00e5ee",
+}
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("shift0", PipelineConfig(family_max_shift=0)),
+        ("shift1_power1", PipelineConfig(family_max_shift=1, family_max_power=1)),
+    ],
+)
+def test_small_family_reports_are_pinned(name, config):
+    # with max_shift 0, x -+ 1 come from x^1 -+ 1; stage 6 screens them and
+    # stage 7 the rest, so the reports are those of the whole family
+    pairs = [(A1, B1), (A2, B2), (RING_A, RING_B), (NONINVERTIBLE_A, NONINVERTIBLE_B)]
+    reports = [decide(A, B, config).to_data() for A, B in pairs]
+    assert [r["evidence"][-1]["stage"] for r in reports] == ["bf_screen", "ideal_route", "ideal_route", "tower_route"]
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FAMILY_REPORTS_SHA256[name]
 
 
 # sha256 of the reports on six 4x4 sublattice pairs; five of them reach the

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,17 @@ def test_poly_gcd():
     g = polys.mul((1, 1), (2, 1))         # (x+1)(x+2)
     assert polys.poly_gcd(f, g) == (1, 1)
     assert polys.poly_gcd((0, 1), (2,)) == (1,)
+
+
+def test_is_squarefree_matches_the_gcd():
+    # the discriminant of a quadratic against gcd(p, p'), on random monic
+    # quadratics and on squares (x - a)^2; cubics and up take the gcd
+    rng = random.Random(2)
+    quadratics = [(rng.randint(-30, 30), rng.randint(-30, 30), 1) for _ in range(400)]
+    quadratics += [(a * a, -2 * a, 1) for a in range(-15, 16)]
+    for p in quadratics + [(-1, 0, 0, 1), (0, 0, 1, 1), (3, 1)]:
+        assert polys.is_squarefree(p) == (polys.degree(polys.poly_gcd(p, polys.derivative(p))) == 0), p
+    assert sum(not polys.is_squarefree(p) for p in quadratics) >= 31
 
 
 def test_cyclotomic_values():

@@ -59,3 +59,20 @@ def test_bench_ab_summary_of_synthetic_runs():
     assert "failed operations: parent [0, 0, 0, 1], change [0, 0, 0, 0]" in table
     with pytest.raises(ValueError):
         bench_ab.summarize(end_to_end, parent, change[:3])
+
+    def detail(medians, tail, p50):
+        # pair i takes medians[i] (None: no round reached it), three rounds each
+        pairs = [{"times_ref": [] if m is None else [m + 1, m, m - 1]} for m in medians]
+        metrics = {"decide_tail_ref": {"value": tail}, "decide_p50_ref": {"value": p50}}
+        return {"seed": 7, "pairs": pairs, "metrics": metrics}
+
+    # six timed pairs: the tail is a pair's own median, and the median of an
+    # even count lies between pairs 4 (median 3) and 0 (median 5)
+    parent_run = detail([5, 9, 2, None, 3, 8, 1], tail=8, p50=4)
+    assert bench_ab.setting_pairs(parent_run) == {"decide_tail_ref": [5], "decide_p50_ref": [4, 0]}
+    change_run = detail([5, 9, 2, None, 4, 8, 1], tail=8, p50=4.5)
+    lines = bench_ab.render_setting_pairs(parent_run, change_run).splitlines()
+    assert lines == [
+        "pairs setting `decide_tail_ref` at seed 7: parent [5], change [5]",
+        "pairs setting `decide_p50_ref` at seed 7: parent [4, 0], change [4, 0]",
+    ]
