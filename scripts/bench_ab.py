@@ -8,8 +8,10 @@ For every end-to-end metric of the change's BENCHMARK.json the script prints
 each side's median [Q1, Q3], the pairs the change won (in the direction of
 the metric's `better`), and whether the gap between the medians exceeds the
 parent's interquartile distance; then the failed operations of each side,
-and the corpus indices of the pairs that set `decide_tail_ref` and
-`decide_p50_ref` in each side's last run, read from the run's
+the corpus indices of the pairs that set `decide_tail_ref` and
+`decide_p50_ref` in each side's last run, and that run's sum of per-pair
+median times by outcome with its share of the total (the denominator of
+`pairs_per_kref`), read from the run's
 `decidebench/results/<workload>-seed<seed>-trace0.json`.
 It exits 1 when a run exits non-zero or prints no result line.
 
@@ -95,6 +97,27 @@ def render_setting_pairs(parent: dict, change: dict) -> str:
     )
 
 
+def outcome_times(detail: dict) -> dict[str, float]:
+    """The per-pair median times_ref of one run's detail file, summed by the
+    pair's outcome (outcomes joined by '/' if a pair had several)."""
+    out: dict[str, float] = {}
+    for p in detail["pairs"]:
+        if p["times_ref"]:
+            key = "/".join(p["outcomes"])
+            out[key] = out.get(key, 0) + statistics.median(p["times_ref"])
+    return out
+
+
+def render_outcome_times(parent: dict, change: dict) -> str:
+    lines = []
+    for side, detail in (("parent", parent), ("change", change)):
+        times = outcome_times(detail)
+        total = sum(times.values())
+        cells = ", ".join(f"`{k}` {v:.4g} ({100 * v / total:.1f} %)" for k, v in sorted(times.items()))
+        lines.append(f"time by outcome at seed {detail['seed']}, {side}: {cells}; total {total:.4g} ref")
+    return "\n".join(lines)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     done = subprocess.run(
         [sys.executable, str(checkout / "decidebench" / "run.py"), "--workload", workload,
@@ -136,6 +159,7 @@ def main(argv=None) -> int:
     stem = f"{args.workload}-seed{args.seed_base + args.pairs - 1}-trace0.json"
     details = [json.loads((side / "decidebench" / "results" / stem).read_text()) for side in (args.parent, args.change)]
     print(render_setting_pairs(*details))
+    print(render_outcome_times(*details))
     return 0
 
 

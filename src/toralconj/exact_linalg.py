@@ -152,9 +152,23 @@ def mat_pow(M: Mat, e: int) -> Mat:
 
 
 def det(M: Mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the cofactor formula for n = 2, 3, fraction-free
+    (Bareiss) elimination otherwise."""
     if not is_square(M):
         raise ValueError("determinant of non-square matrix")
+    n = len(M)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c
+    return _det_bareiss(M)
+
+
+def _det_bareiss(M: Mat) -> int:
+    """Exact determinant of a square matrix by fraction-free (Bareiss)
+    elimination."""
     n = len(M)
     if n == 0:
         return 1
@@ -587,24 +601,47 @@ def rational_kernel(M: Mat) -> Mat:
 
 def invert_rational(M: Mat) -> tuple[Mat, int]:
     """Inverse of a nonsingular integer matrix as (integer matrix, denominator),
-    i.e. M^-1 = matrix / den with den = |det(M)|.
+    i.e. M^-1 = matrix / den with den = |det(M)|: the adjugate, its sign
+    folded in.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: the last
-    pivot is +-det(M) with the right half then +-adj(M).  M @ matrix = den I
-    is verified exactly."""
+    The adjugate is the closed cofactor formula for n = 2, 3, and otherwise
+    the right half of a fraction-free Gauss-Jordan elimination of [M | I]
+    (_adjugate_bareiss).  M @ matrix = den I is verified exactly."""
     if not is_square(M):
         raise ValueError("inverse of non-square matrix")
+    n = len(M)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        adj = (
+            (e * i - f * h, c * h - b * i, b * f - c * e),
+            (f * g - d * i, a * i - c * g, c * d - a * f),
+            (d * h - e * g, b * g - a * h, a * e - b * d),
+        )
+        den = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    elif n == 2:
+        (a, b), (c, d) = M
+        adj, den = ((d, -b), (-c, a)), a * d - b * c
+    else:
+        adj, den = _adjugate_bareiss(M)
+    if den == 0:
+        raise ValueError("singular matrix")
+    if den < 0:
+        adj, den = mat_neg(adj), -den
+    if mat_mul(M, adj) != mat_scale(identity(n), den):
+        raise InternalInconsistencyError("inverse failed M X = det I")
+    return adj, den
+
+
+def _adjugate_bareiss(M: Mat) -> tuple[Mat, int]:
+    """(X, d) with M X = d I and d = +-det(M), or d = 0 for a singular M,
+    by fraction-free Gauss-Jordan elimination (Bareiss) of [M | I]: the last
+    pivot is +-det(M), with the right half then +-adj(M)."""
     n = len(M)
     a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
     pivots, prev = _fraction_free_rref(a)
     if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    sign = 1 if prev > 0 else -1
-    inv = tuple(tuple(sign * x for x in r[n:]) for r in a)
-    den = sign * prev
-    if mat_mul(M, inv) != mat_scale(identity(n), den):
-        raise InternalInconsistencyError("fraction-free inverse failed M X = det I")
-    return inv, den
+        return (), 0
+    return tuple(tuple(r[n:]) for r in a), prev
 
 
 def saturation(R: Mat) -> Mat:
@@ -702,19 +739,19 @@ def shell_solutions(form, targets, rank: int, rho: int, heads=None) -> set[Vec]:
 
     Solved line by line along the last coordinate x: F(h, x) =
     sum_k G_k(h) x^k, each G_k evaluated once per head h whose first nonzero
-    entry is positive (or h = 0 with x = rho), then each x one dot product
-    with the powers of x.  x runs over -rho..rho when max |h_i| = rho, else
-    over +-rho.  A dict heads keeps the G_k of each head across the shells
-    of one form, since every head of shell rho recurs in the shells after
-    it."""
+    entry is positive (or h = 0 with x = rho), then F at each x by Horner's
+    rule on the G_k, highest k first.  x runs over -rho..rho when
+    max |h_i| = rho, else over +-rho.  A dict heads keeps the G_k of each
+    head across the shells of one form, since every head of shell rho
+    recurs in the shells after it."""
     degree = len(form[0][1]) if form else 0
-    # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out
+    # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out,
+    # listed from k = degree down
     parts: list[list] = [[] for _ in range(degree + 1)]
     for a, idx in form:
         k = idx.count(rank - 1)
-        parts[k].append((a, idx[: len(idx) - k]))
+        parts[degree - k].append((a, idx[: len(idx) - k]))
     line = range(-rho, rho + 1)
-    powers = {x: [x**k for k in range(degree + 1)] for x in line}
     zero = (0,) * (rank - 1)
     heads = {} if heads is None else heads
     out = set()
@@ -725,7 +762,9 @@ def shell_solutions(form, targets, rank: int, rho: int, heads=None) -> set[Vec]:
         if G is None:
             G = heads[h] = [form_value(part, h) for part in parts]
         for x in (rho,) if h == zero else line if max(map(abs, h)) == rho else (-rho, rho):
-            v = sum(map(operator.mul, G, powers[x]))
+            v = 0
+            for g in G:
+                v = v * x + g
             if v in targets:
                 out.add(h + (x,))
     return out

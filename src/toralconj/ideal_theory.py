@@ -41,23 +41,6 @@ class NumberField:
             raise UnsupportedError(f"reducible polynomial {polys.to_str(p)}")
         return cls(p=p, n=n, beta_n_row=tuple(-c for c in p[:-1]))
 
-    def reduce_poly(self, coeffs) -> Vec:
-        """Coordinates of an integer polynomial in beta of any degree.
-
-        One top-down pass: each beta^i with i >= n rewrites into strictly
-        lower powers via beta^n."""
-        work = list(coeffs)
-        if len(work) < self.n:
-            work += [0] * (self.n - len(work))
-        for i in range(len(work) - 1, self.n - 1, -1):
-            c = work[i]
-            if c:
-                base = i - self.n
-                for j, r in enumerate(self.beta_n_row):
-                    work[base + j] += c * r
-            work[i] = 0
-        return tuple(work[: self.n])
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -105,13 +88,12 @@ class FieldElement:
 def multiplication_matrix(nf: NumberField, row: Vec) -> Mat:
     """Row-action matrix M of the element z with integer coordinates row:
     coords(w z) = coords(w) @ M, so row i of M holds the coordinates of
-    beta^i z."""
-    rows = []
-    for i in range(nf.n):
-        conv = [0] * (i + nf.n)
-        for j, c in enumerate(row):
-            conv[i + j] = c
-        rows.append(nf.reduce_poly(conv))
+    beta^i z.  Each row is beta times the one before: shifted up one
+    place, its top coefficient times beta^n added."""
+    rows = [tuple(row)]
+    for _ in range(nf.n - 1):
+        *low, top = rows[-1]
+        rows.append((top * nf.beta_n_row[0], *(c + top * b for c, b in zip(low, nf.beta_n_row[1:]))))
     return tuple(rows)
 
 

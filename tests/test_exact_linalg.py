@@ -189,6 +189,44 @@ def test_invert_rational_matches_the_cofactor_oracle(M):
     assert xl.invert_rational(M) == ((adj, d) if d > 0 else (xl.mat_neg(adj), -d))
 
 
+@st.composite
+def closed_form_mats(draw):
+    """n <= 3, entries mixing small values, which make singular matrices
+    likely, with values past 2^64; one draw in three makes the last row a
+    combination of the others."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        weights = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)]
+    return xl.mat(rows)
+
+
+@given(closed_form_mats())
+@settings(max_examples=150)
+@example(((0, 1), (1, 0)))
+@example(((-5,),))
+@example(((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+@example(((2**70 + 1, 2**71 + 2), (3, 6)))
+@example(((2**70 + 1, 0, 1), (0, 1, 0), (1, 0, 0)))
+def test_closed_forms_match_the_bareiss_path(M):
+    # the closed forms for n = 2, 3 against the Bareiss path of the other sizes
+    n = len(M)
+    d = xl._det_bareiss(M)
+    assert xl.det(M) == d
+    adj, pivot = xl._adjugate_bareiss(M)
+    if d == 0:
+        assert pivot == 0
+        with pytest.raises(ValueError, match="singular matrix"):
+            xl.invert_rational(M)
+        return
+    inv, den = xl.invert_rational(M)
+    assert den == abs(d) == abs(pivot) > 0
+    assert xl.mat_mul(M, inv) == xl.mat_scale(xl.identity(n), den)
+    assert inv == (adj if pivot > 0 else xl.mat_neg(adj))
+
+
 # ------------------------------------------------------------------ poly at matrix
 
 def test_eval_poly_at_matrix():
@@ -504,7 +542,7 @@ def test_det_form_matches_the_determinant_of_the_sum(data):
 
 
 def _form_and_shell(data, max_rho):
-    n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    n, rank = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     form = xl.det_form(data.draw(_mats(n, rank)))
     return form, rank, data.draw(st.integers(1, max_rho))
 

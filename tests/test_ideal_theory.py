@@ -36,6 +36,24 @@ P2 = (-1, -8, -2, 1)  # x^3 - 2x^2 - 8x - 1
 # ideal_theory that builds no multiplication matrix.
 
 
+def _reduce_poly(nf_, coeffs):
+    """Coordinates of an integer polynomial in beta of any degree.
+
+    One top-down pass: each beta^i with i >= n rewrites into strictly
+    lower powers via beta^n."""
+    work = list(coeffs)
+    if len(work) < nf_.n:
+        work += [0] * (nf_.n - len(work))
+    for i in range(len(work) - 1, nf_.n - 1, -1):
+        c = work[i]
+        if c:
+            base = i - nf_.n
+            for j, r in enumerate(nf_.beta_n_row):
+                work[base + j] += c * r
+        work[i] = 0
+    return tuple(work[: nf_.n])
+
+
 def _elem(nf_, num, den=1):
     return it.FieldElement.make(nf_, num, den)
 
@@ -49,7 +67,7 @@ def _mul(x, y):
     for i, a in enumerate(x.num):
         for j, b in enumerate(y.num):
             conv[i + j] += a * b
-    return _elem(x.nf, x.nf.reduce_poly(conv), x.den * y.den)
+    return _elem(x.nf, _reduce_poly(x.nf, conv), x.den * y.den)
 
 
 def _add(x, y):
@@ -165,11 +183,28 @@ def test_elem_mul_basics(nf):
 
 
 def test_reduce_poly_high_degree(nf):
-    # beta^6 reduced two ways: ((beta^3)^2) and reduce_poly of x^6
+    # beta^6 reduced two ways: ((beta^3)^2) and _reduce_poly of x^6
     b = _beta(nf)
     b3 = _mul(_mul(b, b), b)
-    direct = nf.reduce_poly([0, 0, 0, 0, 0, 0, 1])
+    direct = _reduce_poly(nf, [0, 0, 0, 0, 0, 0, 1])
     assert _mul(b3, b3).num == direct
+
+
+def test_multiplication_matrix_matches_convolution_and_reduction():
+    # row i of M(z) is beta^i z, by convolution with x^i and reduction mod p,
+    # on random monic irreducible cubics and quartics and 40-bit coordinates
+    r = random.Random(34)
+    fields = []
+    while len(fields) < 12:
+        n = 3 + len(fields) % 2
+        p = tuple(r.randint(-9, 9) for _ in range(n)) + (1,)
+        if polys.is_irreducible_deg_le4(p):
+            fields.append(it.NumberField.create(p))
+    for nf_ in fields:
+        for _ in range(5):
+            row = tuple(r.randint(-(2**40), 2**40) for _ in range(nf_.n))
+            expected = tuple(_reduce_poly(nf_, (0,) * i + row) for i in range(nf_.n))
+            assert it.multiplication_matrix(nf_, row) == expected
 
 
 # ------------------------------------------------------------------ eigen ideal

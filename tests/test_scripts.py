@@ -61,8 +61,13 @@ def test_bench_ab_summary_of_synthetic_runs():
         bench_ab.summarize(end_to_end, parent, change[:3])
 
     def detail(medians, tail, p50):
-        # pair i takes medians[i] (None: no round reached it), three rounds each
-        pairs = [{"times_ref": [] if m is None else [m + 1, m, m - 1]} for m in medians]
+        # pair i takes medians[i] (None: no round reached it), three rounds
+        # each, and outcome C, N or U
+        names = {"C": ["conjugate"], "N": ["not_conjugate"], "U": ["unknown"]}
+        pairs = [
+            {"outcomes": names[o], "times_ref": [] if m is None else [m + 1, m, m - 1]}
+            for m, o in zip(medians, "CNUUCNC")
+        ]
         metrics = {"decide_tail_ref": {"value": tail}, "decide_p50_ref": {"value": p50}}
         return {"seed": 7, "pairs": pairs, "metrics": metrics}
 
@@ -75,4 +80,14 @@ def test_bench_ab_summary_of_synthetic_runs():
     assert lines == [
         "pairs setting `decide_tail_ref` at seed 7: parent [5], change [5]",
         "pairs setting `decide_p50_ref` at seed 7: parent [4, 0], change [4, 0]",
+    ]
+    # the medians by outcome: conjugate 5 + 3 + 1 (5 + 4 + 1 on the change
+    # side), not_conjugate 9 + 8, unknown 2 (pair 3 has no time)
+    assert bench_ab.outcome_times(parent_run) == {"conjugate": 9, "not_conjugate": 17, "unknown": 2}
+    lines = bench_ab.render_outcome_times(parent_run, change_run).splitlines()
+    assert lines == [
+        "time by outcome at seed 7, parent: `conjugate` 9 (32.1 %), `not_conjugate` 17 (60.7 %), "
+        "`unknown` 2 (7.1 %); total 28 ref",
+        "time by outcome at seed 7, change: `conjugate` 10 (34.5 %), `not_conjugate` 17 (58.6 %), "
+        "`unknown` 2 (6.9 %); total 29 ref",
     ]
