@@ -10,8 +10,8 @@ the metric's `better`), and whether the gap between the medians exceeds the
 parent's interquartile distance; then the failed operations of each side,
 the corpus indices of the pairs that set `decide_tail_ref` and
 `decide_p50_ref` in each side's last run, and that run's sum of per-pair
-median times by outcome with its share of the total (the denominator of
-`pairs_per_kref`), read from the run's
+median times by outcome and by matrix size n, each with its share of the
+total (the denominator of `pairs_per_kref`), read from the run's
 `decidebench/results/<workload>-seed<seed>-trace0.json`.
 It exits 1 when a run exits non-zero or prints no result line.
 
@@ -97,25 +97,44 @@ def render_setting_pairs(parent: dict, change: dict) -> str:
     )
 
 
-def outcome_times(detail: dict) -> dict[str, float]:
-    """The per-pair median times_ref of one run's detail file, summed by the
-    pair's outcome (outcomes joined by '/' if a pair had several)."""
-    out: dict[str, float] = {}
+def summed_times(detail: dict, key) -> dict:
+    """The per-pair median times_ref of one run's detail file, summed by
+    key(pair)."""
+    out: dict = {}
     for p in detail["pairs"]:
         if p["times_ref"]:
-            key = "/".join(p["outcomes"])
-            out[key] = out.get(key, 0) + statistics.median(p["times_ref"])
+            k = key(p)
+            out[k] = out.get(k, 0) + statistics.median(p["times_ref"])
     return out
 
 
-def render_outcome_times(parent: dict, change: dict) -> str:
+def outcome_times(detail: dict) -> dict[str, float]:
+    """summed_times by the pair's outcome (outcomes joined by '/' if a pair
+    had several)."""
+    return summed_times(detail, lambda p: "/".join(p["outcomes"]))
+
+
+def size_times(detail: dict) -> dict[int, float]:
+    """summed_times by the pair's matrix size n."""
+    return summed_times(detail, lambda p: p["n"])
+
+
+def render_split(parent: dict, change: dict, what: str, times, label) -> str:
     lines = []
     for side, detail in (("parent", parent), ("change", change)):
-        times = outcome_times(detail)
-        total = sum(times.values())
-        cells = ", ".join(f"`{k}` {v:.4g} ({100 * v / total:.1f} %)" for k, v in sorted(times.items()))
-        lines.append(f"time by outcome at seed {detail['seed']}, {side}: {cells}; total {total:.4g} ref")
+        split = times(detail)
+        total = sum(split.values())
+        cells = ", ".join(f"{label(k)} {v:.4g} ({100 * v / total:.1f} %)" for k, v in sorted(split.items()))
+        lines.append(f"time by {what} at seed {detail['seed']}, {side}: {cells}; total {total:.4g} ref")
     return "\n".join(lines)
+
+
+def render_outcome_times(parent: dict, change: dict) -> str:
+    return render_split(parent, change, "outcome", outcome_times, lambda k: f"`{k}`")
+
+
+def render_size_times(parent: dict, change: dict) -> str:
+    return render_split(parent, change, "size", size_times, lambda n: f"n = {n}")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -160,6 +179,7 @@ def main(argv=None) -> int:
     details = [json.loads((side / "decidebench" / "results" / stem).read_text()) for side in (args.parent, args.change)]
     print(render_setting_pairs(*details))
     print(render_outcome_times(*details))
+    print(render_size_times(*details))
     return 0
 
 

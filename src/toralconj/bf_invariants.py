@@ -36,8 +36,9 @@ def hyperbolicity_check(A: Mat) -> bool:
     """True iff no eigenvalue has modulus one, decided exactly.
 
     Root-of-unity eigenvalues and all other unit-modulus eigenvalues are both
-    caught by the reciprocal-gcd plus Sturm-count test on the characteristic
-    polynomial, so no numerical fallback is needed.
+    caught by polys.has_root_on_unit_circle on the characteristic polynomial
+    (closed forms up to degree 3, a reciprocal gcd and a Sturm count
+    above), so no numerical fallback is needed.
     """
     return not polys.has_root_on_unit_circle(cached_char_poly(A))
 
@@ -66,9 +67,9 @@ def bf_group(A: Mat, g: polys.Poly) -> FiniteModulePresentation:
     InfiniteQuotientError.
 
     g(A) is evaluated as r(A) for r = g mod char_poly(A), of degree < n;
-    the two matrices are equal by Cayley-Hamilton, which char_poly verifies
-    exactly.  The order is cross-checked against |res(char_poly(A), g)| at
-    construction.
+    the two matrices are equal by Cayley-Hamilton (char_poly is the closed
+    form for n <= 3 and verifies the identity exactly otherwise).  The order
+    is cross-checked against |res(char_poly(A), g)| at construction.
     """
     r, expected = _reduce_memo(cached_char_poly(A), tuple(g))
     try:

@@ -214,9 +214,18 @@ def _faddeev_leverrier(M: Mat) -> polys.Poly:
 
 
 def char_poly(M: Mat) -> polys.Poly:
-    """Monic characteristic polynomial det(xI - M), lowest degree first."""
+    """Monic characteristic polynomial det(xI - M), lowest degree first:
+    (det, -tr, 1) for n = 2 and (-det, e2, -tr, 1) for n = 3, with e2 the
+    sum of the principal 2 x 2 minors; Faddeev-LeVerrier otherwise."""
     if not is_square(M):
         raise ValueError("characteristic polynomial of non-square matrix")
+    n = len(M)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        return -det(M), a * e - b * d + a * i - c * g + e * i - f * h, -(a + e + i), 1
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c, -(a + d), 1
     return _faddeev_leverrier(M)
 
 

@@ -144,8 +144,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    """gcd(p, p') is constant.  For a quadratic that is a nonzero
+    """gcd(p, p') is constant.  For a quadratic or a cubic that is a nonzero
     discriminant, read off with no gcd."""
+    if len(p) == 4:
+        d, c, b, a = p
+        return b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d != 0
     if len(p) == 3:
         return p[1] * p[1] != 4 * p[0] * p[2]
     return degree(poly_gcd(p, derivative(p))) == 0
@@ -235,11 +238,13 @@ def _even_reciprocal_to_half(h: Poly) -> Poly:
 def has_root_on_unit_circle(p: Poly) -> bool:
     """Exact test for a complex root of modulus one.
 
-    Roots of modulus one are shared with the reciprocal polynomial, so they
-    divide g = gcd(p, rev p).  After ruling out the real cases x = +-1, g is
-    self-reciprocal of even degree and its circle roots correspond to real
-    roots of the half-degree transform in the open interval (-2, 2), which a
-    Sturm count decides exactly.
+    Roots at 0 are stripped and roots at +-1 read off as p(+-1) = 0.  Any
+    other root z on the circle is non-real, and its conjugate 1/z is a root
+    too.  So a quadratic q0 + q1 x + q2 x^2 has one iff q0 = q2 and its
+    discriminant is negative.  A cubic's third root is then -c0/c3, so it
+    has one iff -c0/c3 is a root and the cofactor x^2 + s x + 1,
+    s = (c2 - c0)/c3, has no real root.  Higher degrees take the
+    reciprocal gcd and a Sturm count (_circle_roots_by_sturm).
     """
     if not p:
         raise ValueError("zero polynomial")
@@ -252,6 +257,23 @@ def has_root_on_unit_circle(p: Poly) -> bool:
         return False
     if eval_at(q, 1) == 0 or eval_at(q, -1) == 0:
         return True
+    if len(q) == 3:
+        return q[0] == q[2] and q[1] * q[1] < 4 * q[0] * q[2]
+    if len(q) == 4:
+        c0, c1, c2, c3 = q
+        return c3 * c3 - c1 * c3 + c0 * c2 - c0 * c0 == 0 and (c2 - c0) ** 2 < 4 * c3 * c3
+    return _circle_roots_by_sturm(q)
+
+
+def _circle_roots_by_sturm(q: Poly) -> bool:
+    """Whether q, with q(0) != 0 and no root at +-1, has a root of modulus
+    one.
+
+    Roots of modulus one are shared with the reciprocal polynomial, so they
+    divide g = gcd(q, rev q).  g is then self-reciprocal of even degree and
+    its circle roots correspond to real roots of the half-degree transform
+    in the open interval (-2, 2), which a Sturm count decides exactly.
+    """
     g = poly_gcd(q, reverse(q))
     if degree(g) <= 0:
         return False
@@ -264,7 +286,9 @@ def has_root_on_unit_circle(p: Poly) -> bool:
 
 
 def integer_roots(p: Poly) -> list[int]:
-    """All integer roots of a nonzero polynomial."""
+    """All integer roots of a nonzero polynomial: for a cubic by bisection
+    (_cubic_integer_roots), otherwise among the divisors of the constant
+    term once the roots at 0 are stripped."""
     q = trim(p)
     if not q:
         raise ValueError("zero polynomial")
@@ -273,7 +297,9 @@ def integer_roots(p: Poly) -> list[int]:
         i += 1
     roots = [0] if i > 0 else []
     q = q[i:]
-    if len(q) > 1:
+    if len(q) == 4:
+        roots += _cubic_integer_roots(q)
+    elif len(q) > 1:
         for d in divisors(q[0]):
             if eval_at(q, d) == 0:
                 roots.append(d)
@@ -282,18 +308,70 @@ def integer_roots(p: Poly) -> list[int]:
     return sorted(roots)
 
 
+def _cubic_integer_roots(f: Poly) -> list[int]:
+    """Integer roots of a cubic f with f(0) != 0, in integers only.
+
+    An integer root divides f(0), so it lies in [-|f(0)|, |f(0)|].  f is
+    strictly monotone on each side of its critical points
+    (-c2 +- sqrt(c2^2 - 3 c1 c3)) / (3 c3), so cutting that range after the
+    floor of each leaves pieces that hold at most one root each, found by
+    bisection.
+    """
+    c0, c1, c2, c3 = f
+    bound = abs(c0)
+    cuts: list[int] = []
+    disc = c2 * c2 - 3 * c1 * c3
+    if disc > 0:
+        # the critical points are (u -+ sqrt(disc)) / k with k > 0, in
+        # ascending order; floor(u + sqrt(disc)) = u + r, and
+        # floor(u - sqrt(disc)) = u - r - 1 unless disc is a square
+        u, k = (-c2, 3 * c3) if c3 > 0 else (c2, -3 * c3)
+        r = isqrt(disc)
+        cuts = [(u - r - (r * r != disc)) // k, (u + r) // k]
+    roots = []
+    for lo, hi in zip([-bound] + [m + 1 for m in cuts], cuts + [bound]):
+        x = _monotone_zero(f, max(lo, -bound), min(hi, bound))
+        if x is not None:
+            roots.append(x)
+    return roots
+
+
+def _monotone_zero(f: Poly, lo: int, hi: int) -> int | None:
+    """The integer zero of f in [lo, hi], where f is strictly monotone, or
+    None (also for an empty range)."""
+    if lo > hi:
+        return None
+    a, b = eval_at(f, lo), eval_at(f, hi)
+    if a == 0:
+        return lo
+    if b == 0:
+        return hi
+    if (a > 0) == (b > 0):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = eval_at(f, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == (a > 0):
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
 @functools.lru_cache(maxsize=2)
 def is_irreducible_deg_le4(p: Poly) -> bool:
     """Exact irreducibility over Q for monic p of degree 2..4.
 
     Monic integer polynomials factor into monic integer polynomials, so it is
     enough to exclude integer roots and, in degree 4, integer quadratic
-    factors x^2 + a x + b with b dividing the constant term.  Both factor
-    the constant term, and one decision on a 3 x 3 or 4 x 4 pair asks
-    three times about the same characteristic polynomial (the ideal route's
-    gate, then the field of each eigen ideal; a 2 x 2 pair is decided by
-    its binary quadratic forms and never asks), so the last two answers
-    are kept.
+    factors x^2 + a x + b with b dividing the constant term.  Outside the
+    cubic both factor the constant term, and one decision on a 3 x 3 or
+    4 x 4 pair asks three times about the same characteristic polynomial
+    (the ideal route's gate, then the field of each eigen ideal; a 2 x 2
+    pair is decided by its binary quadratic forms and never asks), so the
+    last two answers are kept.
     """
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:

@@ -78,26 +78,35 @@ def random_unimodular(rng, n=3, entry_bound=3, ops=6):
             return M
 
 
+def sublattice_restriction(A, p):
+    """M A M^-1, where the rows of M span the A-invariant sublattice
+    {v : v . w = 0 mod p} of index p for the first eigenvector w of A mod p
+    (in the order of product(range(p))), or None if A has none."""
+    n = len(A)
+    for w in product(range(p), repeat=n):
+        k = next((i for i in range(n) if w[i]), None)
+        Aw = tuple(sum(A[i][j] * w[j] for j in range(n)) % p for i in range(n))
+        if k is None or any((Aw[i] * w[k] - Aw[k] * w[i]) % p for i in range(n)):
+            continue
+        # L = {v : v . w = 0 mod p}, with A w = lam w mod p, so L A <= L
+        inv = pow(w[k], -1, p)
+        M = [list(r) for r in xl.identity(n)]
+        for i in range(n):
+            M[i][k] = p if i == k else -w[i] * inv % p
+        adj, d = xl.invert_rational(M)
+        num = xl.mat_mul(xl.mat_mul(M, A), adj)
+        assert not any(x % d for r in num for x in r)
+        return tuple(tuple(x // d for x in r) for r in num)
+    return None
+
+
 def sublattice_pair(rng, n, bound):
     """(A, B) with B = U (M A M^-1) U^-1, where the rows of M span an
     A-invariant sublattice of prime index and U is a random unimodular."""
     while True:
         A = random_hyperbolic(rng, n, bound)
-        p = rng.choice((2, 3, 5))
-        for w in product(range(p), repeat=n):
-            k = next((i for i in range(n) if w[i]), None)
-            Aw = tuple(sum(A[i][j] * w[j] for j in range(n)) % p for i in range(n))
-            if k is None or any((Aw[i] * w[k] - Aw[k] * w[i]) % p for i in range(n)):
-                continue
-            # L = {v : v . w = 0 mod p}, with A w = lam w mod p, so L A <= L
-            inv = pow(w[k], -1, p)
-            M = [list(r) for r in xl.identity(n)]
-            for i in range(n):
-                M[i][k] = p if i == k else -w[i] * inv % p
-            adj, d = xl.invert_rational(M)
-            num = xl.mat_mul(xl.mat_mul(M, A), adj)
-            assert not any(x % d for r in num for x in r)
-            S = tuple(tuple(x // d for x in r) for r in num)
+        S = sublattice_restriction(A, rng.choice((2, 3, 5)))
+        if S is not None:
             U = random_unimodular(rng, n)
             return A, xl.mat_mul(xl.mat_mul(U, S), xl.unimodular_inverse(U))
 

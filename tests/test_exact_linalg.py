@@ -227,6 +227,30 @@ def test_closed_forms_match_the_bareiss_path(M):
     assert inv == (adj if pivot > 0 else xl.mat_neg(adj))
 
 
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ).map(xl.mat)
+))
+@settings(max_examples=150)
+# zero, scalar, nilpotent and repeated-eigenvalue matrices of both sizes
+@example(xl.zeros(2, 2))
+@example(xl.zeros(3, 3))
+@example(xl.mat_scale(xl.identity(2), -7))
+@example(xl.mat_scale(xl.identity(3), 2**80))
+@example(((0, 1), (0, 0)))
+@example(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+@example(((5, 1, 0), (0, 5, 0), (0, 0, 5)))
+@example(((3, 1), (-1, 1)))
+@example(((2, 1, 0), (0, 2, 0), (0, 0, -1)))
+def test_char_poly_closed_forms_match_faddeev_leverrier(M):
+    # (det, -tr, 1) and (-det, e2, -tr, 1) against the trace recurrence,
+    # which checks Cayley-Hamilton, and against interpolated cofactor
+    # determinants
+    assert xl.char_poly(M) == xl._faddeev_leverrier(M) == char_poly_interpolation(M)
+
+
 # ------------------------------------------------------------------ poly at matrix
 
 def test_eval_poly_at_matrix():

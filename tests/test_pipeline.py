@@ -40,6 +40,7 @@ from conftest import (
     random_hyperbolic,
     random_unimodular,
     sublattice_pair,
+    sublattice_restriction,
     with_eigenvalue,
 )
 
@@ -537,6 +538,24 @@ def test_decide_tests_irreducibility_once(monkeypatch):
     assert runs == [xl.char_poly(A) for A, _ in pairs]
 
 
+def test_semiprime_cubic_pair_decides_without_factoring():
+    # chi = x^3 - x^2 - x - p q with p, q the next primes after 2^44 + 12,345
+    # and 2^44 + 987,654: the ideal route's irreducibility gate asks for the
+    # integer roots of chi, which divisors of p q would find only after a
+    # Pollard rho of seconds; the sublattice of index 2 is refuted by the
+    # degree-1 BF screen
+    p, q = 17592186056779, 17592187032113
+    A = ((0, 1, 0), (0, 0, 1), (p * q, 1, 1))
+    U = random_unimodular(random.Random(1), 3)
+    B = xl.mat_mul(xl.mat_mul(U, sublattice_restriction(A, 2)), xl.unimodular_inverse(U))
+    polys.is_irreducible_deg_le4.cache_clear()
+    started = time.perf_counter()
+    v = decide(A, B)
+    assert time.perf_counter() - started < 1.0
+    assert v.outcome == "not_conjugate" and v.evidence[-1]["stage"] == "bf_screen"
+    assert polys.is_irreducible_deg_le4(xl.char_poly(A))
+
+
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
     from toralconj import bf_invariants
 
@@ -544,17 +563,18 @@ def test_decide_computes_each_char_poly_once(rng, monkeypatch):
     U = random_unimodular(rng)
     B = xl.mat_mul(xl.mat_mul(U, A), xl.unimodular_inverse(U))
     runs = []
-    original = xl._faddeev_leverrier
+    original = xl.char_poly
 
     def counting(M):
         runs.append(M)
         return original(M)
 
-    monkeypatch.setattr(xl, "_faddeev_leverrier", counting)
+    monkeypatch.setattr(xl, "char_poly", counting)
     bf_invariants._char_poly_memo.cache_clear()
     assert decide(A, B).outcome == "conjugate"
     # similarity, hyperbolicity and every BF module of the screen read
-    # the same two polynomials
+    # the same two polynomials, each computed once behind the memo
+    assert bf_invariants._char_poly_memo.cache_info().misses == 2
     assert runs.count(A) == 1 and runs.count(B) == 1
 
 

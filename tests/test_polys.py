@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toralconj import polys
+from toralconj.intfactor import divisors
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(polys.trim)
 
@@ -50,14 +51,22 @@ def test_poly_gcd():
 
 
 def test_is_squarefree_matches_the_gcd():
-    # the discriminant of a quadratic against gcd(p, p'), on random monic
-    # quadratics and on squares (x - a)^2; cubics and up take the gcd
+    # the discriminant of a quadratic or a cubic against gcd(p, p'), on
+    # random quadratics and cubics, squares (x - a)^2 and planted
+    # (x - a)^2 (b x + c); quartics and up take the gcd
     rng = random.Random(2)
     quadratics = [(rng.randint(-30, 30), rng.randint(-30, 30), 1) for _ in range(400)]
     quadratics += [(a * a, -2 * a, 1) for a in range(-15, 16)]
-    for p in quadratics + [(-1, 0, 0, 1), (0, 0, 1, 1), (3, 1)]:
+    cubics = [tuple(rng.randint(-30, 30) for _ in range(3)) + (rng.choice((-3, -1, 1, 2, 5)),) for _ in range(400)]
+    squares = []
+    for _ in range(200):
+        a, b, c = rng.randint(-40, 40), rng.choice((-7, -2, -1, 1, 3, 10**6)), rng.randint(-10**6, 10**6)
+        squares.append(polys.mul(polys.mul((-a, 1), (-a, 1)), (c, b)))
+    cubics += squares + [(0, 0, 0, 1), (-1, 3, -3, 1), (-1, 0, 0, 1), (0, 0, 1, 1), (4, 0, -3, 1)]
+    for p in quadratics + cubics + [(1, -2, 2, -2, 1), (-1, 0, 0, 0, 1), (3, 1)]:
         assert polys.is_squarefree(p) == (polys.degree(polys.poly_gcd(p, polys.derivative(p))) == 0), p
     assert sum(not polys.is_squarefree(p) for p in quadratics) >= 31
+    assert not any(polys.is_squarefree(p) for p in squares)
 
 
 def test_cyclotomic_values():
@@ -94,6 +103,80 @@ def test_unit_circle_detection():
     assert not polys.has_root_on_unit_circle((2, -5, 2))
     # Salem-like check: x^4 - 3x^3 + 3x^2 - 3x + 1 has two unit-circle roots
     assert polys.has_root_on_unit_circle((1, -3, 3, -3, 1))
+
+
+def _circle_by_sturm(p):
+    """has_root_on_unit_circle for p(0) != 0 through the reciprocal gcd and
+    Sturm count of every degree."""
+    return polys.eval_at(p, 1) == 0 or polys.eval_at(p, -1) == 0 or polys._circle_roots_by_sturm(p)
+
+
+def test_unit_circle_closed_forms_match_the_sturm_path():
+    # degrees 2 and 3 against the reciprocal gcd and Sturm count: random
+    # and non-monic polynomials, circle pairs k (x^2 + s x + 1) and
+    # (a x + b)(x^2 + s x + 1), s = m / k just inside |s| < 2 too, their real
+    # reciprocal pairs (|s| > 2) and near misses one unit off in one
+    # coefficient
+    rng = random.Random(3)
+    cases = []
+    for _ in range(300):
+        cases.append(tuple(rng.randint(-20, 20) for _ in range(2)) + (rng.choice((-4, -1, 1, 3)),))
+        cases.append(tuple(rng.randint(-20, 20) for _ in range(3)) + (rng.choice((-4, -1, 1, 3)),))
+    planted = []
+    for s in (-1, 0, 1):
+        planted += [polys.scale((1, s, 1), k) for k in (-5, -1, 1, 2, 10**9)]
+    for _ in range(200):
+        a = rng.choice((-6, -1, 1, 2, 7, 10**5))
+        b = rng.choice([v for v in range(-30, 31) if abs(v) != abs(a)])
+        planted.append(polys.mul((b, a), (1, rng.choice((-1, 0, 1)), 1)))
+    for k in (2, 3, 10**4):
+        planted += [polys.mul((rng.randint(1, 9), rng.randint(2, 9)), (k, m, k)) for m in (2 * k - 1, 1 - 2 * k)]
+    real_pairs = [polys.mul((rng.randint(1, 9), rng.randint(2, 9)), (1, s, 1)) for s in (-5, -3, 3, 4)]
+    real_pairs += [polys.mul((rng.randint(1, 9), rng.randint(2, 9)), (k, m, k)) for k in (2, 10**4) for m in (2 * k + 1, -2 * k - 1)]
+    near = []
+    for p in planted:
+        i = rng.randrange(len(p))
+        near += [tuple(c + (j == i) * d for j, c in enumerate(p)) for d in (-1, 1)]
+    cases += planted + real_pairs + near + [(2, -5, 2), (-1, 7, -23, 1), (1, 0, 0, 1), (2, 1, 1, 2), (1, 1, 2)]
+    cases = [p for p in map(polys.trim, cases) if len(p) in (3, 4) and p[0] != 0]
+    for p in cases:
+        assert polys.has_root_on_unit_circle(p) == _circle_by_sturm(p), p
+    assert all(map(polys.has_root_on_unit_circle, planted))
+    assert not any(map(polys.has_root_on_unit_circle, real_pairs))
+    assert sum(map(polys.has_root_on_unit_circle, near)) < len(near) // 4
+
+
+def _integer_roots_by_divisors(p):
+    """The integer roots of p with p(0) != 0 among the divisors of p(0)."""
+    return sorted(r for d in divisors(p[0]) for r in (d, -d) if polys.eval_at(p, r) == 0)
+
+
+def test_cubic_integer_roots_match_the_divisor_method():
+    # bisection between the critical points against the divisors of the
+    # constant term: random cubics and cubics with one to three planted
+    # roots, double and triple ones included, coefficients up to 10^7 and
+    # leading coefficients other than +-1
+    rng = random.Random(4)
+    leads = (-6, -2, 2, 3, 5, 97)
+    cubics = [
+        (rng.choice((-1, 1)) * rng.randint(1, 10**7),) + tuple(rng.randint(-10**7, 10**7) for _ in range(2))
+        + (rng.choice(leads),)
+        for _ in range(100)
+    ]
+    for _ in range(150):
+        r, t = rng.randint(-300, 300) or 1, rng.randint(-300, 300) or -1
+        lead = rng.choice(leads)
+        cubics.append(polys.mul((-r, 1), (rng.randint(-10**4, 10**4) or 7, rng.randint(-50, 50), lead)))
+        cubics.append(polys.mul(polys.mul((-r, 1), (-t, 1)), (rng.randint(-100, 100) or 3, lead)))
+        r, t = rng.randint(-100, 100) or 2, rng.randint(-10, 10)
+        cubics.append(polys.mul(polys.mul((-r, 1), (-r, 1)), (-t * lead, lead)))
+    cubics += [polys.mul(polys.mul((-r, 1), (-r, 1)), (-r, 1)) for r in (-4, 1, 9)]
+    cubics += [(-6, 11, -6, 1), (6, 11, 6, 1), (-1, 7, -23, 1), (1, 0, 0, 1), (-2, 0, 0, 1), (5, 3, 0, 2)]
+    cubics = [p for p in cubics if len(p) == 4 and p[0] != 0 and max(map(abs, p)) <= 10**7]
+    assert len(cubics) > 500
+    for p in cubics:
+        assert polys.integer_roots(p) == _integer_roots_by_divisors(p), p
+    assert sum(len(polys.integer_roots(p)) >= 2 for p in cubics) > 200
 
 
 def test_irreducibility_small():

@@ -62,11 +62,11 @@ def test_bench_ab_summary_of_synthetic_runs():
 
     def detail(medians, tail, p50):
         # pair i takes medians[i] (None: no round reached it), three rounds
-        # each, and outcome C, N or U
+        # each, outcome C, N or U and size n
         names = {"C": ["conjugate"], "N": ["not_conjugate"], "U": ["unknown"]}
         pairs = [
-            {"outcomes": names[o], "times_ref": [] if m is None else [m + 1, m, m - 1]}
-            for m, o in zip(medians, "CNUUCNC")
+            {"outcomes": names[o], "n": n, "times_ref": [] if m is None else [m + 1, m, m - 1]}
+            for m, o, n in zip(medians, "CNUUCNC", (2, 2, 3, 3, 3, 10, 2))
         ]
         metrics = {"decide_tail_ref": {"value": tail}, "decide_p50_ref": {"value": p50}}
         return {"seed": 7, "pairs": pairs, "metrics": metrics}
@@ -90,4 +90,12 @@ def test_bench_ab_summary_of_synthetic_runs():
         "`unknown` 2 (7.1 %); total 28 ref",
         "time by outcome at seed 7, change: `conjugate` 10 (34.5 %), `not_conjugate` 17 (58.6 %), "
         "`unknown` 2 (6.9 %); total 29 ref",
+    ]
+    # the medians by size, n = 10 after n = 3: n = 2 holds 5 + 9 + 1, n = 3
+    # holds 2 + 3 (2 + 4 on the change side), n = 10 holds 8
+    assert bench_ab.size_times(parent_run) == {2: 15, 3: 5, 10: 8}
+    lines = bench_ab.render_size_times(parent_run, change_run).splitlines()
+    assert lines == [
+        "time by size at seed 7, parent: n = 2 15 (53.6 %), n = 3 5 (17.9 %), n = 10 8 (28.6 %); total 28 ref",
+        "time by size at seed 7, change: n = 2 15 (51.7 %), n = 3 6 (20.7 %), n = 10 8 (27.6 %); total 29 ref",
     ]
