@@ -153,7 +153,13 @@ def unimodular_search(
 
     When the walk runs to the end of the box and the rank^n determinants
     of det_form are no more than the box holds, each shell is solved for
-    det(sum c_i K_i) = +-1 first and only its solutions become matrices."""
+    det(sum c_i K_i) = +-1 first and only its solutions become matrices:
+    xl.box_solver packs each line along the last coefficient into one
+    integer, one slot per point, bit_length(2M) + 1 bits wide for M = the
+    bound on |det| over the box plus 1, so a slot never reaches its top bit
+    and none borrows from the next.  A word test flags a line with a slot
+    at +-1; a borrow out of a hit may flag the slots above it, so a flagged
+    line is re-read slot by slot."""
 
     def accept(c):
         C = basis.matrix(c)

@@ -742,17 +742,24 @@ def shell_vectors(rank: int, radius: int):
         yield from _shell(rank, rho)
 
 
-def shell_solutions(form, targets, rank: int, rho: int, heads=None) -> set[Vec]:
-    """The vectors of shell rho of shell_vectors(rank, .) at which a form
-    from det_form takes a value in the set targets.
+def box_solver(form, targets, rank: int, bound: int):
+    """A function solve(rho) returning the vectors of shell rho of
+    shell_vectors(rank, bound) at which a form from det_form takes a value
+    in the set targets, for the shells of one search in ascending order.
 
     Solved line by line along the last coordinate x: F(h, x) =
-    sum_k G_k(h) x^k, each G_k evaluated once per head h whose first nonzero
-    entry is positive (or h = 0 with x = rho), then F at each x by Horner's
-    rule on the G_k, highest k first.  x runs over -rho..rho when
-    max |h_i| = rho, else over +-rho.  A dict heads keeps the G_k of each
-    head across the shells of one form, since every head of shell rho
-    recurs in the shells after it."""
+    sum_k G_k(h) x^k over the heads h, the first rank - 1 coordinates with
+    the first nonzero entry positive (or h = 0 with x > 0).  The heads of
+    max-norm <= rho are solved when shell rho first comes up, each over its
+    whole line x = -bound..bound, so each G_k is evaluated once per head
+    and search.  A line is one integer V = M ONES + sum_k G_k(h) P_k, with
+    P_k = sum_i x_i^k 2^(w i) and ONES = sum_i 2^(w i): slot i holds
+    F(h, x_i) + M in [0, 2M], M bounding |F| over the box plus the largest
+    |target|, and w = bit_length(2M) + 1 leaves the top bit of every slot
+    clear, so no slot borrows from the next.  Target t hits slot i iff slot
+    i of Z = V ^ (t + M) ONES is 0, and (Z - ONES) & ~Z & HIGH (HIGH the top
+    bits) is nonzero iff some slot is 0; a borrow out of a zero slot may
+    also flag the slots above it, so a flagged line is read slot by slot."""
     degree = len(form[0][1]) if form else 0
     # G_k: the terms a c[i_1] ... c[i_d] of F that hold x^k, x^k struck out,
     # listed from k = degree down
@@ -760,23 +767,29 @@ def shell_solutions(form, targets, rank: int, rho: int, heads=None) -> set[Vec]:
     for a, idx in form:
         k = idx.count(rank - 1)
         parts[degree - k].append((a, idx[: len(idx) - k]))
-    line = range(-rho, rho + 1)
-    zero = (0,) * (rank - 1)
-    heads = {} if heads is None else heads
-    out = set()
-    for h in itertools.product(line, repeat=rank - 1):
-        if h < zero:
-            continue
-        G = heads.get(h)
-        if G is None:
-            G = heads[h] = [form_value(part, h) for part in parts]
-        for x in (rho,) if h == zero else line if max(map(abs, h)) == rho else (-rho, rho):
-            v = 0
-            for g in G:
-                v = v * x + g
-            if v in targets:
-                out.add(h + (x,))
-    return out
+    M = form_value([(abs(a), idx) for a, idx in form], [bound] * rank) + max(map(abs, targets), default=0)
+    w = max((2 * M).bit_length() + 1, 2)
+    line = range(-bound, bound + 1)
+    ones, mask = sum(1 << (w * i) for i in range(len(line))), (1 << w) - 1
+    high = ones << (w - 1)
+    packs = [sum(x**k << (w * i) for i, x in enumerate(line)) for k in range(degree, -1, -1)]
+    patterns = [(t + M) * ones for t in targets]
+    hits: dict[int, set[Vec]] = {}
+    solved = 0 if rank and patterns else bound + 1
+
+    def solve(rho: int) -> set[Vec]:
+        nonlocal solved
+        for r in range(solved, rho + 1):
+            for h in _shell(rank - 1, r) if r else [(0,) * (rank - 1)]:
+                V = M * ones + sum(map(operator.mul, [form_value(part, h) for part in parts], packs))
+                if any((Z - ones) & ~Z & high for Z in (V ^ p for p in patterns)):
+                    for i, x in enumerate(line):
+                        if (x > 0 or r) and ((V >> (w * i)) & mask) - M in targets:
+                            hits.setdefault(max(r, abs(x)), set()).add(h + (x,))
+        solved = max(solved, rho + 1)
+        return hits.get(rho, set())
+
+    return solve
 
 
 def bounded_search(
@@ -794,18 +807,19 @@ def bounded_search(
 
     solutions = (form, targets) promises that accept(c) is None unless
     form_value(form, c) is in targets.  Each shell walked to its end is then
-    solved first (shell_solutions): without a solution it counts as tried
-    unwalked, else accept sees only its solutions, in walk order.  So
-    (result, tried) is that of the plain walk."""
-    tried, last, heads = start, 0, {}
+    solved first (box_solver, one per search): without a solution it counts
+    as tried unwalked, else accept sees only its solutions, in walk order.
+    So (result, tried) is that of the plain walk."""
+    tried, last = start, 0
+    solve = None if solutions is None else box_solver(*solutions, rank, bound)
     for rho in range(1, bound + 1):
         first, last = last, last + ((2 * rho + 1) ** rank - (2 * rho - 1) ** rank) // 2
         stop = last if max_candidates is None else min(last, max_candidates)
         if tried >= stop:
             continue
         keep = None
-        if solutions is not None and stop == last:
-            keep = shell_solutions(*solutions, rank, rho, heads)
+        if solve is not None and stop == last:
+            keep = solve(rho)
             if not keep:
                 tried = last
                 continue

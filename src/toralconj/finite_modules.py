@@ -481,11 +481,11 @@ def module_iso_exists(
         return IsoResult("no", witness=mismatch)
     if PA.order == 1:
         return IsoResult("yes", iso=ModuleMap(PA, PB, ()))
-    tried = 0
-
+    # every candidate map counts against the budget before it is tried, so
+    # tried <= budget
+    tried = min(budget, 1)
     ident = ModuleMap(PA, PB, xl.identity(PA.rank))
-    tried += 1
-    if ident.is_isomorphism():
+    if tried and ident.is_isomorphism():
         return IsoResult("yes", iso=ident, tried=tried)
 
     if PA.n == PB.n:
@@ -514,7 +514,7 @@ def module_iso_exists(
     for p in comps_a:
         Sp, _, _ = comps_a[p]
         Tp, _, _ = comps_b[p]
-        F, t, complete = _component_iso_search(Sp, Tp, p, budget)
+        F, t, complete = _component_iso_search(Sp, Tp, p, budget - tried)
         tried += t
         if F is not None:
             per_prime[p] = F

@@ -335,7 +335,12 @@ def principal_search(X: FractionalIdeal, O: FractionalIdeal, bound: int) -> Prin
     integer norm form of norm_form, built once per search; each shell is
     solved for N(c) = +-t first, there is no solution when t is not an
     integer, and only a solution becomes a field element, which the HNF
-    equality z O = X confirms.  Absence within the bound is reported as
+    equality z O = X confirms.  The solver (xl.box_solver) holds the values
+    of N along a line of the box in the slots of one integer, each
+    bit_length(2M) + 1 bits wide for M = the bound on |N| over the box plus
+    t, so no slot reaches its top bit or borrows from the next; a line a
+    word test flags is re-read slot by slot, since a borrow out of a hit
+    may flag the slots above it.  Absence within the bound is reported as
     not-found, never as a proof of non-principality.
     """
     n = X.nf.n

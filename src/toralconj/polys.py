@@ -366,8 +366,9 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
 
     Monic integer polynomials factor into monic integer polynomials, so it is
     enough to exclude integer roots and, in degree 4, integer quadratic
-    factors x^2 + a x + b with b dividing the constant term.  Outside the
-    cubic both factor the constant term, and one decision on a 3 x 3 or
+    factors x^2 + a x + b with b dividing the constant term.  A quartic's
+    constant term is factored once for both tests (a zero one leaves the
+    factor x), a quadratic's for its roots, and one decision on a 3 x 3 or
     4 x 4 pair asks three times about the same characteristic polynomial
     (the ideal route's gate, then the field of each eigen ideal; a 2 x 2
     pair is decided by its binary quadratic forms and never asks), so the
@@ -376,15 +377,17 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:
         raise ValueError("supported: monic, degree 2..4")
-    if integer_roots(p):
-        return False
     if n < 4:
-        return True
+        return not integer_roots(p)
     p0, p1, p2, p3 = p[0], p[1], p[2], p[3]
+    if p0 == 0:
+        return False
+    # one factorization of p0: each +-b is tested as a root and as the
+    # constant term of a quadratic factor
     for b in divisors(p0):
         for bb in (b, -b):
-            if p0 % bb != 0:
-                continue
+            if eval_at(p, bb) == 0:
+                return False
             d = p0 // bb
             # (x^2 + a x + bb)(x^2 + c x + d): match remaining coefficients
             if bb == d:

@@ -571,19 +571,65 @@ def _form_and_shell(data, max_rho):
     return form, rank, data.draw(st.integers(1, max_rho))
 
 
+def _filtered_shell(form, targets, rank, rho):
+    # the oracle: shell rho of the box, first nonzero entry positive, filtered
+    # by form_value
+    return {
+        c
+        for c in itertools.product(range(-rho, rho + 1), repeat=rank)
+        if c and max(map(abs, c)) == rho and c > (0,) * rank and xl.form_value(form, c) in targets
+    }
+
+
 @given(st.data())
 @settings(max_examples=60)
-def test_shell_solutions_match_the_filtered_shell(data):
-    # against the box: shell rho, first nonzero entry positive
-    form, rank, rho = _form_and_shell(data, 3)
-    zero = (0,) * rank
-    shell = [
-        c for c in itertools.product(range(-rho, rho + 1), repeat=rank) if max(map(abs, c)) == rho and c > zero
-    ]
-    values = [xl.form_value(form, c) for c in shell]
+def test_box_solver_matches_the_filtered_shell(data):
+    # shells asked in ascending order, some skipped as a search's start or
+    # cap skips them
+    form, rank, bound = _form_and_shell(data, 3)
+    walk = list(xl.shell_vectors(rank, bound))
+    values = [xl.form_value(form, c) for c in walk]
     targets = set(data.draw(st.lists(st.sampled_from(values + [-1, 0, 1]), max_size=3)))
-    solved = xl.shell_solutions(form, targets, rank, rho)
-    assert solved == {c for c, v in zip(shell, values) if v in targets}
+    solve = xl.box_solver(form, targets, rank, bound)
+    for rho in sorted(data.draw(st.sets(st.integers(1, bound)))):
+        assert solve(rho) == _filtered_shell(form, targets, rank, rho)
+
+
+def _sum_power_form(rank, n):
+    # (c_1 + ... + c_rank)^n: every coefficient is positive, so the form
+    # reaches +-form_value(|form|, [bound] * rank) at the corners +-(bound, ...)
+    return xl.det_form([xl.identity(n)] * rank)
+
+
+def _corner(rank, n, bound):
+    return (rank * bound) ** n
+
+
+@pytest.mark.parametrize(
+    "form, rank, bound, targets",
+    [
+        (_sum_power_form(3, 3), 3, 8, {0}),
+        (_sum_power_form(3, 3), 3, 8, {_corner(3, 3, 8), -_corner(3, 3, 8), 0}),
+        (_sum_power_form(2, 3), 2, 8, {_corner(2, 3, 8) + 1, -_corner(2, 3, 8) - 1, 10**30}),
+        (_sum_power_form(2, 2), 2, 5, set()),
+        (xl.det_form([((1, 2), (0, -1)), ((0, 1), (1, 3))]), 2, 8, {0, 1, -1, 7}),
+        ((), 2, 3, {0}),
+        ((), 2, 3, {1}),
+        ((), 0, 3, {0}),
+        (((-2, (0, 0)),), 1, 8, {-128, -2, 0, 8}),
+        (((3, (0, 0, 0)),), 1, 8, {3 * 8**3, -(3 * 8**3)}),
+    ],
+    ids=[
+        "zero-target", "corners", "outside", "no-targets", "indefinite",
+        "zero-form", "zero-form-miss", "rank-0", "rank-1", "rank-1-corners",
+    ],
+)
+def test_box_solver_at_the_edges_of_its_slots(form, rank, bound, targets):
+    solve = xl.box_solver(form, targets, rank, bound)
+    shells = [solve(rho) for rho in range(1, bound + 1)]
+    assert shells == [_filtered_shell(form, targets, rank, rho) for rho in range(1, bound + 1)]
+    walk = list(xl.shell_vectors(rank, bound))
+    assert xl.bounded_search(rank, bound, lambda c: None, solutions=(form, targets)) == (None, len(walk))
 
 
 @given(st.data())
@@ -608,20 +654,21 @@ def test_bounded_search_with_solutions_walks_the_same(data):
 
 
 def test_bounded_search_evaluates_each_head_once(monkeypatch):
-    # every head of shell rho recurs in the shells after it; one search keeps
-    # its G_k, so at rank 4, bound 5 the 666 heads are evaluated once each
-    # instead of 1,280 times, and every shell has the same solutions
+    # every head of shell rho recurs in the shells after it; one search
+    # solves each head over its whole line once, so at rank 4, bound 5 the
+    # G_k of the 666 heads are evaluated once each, and every shell has the
+    # solutions a solver asked for that shell alone finds
     rng = random.Random(4)
     form = xl.det_form([tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)) for _ in range(4)])
     targets = set(range(-9, 10))
-    fresh = [xl.shell_solutions(form, targets, 4, rho) for rho in range(1, 6)]
-    heads = {}
-    assert [xl.shell_solutions(form, targets, 4, rho, heads) for rho in range(1, 6)] == fresh
-    assert len(heads) == 666
+    fresh = [xl.box_solver(form, targets, 4, 5)(rho) for rho in range(1, 6)]
+    solve = xl.box_solver(form, targets, 4, 5)
+    assert [solve(rho) for rho in range(1, 6)] == fresh
     evaluated, seen = [], []
     original = xl.form_value
     monkeypatch.setattr(xl, "form_value", lambda part, h: evaluated.append(h) or original(part, h))
     assert xl.bounded_search(4, 5, seen.append, solutions=(form, targets)) == (None, 7320)
-    assert len(evaluated) == 4 * len(set(evaluated)) == 4 * 666
+    heads = [h for h in evaluated if isinstance(h, tuple)]
+    assert len(heads) == 4 * len(set(heads)) == 4 * 666
     solutions = set().union(*fresh)
     assert seen == [c for c in xl.shell_vectors(4, 5) if c in solutions] != []

@@ -14,7 +14,7 @@ from toralconj.bf_invariants import default_family
 from toralconj.errors import IllFormedActionError, InfiniteQuotientError, InternalInconsistencyError
 from toralconj.intfactor import factorint, is_prime
 
-from conftest import A1, A2, B1, random_hyperbolic, random_unimodular
+from conftest import A1, A2, B1, B2, random_hyperbolic, random_unimodular
 
 I3 = xl.identity(3)
 
@@ -383,7 +383,7 @@ def test_large_prime_component_grid_certified_no():
 def test_lazy_walk_of_a_huge_hom_set_ends_unknown():
     # Z/p^2 with actions 2 and 2 + p: equal mod p, so the per-prime
     # polynomials agree, and the hom set has p elements.  The walk stops at
-    # the budget without building the box's ranges.
+    # the budget without building the box's ranges, the identity counted in.
     p = 10**12 + 39
     assert is_prime(p)
     S = fm.quotient(((p * p,),), ((2,),))
@@ -391,7 +391,20 @@ def test_lazy_walk_of_a_huge_hom_set_ends_unknown():
     res = fm.module_iso_exists(S, T, budget=1000)
     assert res.verdict == "unknown"
     assert res.witness == {"reason": "budget_exhausted", "primes_undecided": [p]}
-    assert res.tried == 1001
+    assert res.tried == 1000
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 5, 13, 100])
+def test_module_iso_exists_keeps_to_its_budget(budget):
+    # the identity, the ambient candidates and each primary component's
+    # walk count against one budget, so none of them can overrun it
+    verdicts = set()
+    for A, B in ((A1, B1), (A2, B2)):
+        for g in ((-1, 0, 1), (1, 0, 0, 0, 1), (-1, 0, 0, 1), (1, 1), (-1, 0, 0, 0, 0, 0, 1)):
+            res = fm.module_iso_exists(bf_module(A, g), bf_module(B, g), budget)
+            assert res.tried <= budget
+            verdicts.add(res.verdict)
+    assert "unknown" in verdicts or budget == 100
 
 
 def test_mixed_radix_walks_the_box_in_product_order():

@@ -191,6 +191,46 @@ def test_irreducibility_small():
     assert not polys.is_irreducible_deg_le4((1, 0, 1, 0, 1))
 
 
+def _has_factor_by_search(p):
+    # oracle for a monic quartic: an integer root, or a monic integer
+    # quadratic factor, each root of which lies within the Cauchy bound
+    bound = 1 + max(map(abs, p[:-1]))
+    if any(polys.eval_at(p, r) == 0 for r in range(-bound, bound + 1)):
+        return True
+    return any(
+        not polys.divmod_exact(p, (b, a, 1))[1]
+        for b in range(-bound * bound, bound * bound + 1)
+        if b and p[0] % b == 0
+        for a in range(-2 * bound, 2 * bound + 1)
+    )
+
+
+def test_quartic_irreducibility_matches_a_factor_search():
+    rng = random.Random(8)
+    quartics = [tuple(rng.randint(-4, 4) for _ in range(4)) + (1,) for _ in range(300)]
+    quadratic = lambda: (rng.randint(-3, 3), rng.randint(-3, 3), 1)
+    quartics += [polys.mul(quadratic(), quadratic()) for _ in range(100)]
+    quartics += [(0, 1, 0, 2, 1), (1, 0, 1, 0, 1), (4, 0, 0, 0, 1), (-4, 0, 0, 0, 1)]
+    for p in quartics:
+        polys.is_irreducible_deg_le4.cache_clear()
+        assert polys.is_irreducible_deg_le4(p) == (p[0] != 0 and not _has_factor_by_search(p)), p
+
+
+def test_quartic_factors_its_constant_term_once(monkeypatch):
+    # the roots and the quadratic factors both run over the divisors of p0,
+    # from one factorization; a zero p0 needs none
+    import toralconj.intfactor as intfactor
+
+    calls = []
+    factorint = intfactor.factorint
+    monkeypatch.setattr(intfactor, "factorint", lambda n: calls.append(n) or factorint(n))
+    polys.is_irreducible_deg_le4.cache_clear()
+    assert polys.is_irreducible_deg_le4((-2 * 3 * 5 * 7 * 11, -1, -1, -1, 1))
+    assert list(map(abs, calls)) == [2 * 3 * 5 * 7 * 11]
+    assert not polys.is_irreducible_deg_le4((0, 1, 0, 0, 1)) and len(calls) == 1
+    polys.is_irreducible_deg_le4.cache_clear()
+
+
 def test_parse_and_print_roundtrip():
     cases = ["x^3-23x^2+7x-1", "x+1", "x-1", "x^6-1", "3", "-x+2", "x^4-x^2+1"]
     for s in cases:
