@@ -38,9 +38,11 @@ def parse_matrix_text(text: str, origin: str = "<input>") -> Mat:
         if not isinstance(obj, dict) or "rows" not in obj:
             raise InputError(f"{origin}: JSON matrix needs a 'rows' field")
         rows = obj["rows"]
-        n = obj.get("n", len(rows))
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError(f"{origin}: 'rows' must be a list of lists")
+        n = obj.get("n", len(rows))
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"{origin}: 'n' must be an integer, not {n!r}")
         for r in rows:
             for x in r:
                 if not isinstance(x, int) or isinstance(x, bool):

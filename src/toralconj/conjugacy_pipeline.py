@@ -21,12 +21,12 @@ that the family lacks.
 
 For an irreducible characteristic polynomial (3 <= n <= 4) the periodic
 data are read off the eigen ideals after leg 1, where their multiplier
-rings are built once and passed to every later stage: when both are
-invertible over one multiplier ring O, every BF_g(A) and BF_g(B) is
-O / g(beta) O, so no screen can refute (Latimer-MacDuffee 1933).  Such a
-pair skips both screens and the tower route, walks the rest of the search
-in one leg, and only the ideal route, the homoclinic side, is left to
-decide it.
+rings and their weak equivalence are computed once and passed to the ideal
+route: weakly equivalent ideals (locally isomorphic over one order) give
+BF_g(A) = BF_g(B) for every g, so no screen can refute (Latimer-MacDuffee
+1933; Dade-Taussky-Zassenhaus 1962).  Such a pair skips both screens and
+the tower route, walks the rest of the search in one leg, and only the
+ideal route, the homoclinic side, is left to decide it.
 
 A Conjugate verdict always carries C with A C = C B and det C = +-1,
 re-verified at emission; NotConjugate always carries a finite witness that
@@ -329,20 +329,21 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
         return _emit_conjugate(A, B, C, evidence, config)
 
     # (5) periodic data: for irreducible chi, Z^n with A is the eigen ideal I
-    # with beta, so BF_g(A) = I / g(beta) I.  An ideal invertible over its
-    # ring O is locally principal, so then BF_g(A) = O / g(beta) O for every
-    # g; with J invertible over the same O no BF screen can refute, and the
-    # screens and the tower route are skipped.  The ideals and rings are
-    # built here once and passed to the ideal route
+    # with beta, so BF_g(A) = I / g(beta) I.  Weakly equivalent I and J are
+    # locally isomorphic (X = (J : I) is invertible, as X Y = O, so J = X I
+    # is locally a multiple of I), so then BF_g(A) = BF_g(B) for every g and
+    # the screens and the tower route are skipped.  The ideals, rings and
+    # weak equivalence are computed here once and passed to the ideal route
     eigen, skip = None, False
     if hyp and 3 <= len(A) <= 4 and polys.is_irreducible_deg_le4(pa):
         I, v, _ = ideals.eigen_ideal(A)
         J, w, _ = ideals.eigen_ideal(B)
         OI, OJ = ideals.multiplier_ring(I), ideals.multiplier_ring(J)
-        eigen = I, v, J, w, OI, OJ
-        skip = OI == OJ and ideals.is_invertible(I, OI) and ideals.is_invertible(J, OJ)
+        we = ideals.weak_equivalence(I, J, OI, OJ)
+        eigen = I, v, J, w, OI, OJ, we
+        skip = we.equivalent
     if skip:
-        evidence.append({"stage": "periodic_data", "reason": "invertible_over_one_order"})
+        evidence.append({"stage": "periodic_data", "reason": "weakly_equivalent_over_one_order"})
     else:
         # (6) BF screen over the degree-1 members x - c: BF_{x-c} carries the
         # scalar action c, so order and invariant factors settle each one
@@ -397,8 +398,9 @@ def decide(A: Mat, B: Mat, config: PipelineConfig = DEFAULT_CONFIG) -> Verdict:
 
 
 def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineConfig) -> Verdict | None:
-    """Stage 8 on eigen = (I, v, J, w, O(I), O(J)), built in stage 5."""
-    I, v, J, w, OI, OJ = eigen
+    """Stage 8 on eigen = (I, v, J, w, O(I), O(J), weak equivalence of I
+    and J), built in stage 5."""
+    I, v, J, w, OI, OJ, we = eigen
     rings_equal = OI == OJ
     record: dict = {
         "stage": "ideal_route",
@@ -417,7 +419,6 @@ def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineC
             evidence,
             config,
         )
-    we = ideals.weak_equivalence(I, J, OI, OJ)
     record["weak_equivalence"] = we.to_data()
     if we.equivalent:
         # X Y = O(I) is verified, so O(X) = O(X) X Y = X Y = O(I)

@@ -206,14 +206,6 @@ def multiplier_ring(I: FractionalIdeal) -> FractionalIdeal:
     return O
 
 
-def is_invertible(I: FractionalIdeal, O: FractionalIdeal) -> bool:
-    """I (O : I) = O for O = O(I), which the caller passes: I is invertible
-    over its multiplier ring, hence locally principal, so
-    I / g(beta) I = O / g(beta) O as modules for every g with g(beta) != 0
-    (Neukirch, Algebraic Number Theory, I.12)."""
-    return ideal_product(I, colon_ideal(O, I)) == O
-
-
 def eigen_ideal(A: Mat) -> tuple[FractionalIdeal, Mat, NumberField]:
     """Fractional ideal spanned by the entries v_i of a row vector v over K
     with v A = beta v; returns (ideal, V, field), where row i of the
@@ -284,7 +276,8 @@ def weak_equivalence(
     the multiplier rings OI = O(I) and OJ = O(J).
 
     All three identities are verified exactly; none is assumed from the
-    others.  Requires O(I) = O(J) first.
+    others.  When O(I) != O(J) the answer is ring_mismatch, and no colon
+    ideal is built.
     """
     if (OI.mat, OI.den) != (OJ.mat, OJ.den):
         return WeakEquivalence(False, "ring_mismatch", None, None)

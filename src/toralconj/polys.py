@@ -285,29 +285,6 @@ def _circle_roots_by_sturm(q: Poly) -> bool:
     return count_real_roots_open(half, Fraction(-2), Fraction(2)) > 0
 
 
-def integer_roots(p: Poly) -> list[int]:
-    """All integer roots of a nonzero polynomial: for a cubic by bisection
-    (_cubic_integer_roots), otherwise among the divisors of the constant
-    term once the roots at 0 are stripped."""
-    q = trim(p)
-    if not q:
-        raise ValueError("zero polynomial")
-    i = 0
-    while q[i] == 0:
-        i += 1
-    roots = [0] if i > 0 else []
-    q = q[i:]
-    if len(q) == 4:
-        roots += _cubic_integer_roots(q)
-    elif len(q) > 1:
-        for d in divisors(q[0]):
-            if eval_at(q, d) == 0:
-                roots.append(d)
-            if eval_at(q, -d) == 0:
-                roots.append(-d)
-    return sorted(roots)
-
-
 def _cubic_integer_roots(f: Poly) -> list[int]:
     """Integer roots of a cubic f with f(0) != 0, in integers only.
 
@@ -366,19 +343,23 @@ def is_irreducible_deg_le4(p: Poly) -> bool:
 
     Monic integer polynomials factor into monic integer polynomials, so it is
     enough to exclude integer roots and, in degree 4, integer quadratic
-    factors x^2 + a x + b with b dividing the constant term.  A quartic's
-    constant term is factored once for both tests (a zero one leaves the
-    factor x), a quadratic's for its roots, and one decision on a 3 x 3 or
-    4 x 4 pair asks three times about the same characteristic polynomial
-    (the ideal route's gate, then the field of each eigen ideal; a 2 x 2
-    pair is decided by its binary quadratic forms and never asks), so the
-    last two answers are kept.
+    factors x^2 + a x + b with b dividing the constant term.  A quadratic
+    has an integer root iff its discriminant is a square, and a cubic's
+    roots are found by bisection (_cubic_integer_roots), so neither is
+    factored; a quartic's constant term is factored once for both tests (a
+    zero one leaves the factor x).  One decision on a 3 x 3 or 4 x 4 pair
+    asks three times about the same characteristic polynomial (the ideal
+    route's gate, then the field of each eigen ideal; a 2 x 2 pair is
+    decided by its binary quadratic forms and never asks), so the last two
+    answers are kept.
     """
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:
         raise ValueError("supported: monic, degree 2..4")
-    if n < 4:
-        return not integer_roots(p)
+    if n == 2:
+        return not _is_square(p[1] * p[1] - 4 * p[0])
+    if n == 3:
+        return p[0] != 0 and not _cubic_integer_roots(p)
     p0, p1, p2, p3 = p[0], p[1], p[2], p[3]
     if p0 == 0:
         return False

@@ -19,10 +19,16 @@ B2 = xl.mat([[-1, 2, 0], [-1, 1, 1], [-5, 9, 2]])
 # that of RING_B (a root acting on the maximal order) the maximal order.
 RING_A = xl.mat([[0, 1, 0], [0, 0, 1], [8, 2, 1]])
 RING_B = xl.mat([[0, 0, 4], [1, -1, 0], [0, 2, 2]])
-# a sublattice pair with x^3 + x^2 - 5x - 61: O(I) = O(J), but neither eigen
-# ideal is invertible over it, so decide screens it and reaches the tower
+# a sublattice pair with x^3 + x^2 - 5x - 61: O(I) = O(J), and neither eigen
+# ideal is invertible over it, yet they are weakly equivalent, so decide
+# skips the screens on it as on the second worked pair
 NONINVERTIBLE_A = xl.mat([[-3, 4, -2], [-4, -1, -1], [-4, -4, 3]])
 NONINVERTIBLE_B = xl.mat([[-7, -20, 10], [2, 3, -3], [0, -4, 3]])
+# a sublattice pair with x^3 + 8x + 8: O(I) = O(J), I is invertible over it
+# and J is not, so J Y = I and X Y = O fail, and decide screens the pair and
+# reaches the tower
+NOT_WEAK_A = xl.mat([[0, 4, 1], [-2, 2, 0], [-4, 0, -2]])
+NOT_WEAK_B = xl.mat([[1, 5, -2], [-1, 1, 0], [3, -1, -2]])
 
 SEED = 20250811
 

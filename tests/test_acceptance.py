@@ -100,12 +100,12 @@ def test_criterion_2_example2_reproduction():
     pr = ideals.principal_search(X, ideals.multiplier_ring(X), 8)
     assert not pr.found
 
-    # both eigen ideals are invertible over Z[beta], so decide skips the
-    # screens that the direct screen above shows cannot refute
+    # the eigen ideals are weakly equivalent over Z[beta], so decide skips
+    # the screens that the direct screen above shows cannot refute
     verdict = decide(A2, B2)
     assert verdict.outcome == "unknown"
     stages = {e["stage"]: e for e in verdict.evidence}
-    assert stages["periodic_data"] == {"stage": "periodic_data", "reason": "invertible_over_one_order"}
+    assert stages["periodic_data"] == {"stage": "periodic_data", "reason": "weakly_equivalent_over_one_order"}
     assert not stages.keys() & {"bf_screen", "bf_module_screen", "tower_route"}
     assert stages["ideal_route"]["weak_equivalence"]["weakly_equivalent"]
     assert not stages["ideal_route"]["principal_search"]["principal"]

@@ -64,6 +64,10 @@ def test_parse_matrix_rejects_bad_inputs():
     for text in ("", "1 2\n3\n", '{"rows": [[1.5, 2], [3, 4]]}', '{"n": 3, "rows": [[1]]}', "1 x\n3 4\n"):
         with pytest.raises(InputError):
             cli.parse_matrix_text(text)
+    # true == 1 in Python, so only a type check refuses it as a size
+    for n in ("true", '"1"', "1.0", "null", "[1]"):
+        with pytest.raises(InputError):
+            cli.parse_matrix_text(f'{{"n": {n}, "rows": [[2]]}}')
 
 
 def test_parse_matrix_arbitrary_precision():
@@ -276,6 +280,15 @@ def test_decide_example2_unknown_exit(capsys, mats):
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, ["bf", "/nonexistent/file.txt", "x+1"])
     assert code == 1
+
+
+def test_json_size_that_is_not_an_integer_exits_1(capsys, tmp_path):
+    path = tmp_path / "bool_n.json"
+    path.write_text('{"n": true, "rows": [[2]]}')
+    code, out, err = run(capsys, ["bf", str(path), "x+1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "'n' must be an integer" in err
 
 
 @pytest.mark.parametrize("cmd", [["decide"], ["screen"], ["ideal", "principal"], ["ideal", "weak-equiv"]])

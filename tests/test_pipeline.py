@@ -34,6 +34,8 @@ from conftest import (
     B2,
     NONINVERTIBLE_A,
     NONINVERTIBLE_B,
+    NOT_WEAK_A,
+    NOT_WEAK_B,
     RING_A,
     RING_B,
     direct_sum,
@@ -364,10 +366,22 @@ def test_decide_matches_the_screen_then_search_order(rng):
 
 
 def test_periodic_data_skip_only_where_every_screen_passes(rng):
-    # equal rings and invertible eigen ideals make every BF_g(A) = O / g(beta) O
-    # = BF_g(B); wherever decide skips on that ground, the default family and
-    # the tower polynomials, which it would have screened, all pass
+    # weakly equivalent eigen ideals are locally isomorphic, so every
+    # BF_g(A) = I / g(beta) I = J / g(beta) J = BF_g(B); wherever decide skips
+    # on that ground, the default family and the tower polynomials, which it
+    # would have screened, all pass.  The weakly equivalent pair with
+    # non-invertible ideals skips too, and the pair that fails JY = I and
+    # XY = O over equal rings does not
     tower = tower_polynomials(DEFAULT_CONFIG.tower_depth)
+
+    def full_screen(A, B):
+        family = default_family(A)
+        return strong_bf_screen(A, B, family + [g for g in tower if g not in family]).outcome
+
+    for A, B, skipped in ((NONINVERTIBLE_A, NONINVERTIBLE_B, True), (A2, B2, True), (NOT_WEAK_A, NOT_WEAK_B, False)):
+        stages = [e["stage"] for e in decide(A, B).evidence]
+        assert ("periodic_data" in stages) == skipped and "ideal_route" in stages
+    assert full_screen(NONINVERTIBLE_A, NONINVERTIBLE_B) == "passed_screen"
     fired = collections.Counter()
     for n in (3, 4):
         pairs = [sublattice_pair(rng, n, 4 if n < 4 else 2) for _ in range(40 if n < 4 else 16)]
@@ -382,9 +396,7 @@ def test_periodic_data_skip_only_where_every_screen_passes(rng):
             if not any(e["stage"] == "periodic_data" for e in v.evidence):
                 continue
             fired[n] += 1
-            family = default_family(A)
-            full = family + [g for g in tower if g not in family]
-            assert strong_bf_screen(A, B, full).outcome == "passed_screen", (A, B)
+            assert full_screen(A, B) == "passed_screen", (A, B)
     assert min(fired[n] for n in (3, 4)) >= 5, fired
 
 
@@ -520,16 +532,16 @@ def test_decide_resumes_the_search_after_the_module_screen(rng, monkeypatch):
 
 def test_decide_tests_irreducibility_once(monkeypatch):
     # the ideal route's gate and the field of each eigen ideal ask about the
-    # same characteristic polynomial, and each answer factors its constant
-    # term, so one decision tests it once
+    # same characteristic polynomial, and each answer looks for its integer
+    # roots, so one decision tests it once
     runs = []
-    original = polys.integer_roots
+    original = polys._cubic_integer_roots
 
     def counting(p):
         runs.append(p)
         return original(p)
 
-    monkeypatch.setattr(polys, "integer_roots", counting)
+    monkeypatch.setattr(polys, "_cubic_integer_roots", counting)
     polys.is_irreducible_deg_le4.cache_clear()
     pairs = [(A2, B2), (NONINVERTIBLE_A, NONINVERTIBLE_B)]
     for A, B in pairs:
@@ -694,7 +706,7 @@ def test_decide_self():
 
 
 def test_decide_example2_unknown():
-    # both eigen ideals of the second worked pair are invertible over
+    # the eigen ideals of the second worked pair are weakly equivalent over
     # Z[beta], so its screens and tower route are skipped
     v = decide(A2, B2)
     assert v.outcome == "unknown"
@@ -710,15 +722,17 @@ def test_decide_example2_unknown():
     assert ideal["weak_equivalence"]["weakly_equivalent"]
     assert not ideal["principal_search"]["principal"]
     assert ideal["principal_search"]["bound"] == 8
-    # the non-invertible pair passes the screens, and the tower route
-    # screens the tower polynomials up to depth 4 that the default family lacks
-    v = decide(NONINVERTIBLE_A, NONINVERTIBLE_B)
+    # a pair with equal rings that is not weakly equivalent passes the
+    # screens, and the tower route screens the tower polynomials up to
+    # depth 4 that the default family lacks
+    v = decide(NOT_WEAK_A, NOT_WEAK_B)
     assert v.outcome == "unknown"
     stages = {e["stage"]: e for e in v.evidence}
     assert "periodic_data" not in stages
     assert stages["bf_screen"]["report"]["outcome"] == "passed_screen"
     assert stages["ideal_route"]["rings_equal"]
-    assert stages["ideal_route"]["weak_equivalence"]["weakly_equivalent"]
+    we = stages["ideal_route"]["weak_equivalence"]
+    assert not we["weakly_equivalent"] and we["reason"] == "identity_failed:JY=I,XY=O"
     tower = stages["tower_route"]["report"]
     assert tower["outcome"] == "passed_screen"
     assert tower["family"] == ["x^8-x^4+1", "x^8-1", "x^12-1", "x^24-1"]
@@ -993,11 +1007,25 @@ def test_decide_builds_each_multiplier_ring_once(monkeypatch):
     # passed, on a pair that skips the screens and on one that does not
     from toralconj import ideal_theory as it
 
-    for A, B, skipped in ((A2, B2, True), (NONINVERTIBLE_A, NONINVERTIBLE_B, False)):
+    for A, B, skipped in ((A2, B2, True), (NOT_WEAK_A, NOT_WEAK_B, False)):
         built, verdict = _spied_calls(monkeypatch, it, "multiplier_ring", decide, A, B)
         stages = [e["stage"] for e in verdict.evidence]
         assert ("periodic_data" in stages) == skipped and "ideal_route" in stages
         assert built == [(it.eigen_ideal(A)[0],), (it.eigen_ideal(B)[0],)]
+
+
+def test_decide_tests_weak_equivalence_once(monkeypatch):
+    # stage 5 tests weak equivalence and the ideal route reads its answer:
+    # the two multiplier rings and X, Y are the only colon ideals built,
+    # whether the pair skips the screens or not
+    from toralconj import ideal_theory as it
+
+    for A, B in ((NONINVERTIBLE_A, NONINVERTIBLE_B), (A2, B2), (NOT_WEAK_A, NOT_WEAK_B)):
+        tested, _ = _spied_calls(monkeypatch, it, "weak_equivalence", decide, A, B)
+        assert len(tested) == 1
+        colons, _ = _spied_calls(monkeypatch, it, "colon_ideal", decide, A, B)
+        I, J = it.eigen_ideal(A)[0], it.eigen_ideal(B)[0]
+        assert colons == [(I, I), (J, J), (J, I), (I, J)]
 
 
 def test_nonmaximal_multiplier_ring_value():
@@ -1015,7 +1043,7 @@ def test_nonmaximal_multiplier_ring_value():
 
 # sha256 of the reports on the 120 benchmark corpus pairs; a change that
 # alters a report updates this value and says so
-CORPUS_REPORTS_SHA256 = "ec6176e29353ade3056de7c5dd5875ececf639e0b6d9ea2ce841d061af2a9b96"
+CORPUS_REPORTS_SHA256 = "91348fcf4ba18b39b3fe97c0626799c4a9c6e8377aea46b6312f1476c8767119"
 
 
 def test_corpus_reports_are_pinned():
@@ -1033,7 +1061,7 @@ def test_corpus_reports_are_pinned():
 # the binary forms, and 21 of the 40 3 x 3 pairs end unknown after both
 # bounded searches exhaust their boxes, so a change to either search that
 # alters a candidate, a count or a generator shows here
-SUBLATTICE_REPORTS_SHA256 = "b4d0d5b111ed3987b9ceed12b1f827bb7c908d78cafdf2541717762aa0bb1592"
+SUBLATTICE_REPORTS_SHA256 = "967450eeaa7e861db10c5b81199ba31d1b076aa20ff99237015d7519dd40be78"
 
 
 def test_sublattice_reports_are_pinned():
@@ -1047,12 +1075,13 @@ def test_sublattice_reports_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SUBLATTICE_REPORTS_SHA256
 
 
-# sha256 of the reports on four 3x3 pairs under two small families, one
+# sha256 of the reports on five 3x3 pairs under two small families, one
 # per config; the pairs end at stage 6, at the ideal route after the
-# periodic-data skip, after stage 7, and at the tower route
+# periodic-data skip (twice, the second pair with non-invertible ideals),
+# at the ideal route after stage 7, and at the tower route
 SMALL_FAMILY_REPORTS_SHA256 = {
-    "shift0": "d2bd989213935c3be01f629f4bdab624a998eb78f24d03ad37d30faac4fb570f",
-    "shift1_power1": "6226bd7682fc024705f3106fd93b2171801ef8eab688393832cb5665be00e5ee",
+    "shift0": "2b1fd3ba3d36bf1baf384a2be040fe0960b03c6e582ab5efae930a3980b7dc41",
+    "shift1_power1": "5dbf4a25c25b542f4317fc6b364d658877ed7f7d96cfd4a93021f53a42113de2",
 }
 
 
@@ -1066,16 +1095,19 @@ SMALL_FAMILY_REPORTS_SHA256 = {
 def test_small_family_reports_are_pinned(name, config):
     # with max_shift 0, x -+ 1 come from x^1 -+ 1; stage 6 screens them and
     # stage 7 the rest, so the reports are those of the whole family
-    pairs = [(A1, B1), (A2, B2), (RING_A, RING_B), (NONINVERTIBLE_A, NONINVERTIBLE_B)]
+    pairs = [(A1, B1), (A2, B2), (NONINVERTIBLE_A, NONINVERTIBLE_B), (RING_A, RING_B), (NOT_WEAK_A, NOT_WEAK_B)]
     reports = [decide(A, B, config).to_data() for A, B in pairs]
-    assert [r["evidence"][-1]["stage"] for r in reports] == ["bf_screen", "ideal_route", "ideal_route", "tower_route"]
+    ends = ["bf_screen", "ideal_route", "ideal_route", "ideal_route", "tower_route"]
+    assert [r["evidence"][-1]["stage"] for r in reports] == ends
+    skipped = [any(e["stage"] == "periodic_data" for e in r["evidence"]) for r in reports]
+    assert skipped == [False, True, True, False, False]
     text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_FAMILY_REPORTS_SHA256[name]
 
 
 # sha256 of the reports on six 4x4 sublattice pairs; five of them reach the
 # ideal route, so the quartic ideal arithmetic shows here
-QUARTIC_REPORTS_SHA256 = "3330b4398be0e073ddfb1e2f5fcab1c94752ca10e22d7d6675896ea32e50c368"
+QUARTIC_REPORTS_SHA256 = "37f7f76d285151073704972eee440fb2f32341cce9c643401fe199921543573a"
 
 
 def test_quartic_sublattice_reports_are_pinned():

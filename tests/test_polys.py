@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -175,8 +176,8 @@ def test_cubic_integer_roots_match_the_divisor_method():
     cubics = [p for p in cubics if len(p) == 4 and p[0] != 0 and max(map(abs, p)) <= 10**7]
     assert len(cubics) > 500
     for p in cubics:
-        assert polys.integer_roots(p) == _integer_roots_by_divisors(p), p
-    assert sum(len(polys.integer_roots(p)) >= 2 for p in cubics) > 200
+        assert polys._cubic_integer_roots(p) == _integer_roots_by_divisors(p), p
+    assert sum(len(polys._cubic_integer_roots(p)) >= 2 for p in cubics) > 200
 
 
 def test_irreducibility_small():
@@ -247,7 +248,29 @@ def test_parse_rejects_garbage():
             polys.parse(bad)
 
 
-def test_integer_roots():
-    assert polys.integer_roots((-6, 11, -6, 1)) == [1, 2, 3]
-    assert polys.integer_roots((0, 0, 1)) == [0]
-    assert polys.integer_roots((1, 0, 1)) == []
+def test_irreducibility_of_quadratics_and_cubics():
+    # a quadratic by its discriminant, a cubic by its integer roots; a zero
+    # constant term leaves the factor x
+    assert not polys.is_irreducible_deg_le4((-6, 11, -6, 1))
+    assert not polys.is_irreducible_deg_le4((0, 1, 0, 1))
+    assert polys.is_irreducible_deg_le4((-2, 0, 0, 1))
+    for b, c in itertools.product(range(-12, 13), repeat=2):
+        has_root = any(r * r + b * r + c == 0 for r in range(-13, 14))
+        assert polys.is_irreducible_deg_le4((c, b, 1)) == (not has_root), (c, b)
+
+
+def test_semiprime_quadratic_decides_without_factoring(monkeypatch):
+    # x^2 - x - p q with p, q the next primes after 2^44 + 12,345 and
+    # 2^44 + 987,654: its discriminant 1 + 4 p q is no square, and nothing
+    # factors p q
+    import toralconj.intfactor as intfactor
+
+    calls = []
+    factorint = intfactor.factorint
+    monkeypatch.setattr(intfactor, "factorint", lambda n: calls.append(n) or factorint(n))
+    p, q = 17592186056779, 17592187032113
+    polys.is_irreducible_deg_le4.cache_clear()
+    assert polys.is_irreducible_deg_le4((-p * q, -1, 1))
+    assert not polys.is_irreducible_deg_le4(polys.mul((-p, 1), (q, 1)))
+    assert calls == []
+    polys.is_irreducible_deg_le4.cache_clear()
