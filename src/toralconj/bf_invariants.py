@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import exact_linalg as xl
 from . import polys
-from .errors import InfiniteQuotientError, InternalInconsistencyError
+from .errors import InfiniteQuotientError, InternalInconsistencyError, ResourceLimitError
 from .finite_modules import FiniteModulePresentation, IsoResult, module_iso_exists, quotient
 
 Mat = xl.Mat
@@ -79,6 +79,14 @@ def bf_group(A: Mat, g: polys.Poly) -> FiniteModulePresentation:
     if module.order != expected:
         raise InternalInconsistencyError("BF order disagrees with the resultant")
     return module
+
+
+def check_family_degrees(max_power: int, cyclotomic_index: int) -> None:
+    """Refuse a family whose x^m -+ 1 or x^d - 1 (divided down to Phi_d)
+    passes polys.MAX_DEGREE, before any member is built."""
+    for name, value in (("family max power", max_power), ("cyclotomic index", cyclotomic_index)):
+        if value > polys.MAX_DEGREE:
+            raise ResourceLimitError(f"{name} cap exceeded: {value} > {polys.MAX_DEGREE}")
 
 
 def family_candidates(max_shift: int = 5, max_power: int = 6, cyclotomic_index: int = 12) -> list[polys.Poly]:

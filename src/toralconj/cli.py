@@ -18,7 +18,7 @@ import time
 from . import exact_linalg as xl
 from . import ideal_theory as ideals
 from . import polys
-from .bf_invariants import bf_group, default_family, hyperbolicity_check, strong_bf_screen
+from .bf_invariants import bf_group, check_family_degrees, default_family, hyperbolicity_check, strong_bf_screen
 from .conjugacy_pipeline import DEFAULT_CONFIG, PipelineConfig, decide, similarity_check
 from .errors import InputError, ToralConjError
 from .tower import build_tower, injectivity_probe, verify_factorization, verify_filtered
@@ -142,6 +142,7 @@ def cmd_bf(args) -> int:
 
 def cmd_screen(args) -> int:
     started = time.monotonic()
+    check_family_degrees(args.family_m, DEFAULT_CONFIG.cyclotomic_index)
     A, B = load_pair(args.matrix_a, args.matrix_b)
     inputs = {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)}
     config = {"family_c": args.family_c, "family_m": args.family_m, "budget": args.budget}
@@ -270,14 +271,11 @@ def cmd_decide(args) -> int:
         principal_bound=args.principal_bound,
     )
     verdict = decide(A, B, config)
+    # the skeleton holds config and evidence, so the result keeps the rest
     data = verdict.to_data()
-    report = _report(
-        "decide",
-        {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)},
-        config.to_data(),
-        data,
-        data["evidence"],
-    )
+    result = {key: data[key] for key in ("outcome", "certificate", "witness") if key in data}
+    inputs = {"matrix_a": _matrix_data(A), "matrix_b": _matrix_data(B)}
+    report = _report("decide", inputs, config.to_data(), result, verdict.evidence)
     lines = [f"verdict: {verdict.outcome}"]
     if verdict.certificate is not None:
         lines.append(f"conjugator C (A C = C B, det C = {xl.det(verdict.certificate)}):")

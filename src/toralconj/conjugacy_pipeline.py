@@ -44,6 +44,7 @@ from .bf_invariants import (
     ScreenReport,
     bf_group,
     cached_char_poly,
+    check_family_degrees,
     family_candidates,
     hyperbolicity_check,
     invertibility_check,
@@ -69,11 +70,13 @@ class PipelineConfig:
     principal_bound: int = 8
 
     def __post_init__(self):
-        # checked here rather than by the tower route, which a pair decided
-        # earlier never reaches, so a depth is refused whatever the input
+        # checked here rather than by the stages that build the polynomials,
+        # which a pair decided earlier never reaches, so a cap is refused
+        # whatever the input
         if self.tower_depth < 0:
             raise ValueError(f"tower_depth must be >= 0, got {self.tower_depth}")
         _check_depth(self.tower_depth)
+        check_family_degrees(self.family_max_power, self.cyclotomic_index)
 
     def to_data(self) -> dict:
         return asdict(self)
@@ -422,7 +425,7 @@ def _ideal_route(A: Mat, B: Mat, eigen: tuple, evidence: list, config: PipelineC
     record["weak_equivalence"] = we.to_data()
     if we.equivalent:
         # X Y = O(I) is verified, so O(X) = O(X) X Y = X Y = O(I)
-        pr = ideals.principal_search(we.X, OI, config.principal_bound)
+        pr = ideals.principal_search(we.X, OI, config.principal_bound, config.search_max_candidates)
         record["principal_search"] = pr.to_data()
         if pr.found:
             # z O(X) = X with O(X) = O(I) and I X = J gives z I = J

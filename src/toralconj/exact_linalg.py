@@ -806,10 +806,17 @@ def bounded_search(
     as tried, so a search resumes where a capped one stopped.
 
     solutions = (form, targets) promises that accept(c) is None unless
-    form_value(form, c) is in targets.  Each shell walked to its end is then
-    solved first (box_solver, one per search): without a solution it counts
-    as tried unwalked, else accept sees only its solutions, in walk order.
-    So (result, tried) is that of the plain walk."""
+    form_value(form, c) is in targets.  Each shell is then solved first
+    (box_solver, one per search): without a solution its walk counts as
+    tried unwalked, else accept sees only its solutions, in walk order.  So
+    (result, tried) is that of the plain walk, which ends in the first shell
+    that reaches max_candidates: no shell or solver line runs past it.
+    """
+    if max_candidates is not None:
+        reach = 1
+        while reach < bound and ((2 * reach + 1) ** rank - 1) // 2 < max_candidates:
+            reach += 1
+        bound = min(bound, reach)
     tried, last = start, 0
     solve = None if solutions is None else box_solver(*solutions, rank, bound)
     for rho in range(1, bound + 1):
@@ -818,10 +825,10 @@ def bounded_search(
         if tried >= stop:
             continue
         keep = None
-        if solve is not None and stop == last:
+        if solve is not None:
             keep = solve(rho)
             if not keep:
-                tried = last
+                tried = stop
                 continue
         for c in itertools.islice(_shell(rank, rho), tried - first, stop - first):
             tried += 1

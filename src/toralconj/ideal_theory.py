@@ -315,10 +315,12 @@ def norm_form(X: FractionalIdeal) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return xl.det_form([multiplication_matrix(X.nf, row) for row in X.mat])
 
 
-def principal_search(X: FractionalIdeal, O: FractionalIdeal, bound: int) -> PrincipalResult:
+def principal_search(
+    X: FractionalIdeal, O: FractionalIdeal, bound: int, max_candidates: int = 200_000
+) -> PrincipalResult:
     """Bounded search for z with z O = X over integer combinations of the
-    basis of X with coefficients in [-bound, bound], for O = O(X), which
-    the caller passes.
+    basis of X with coefficients in [-bound, bound], at most max_candidates
+    of them, for O = O(X), which the caller passes.
 
     Candidates run by max-norm shells, one of each +-z since z and -z
     generate the same ideal.  Each z lies in X and X is an O(X)-module, so
@@ -344,7 +346,7 @@ def principal_search(X: FractionalIdeal, O: FractionalIdeal, bound: int) -> Prin
         return z if O.scale(z) == X else None
 
     solutions = (norm_form(X), set() if r else {t, -t})
-    z, tried = xl.bounded_search(n, bound, accept, solutions=solutions)
+    z, tried = xl.bounded_search(n, bound, accept, max_candidates, solutions=solutions)
     return PrincipalResult(z is not None, z, bound, tried)
 
 

@@ -1,9 +1,12 @@
 """Integer factorization helpers: deterministic Miller-Rabin plus Pollard rho.
 
-Orders of the finite quotient modules can reach ~10^30 for deep tower levels,
-so trial division alone is not enough.  The module isomorphism test factors
-only after its cheap candidate maps have failed, and then only the largest
-invariant factor, which has the primes of the order and fewer bits.
+Three callers remain.  The module isomorphism test (finite_modules._primes)
+factors the largest invariant factor of a quotient, which has the primes of
+the order and fewer bits, and only after its cheap candidate maps have
+failed; orders pass 4,300 digits at tower depth 6, so trial division alone
+is not enough.  tower.tower_polynomials and polys.cyclotomic take the
+divisors of k! and of d <= polys.MAX_DEGREE.  Irreducibility factors
+nothing (polys.is_irreducible_deg_le4).
 Everything here is deterministic: the rho walk uses fixed increments, so
 repeated runs factor identically.  A perfect power r^k is split by an exact
 integer k-th root before rho, which would take about sqrt(r) steps to find

@@ -6,12 +6,17 @@ All arithmetic is exact over Z; rational work uses fractions.Fraction.
 
 import functools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InternalInconsistencyError
 from .intfactor import divisors
 
 Poly = tuple[int, ...]
+
+# the largest degree taken from outside: 6! = 720 is the degree of
+# x^(6!) - 1, the largest polynomial the tower builds under
+# exact_linalg.MAX_FACTORIAL_K = 6
+MAX_DEGREE = 720
 
 X: Poly = (0, 1)
 ONE: Poly = (1,)
@@ -285,115 +290,80 @@ def _circle_roots_by_sturm(q: Poly) -> bool:
     return count_real_roots_open(half, Fraction(-2), Fraction(2)) > 0
 
 
-def _cubic_integer_roots(f: Poly) -> list[int]:
-    """Integer roots of a cubic f with f(0) != 0, in integers only.
+def integer_roots(p: Poly) -> list[int]:
+    """The integer roots of p != 0, ascending, in integers only."""
+    if not p:
+        raise ValueError("zero polynomial")
+    return [x for x in _root_floors(p) if eval_at(p, x) == 0]
 
-    An integer root divides f(0), so it lies in [-|f(0)|, |f(0)|].  f is
-    strictly monotone on each side of its critical points
-    (-c2 +- sqrt(c2^2 - 3 c1 c3)) / (3 c3), so cutting that range after the
-    floor of each leaves pieces that hold at most one root each, found by
-    bisection.
+
+def _root_floors(p: Poly) -> list[int]:
+    """Ascending integers among which lies the floor of every real root of
+    p != 0: one exact floor division at degree 1.
+
+    Above it, the same list for p' holds the floor of every critical point,
+    so cutting [-b, b], b = 1 + max |p_i| past every root (Cauchy), after
+    each of those floors leaves pieces with no critical point inside, on
+    which p is strictly monotone; bisection finds the floor of the one root
+    of a piece whose ends differ in sign.  The cuts are kept as well, since
+    a root in (c, c + 1) for a cut c changes no sign at an integer.  An
+    extra integer in the list costs one evaluation and misses nothing.
     """
-    c0, c1, c2, c3 = f
-    bound = abs(c0)
-    cuts: list[int] = []
-    disc = c2 * c2 - 3 * c1 * c3
-    if disc > 0:
-        # the critical points are (u -+ sqrt(disc)) / k with k > 0, in
-        # ascending order; floor(u + sqrt(disc)) = u + r, and
-        # floor(u - sqrt(disc)) = u - r - 1 unless disc is a square
-        u, k = (-c2, 3 * c3) if c3 > 0 else (c2, -3 * c3)
-        r = isqrt(disc)
-        cuts = [(u - r - (r * r != disc)) // k, (u + r) // k]
-    roots = []
-    for lo, hi in zip([-bound] + [m + 1 for m in cuts], cuts + [bound]):
-        x = _monotone_zero(f, max(lo, -bound), min(hi, bound))
-        if x is not None:
-            roots.append(x)
-    return roots
-
-
-def _monotone_zero(f: Poly, lo: int, hi: int) -> int | None:
-    """The integer zero of f in [lo, hi], where f is strictly monotone, or
-    None (also for an empty range)."""
-    if lo > hi:
-        return None
-    a, b = eval_at(f, lo), eval_at(f, hi)
-    if a == 0:
-        return lo
-    if b == 0:
-        return hi
-    if (a > 0) == (b > 0):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = eval_at(f, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == (a > 0):
-            lo = mid
-        else:
-            hi = mid
-    return None
+    if len(p) <= 2:
+        return [-p[0] // p[1]] if len(p) == 2 else []
+    cuts = _root_floors(derivative(p))
+    b = 1 + max(map(abs, p))
+    floors = set(cuts)
+    for lo, hi in zip([-b] + [c + 1 for c in cuts], cuts + [b]):
+        u, v = eval_at(p, lo), eval_at(p, hi)
+        if u == 0 or v == 0:
+            floors.add(lo if u == 0 else hi)
+        elif (u > 0) != (v > 0):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                w = eval_at(p, mid)
+                if w == 0 or (w > 0) == (u > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            floors.add(lo)
+    return sorted(floors)
 
 
 @functools.lru_cache(maxsize=2)
 def is_irreducible_deg_le4(p: Poly) -> bool:
-    """Exact irreducibility over Q for monic p of degree 2..4.
+    """Exact irreducibility over Q for monic p of degree 2..4, with nothing
+    factored.
 
     Monic integer polynomials factor into monic integer polynomials, so it is
-    enough to exclude integer roots and, in degree 4, integer quadratic
-    factors x^2 + a x + b with b dividing the constant term.  A quadratic
-    has an integer root iff its discriminant is a square, and a cubic's
-    roots are found by bisection (_cubic_integer_roots), so neither is
-    factored; a quartic's constant term is factored once for both tests (a
-    zero one leaves the factor x).  One decision on a 3 x 3 or 4 x 4 pair
-    asks three times about the same characteristic polynomial (the ideal
-    route's gate, then the field of each eigen ideal; a 2 x 2 pair is
-    decided by its binary quadratic forms and never asks), so the last two
-    answers are kept.
+    enough to exclude integer roots (integer_roots) and, in degree 4, monic
+    integer quadratic factors (x^2 + a x + v)(x^2 + c x + t).  For those,
+    y = v + t is an integer root of the resolvent cubic
+    y^3 - p2 y^2 + (p1 p3 - 4 p0) y + 4 p0 p2 - p0 p3^2 - p1^2, whose roots
+    are the three sums r r' + s s' over the pairings of the roots of p.
+    Then v and t are the roots of z^2 - y z + p0, a and c those of
+    w^2 - p3 w + p2 - y, and a factor exists iff a t + c v = p1 for one
+    choice of v and a.  One decision on a 3 x 3 or 4 x 4 pair asks three
+    times about the same characteristic polynomial (the ideal route's gate,
+    then the field of each eigen ideal; a 2 x 2 pair is decided by its
+    binary quadratic forms and never asks), so the last two answers are
+    kept.
     """
     n = degree(p)
     if not is_monic(p) or n < 2 or n > 4:
         raise ValueError("supported: monic, degree 2..4")
-    if n == 2:
-        return not _is_square(p[1] * p[1] - 4 * p[0])
-    if n == 3:
-        return p[0] != 0 and not _cubic_integer_roots(p)
-    p0, p1, p2, p3 = p[0], p[1], p[2], p[3]
-    if p0 == 0:
+    if integer_roots(p):
         return False
-    # one factorization of p0: each +-b is tested as a root and as the
-    # constant term of a quadratic factor
-    for b in divisors(p0):
-        for bb in (b, -b):
-            if eval_at(p, bb) == 0:
-                return False
-            d = p0 // bb
-            # (x^2 + a x + bb)(x^2 + c x + d): match remaining coefficients
-            if bb == d:
-                # a + c = p3, ac = p2 - 2 bb, and p1 = a d + bb c = bb p3 must hold
-                if p1 != bb * p3:
-                    continue
-                disc = p3 * p3 - 4 * (p2 - 2 * bb)
-                if disc >= 0 and _is_square(disc) and (p3 + isqrt(disc)) % 2 == 0:
-                    return False
-            else:
-                num = p1 - p3 * bb
-                if num % (d - bb) != 0:
-                    continue
-                a = num // (d - bb)
-                c = p3 - a
-                if bb + d + a * c == p2:
+    if n < 4:
+        return True
+    p0, p1, p2, p3 = p[:4]
+    resolvent = (4 * p0 * p2 - p0 * p3 * p3 - p1 * p1, p1 * p3 - 4 * p0, -p2, 1)
+    for y in integer_roots(resolvent):
+        for v in integer_roots((p0, -y, 1)):
+            for a in integer_roots((p2 - y, -p3, 1)):
+                if a * (y - v) + (p3 - a) * v == p1:
                     return False
     return True
-
-
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def to_str(p: Poly) -> str:
@@ -443,6 +413,8 @@ def parse(text: str) -> Poly:
             power = int(pow_s) if pow_s else 1
         else:
             power = 0
+        if power > MAX_DEGREE:
+            raise ValueError(f"degree {power} exceeds the cap {MAX_DEGREE}")
         coeffs[power] = coeffs.get(power, 0) + sign * coef
         pos = m.end()
         first = False

@@ -267,7 +267,10 @@ def test_decide_defaults_are_the_pipeline_defaults(capsys, mats):
     code, out, _ = run(capsys, ["decide", mats["A1"], mats["B1"], "--json"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["config"] == rep["result"]["config"] == DEFAULT_CONFIG.to_data()
+    assert rep["config"] == DEFAULT_CONFIG.to_data()
+    # each field once: result holds the verdict, evidence sits at the top
+    assert list(rep["result"]) == ["outcome", "witness"]
+    assert rep["evidence"][-1]["stage"] == "bf_screen"
 
 
 def test_decide_example2_unknown_exit(capsys, mats):
@@ -348,6 +351,35 @@ def test_deep_towers_exit_1(mats, argv):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and "depth cap exceeded" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bf", "CAT", "x^100000+1"],
+        ["bf", "CAT", "x^1000000+1"],
+        ["screen", "CAT", "CAT", "--family-m", "1000"],
+        ["screen", "CAT", "CAT", "--family-m", "2000"],
+        ["decide", "CAT", "CAT", "--family-m", "721"],
+    ],
+    ids=["bf_100000", "bf_1000000", "screen_1000", "screen_2000", "decide_721"],
+)
+def test_degrees_past_the_cap_exit_1(capsys, tmp_path, argv):
+    # x^(6!) - 1 is the largest polynomial the program builds, so a larger
+    # degree from outside is refused before any coefficient list exists
+    cat = write(tmp_path, "CAT.txt", ((2, 1), (1, 1)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, [cat if a == "CAT" else a for a in argv])
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "720" in err
+
+
+def test_degree_at_the_cap_is_accepted(capsys, tmp_path):
+    cat = write(tmp_path, "CAT.txt", ((2, 1), (1, 1)))
+    code, out, _ = run(capsys, ["bf", cat, "x^720-1", "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["order"] > 10**300
 
 
 # |det(M^720 - I)| has about 4,320 decimal digits, past the interpreter's

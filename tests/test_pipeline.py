@@ -535,13 +535,13 @@ def test_decide_tests_irreducibility_once(monkeypatch):
     # same characteristic polynomial, and each answer looks for its integer
     # roots, so one decision tests it once
     runs = []
-    original = polys._cubic_integer_roots
+    original = polys.integer_roots
 
     def counting(p):
         runs.append(p)
         return original(p)
 
-    monkeypatch.setattr(polys, "_cubic_integer_roots", counting)
+    monkeypatch.setattr(polys, "integer_roots", counting)
     polys.is_irreducible_deg_le4.cache_clear()
     pairs = [(A2, B2), (NONINVERTIBLE_A, NONINVERTIBLE_B)]
     for A, B in pairs:
@@ -566,6 +566,35 @@ def test_semiprime_cubic_pair_decides_without_factoring():
     assert time.perf_counter() - started < 1.0
     assert v.outcome == "not_conjugate" and v.evidence[-1]["stage"] == "bf_screen"
     assert polys.is_irreducible_deg_le4(xl.char_poly(A))
+
+
+def test_semiprime_quartic_pair_decides_without_factoring(monkeypatch):
+    # chi = x^4 - x^3 - x^2 - x - p q with p, q the next primes after
+    # 2^44 + 12,345 and 2^44 + 987,654, against its sublattice of index 3
+    # scrambled by random_unimodular(Random(1), 4): the ideal route's gate
+    # finds no integer root and no quadratic factor of chi without a
+    # Pollard rho on p q, and the pair ends at the ideal route
+    import toralconj.finite_modules as fm
+    import toralconj.intfactor as intfactor
+
+    calls = []
+    factorint = intfactor.factorint
+    counting = lambda n: calls.append(n) or factorint(n)
+    monkeypatch.setattr(intfactor, "factorint", counting)
+    monkeypatch.setattr(fm, "factorint", counting)
+    p, q = 17592186056779, 17592187032113
+    A = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (p * q, 1, 1, 1))
+    B = (
+        (1, 0, 0, -1),
+        (-1, 2, -103161675804862218838114675, -103161675804862218838114676),
+        (2, -1, -1, 0),
+        (1, 1, 0, -1),
+    )
+    polys.is_irreducible_deg_le4.cache_clear()
+    v = decide(A, B)
+    assert v.outcome == "unknown" and v.evidence[-1]["stage"] == "ideal_route"
+    assert calls == []
+    polys.is_irreducible_deg_le4.cache_clear()
 
 
 def test_decide_computes_each_char_poly_once(rng, monkeypatch):
@@ -911,6 +940,31 @@ def test_decide_symmetry_examples():
         certified = {"conjugate", "not_conjugate"}
         if v1.outcome in certified and v2.outcome in certified:
             assert v1.outcome == v2.outcome
+
+
+def test_config_refuses_families_past_the_degree_cap():
+    # x^m -+ 1 and Phi_d are built from polynomials of degree m and d, so
+    # either past polys.MAX_DEGREE is refused when the config is built
+    from toralconj.errors import ResourceLimitError
+
+    for field in ("family_max_power", "cyclotomic_index"):
+        PipelineConfig(**{field: polys.MAX_DEGREE})
+        with pytest.raises(ResourceLimitError, match="cap exceeded"):
+            PipelineConfig(**{field: polys.MAX_DEGREE + 1})
+
+
+def test_principal_search_stops_at_the_candidate_cap():
+    # an unknown 3 x 3 pair of the similar_irreducible workload: the box of
+    # principal_bound 10^6 holds about 4 * 10^18 candidates, and the search
+    # stops at search_max_candidates, as unimodular_search does
+    A = ((2, -1, 2), (4, -4, -1), (-3, -1, 1))
+    B = ((3, -2, 1), (1, -5, -5), (-4, 2, 1))
+    started = time.perf_counter()
+    v = decide(A, B, PipelineConfig(principal_bound=10**6))
+    assert time.perf_counter() - started < 5.0
+    assert v.outcome == "unknown"
+    (route,) = [e for e in v.evidence if e["stage"] == "ideal_route"]
+    assert route["principal_search"] == {"principal": False, "bound": 10**6, "candidates": 200_000}
 
 
 def test_decide_monotone_in_budget():

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toralconj import exact_linalg as xl
 from toralconj import polys
 from toralconj.intfactor import divisors
 
@@ -148,13 +151,15 @@ def test_unit_circle_closed_forms_match_the_sturm_path():
 
 
 def _integer_roots_by_divisors(p):
-    """The integer roots of p with p(0) != 0 among the divisors of p(0)."""
-    return sorted(r for d in divisors(p[0]) for r in (d, -d) if polys.eval_at(p, r) == 0)
+    """The integer roots of p among 0 and the divisors of its lowest
+    nonzero coefficient."""
+    k = next(i for i, c in enumerate(p) if c)
+    roots = [r for d in divisors(p[k]) for r in (d, -d) if polys.eval_at(p, r) == 0]
+    return sorted(roots + [0] * (k > 0))
 
 
 def test_cubic_integer_roots_match_the_divisor_method():
-    # bisection between the critical points against the divisors of the
-    # constant term: random cubics and cubics with one to three planted
+    # integer_roots against the divisors of the constant term: random cubics and cubics with one to three planted
     # roots, double and triple ones included, coefficients up to 10^7 and
     # leading coefficients other than +-1
     rng = random.Random(4)
@@ -176,8 +181,8 @@ def test_cubic_integer_roots_match_the_divisor_method():
     cubics = [p for p in cubics if len(p) == 4 and p[0] != 0 and max(map(abs, p)) <= 10**7]
     assert len(cubics) > 500
     for p in cubics:
-        assert polys._cubic_integer_roots(p) == _integer_roots_by_divisors(p), p
-    assert sum(len(polys._cubic_integer_roots(p)) >= 2 for p in cubics) > 200
+        assert polys.integer_roots(p) == _integer_roots_by_divisors(p), p
+    assert sum(len(polys.integer_roots(p)) >= 2 for p in cubics) > 200
 
 
 def test_irreducibility_small():
@@ -217,19 +222,97 @@ def test_quartic_irreducibility_matches_a_factor_search():
         assert polys.is_irreducible_deg_le4(p) == (p[0] != 0 and not _has_factor_by_search(p)), p
 
 
-def test_quartic_factors_its_constant_term_once(monkeypatch):
-    # the roots and the quadratic factors both run over the divisors of p0,
-    # from one factorization; a zero p0 needs none
+def test_semiprime_quartic_decides_without_factoring(monkeypatch):
+    # a constant term of 200 bits, the product of the next primes after
+    # 2^99 + 12,345 and 2^100 + 987,654: integer roots and quadratic factors
+    # come from bisection and the resolvent cubic, so nothing is factored
     import toralconj.intfactor as intfactor
 
     calls = []
     factorint = intfactor.factorint
     monkeypatch.setattr(intfactor, "factorint", lambda n: calls.append(n) or factorint(n))
+    p, q = 633825300114114700748351615099, 1267650600228229401496704193117
     polys.is_irreducible_deg_le4.cache_clear()
-    assert polys.is_irreducible_deg_le4((-2 * 3 * 5 * 7 * 11, -1, -1, -1, 1))
-    assert list(map(abs, calls)) == [2 * 3 * 5 * 7 * 11]
-    assert not polys.is_irreducible_deg_le4((0, 1, 0, 0, 1)) and len(calls) == 1
+    assert polys.is_irreducible_deg_le4((-p * q, -1, -1, -1, 1))
+    assert polys.is_irreducible_deg_le4((p * q, 1, 1, 1, 1))
+    assert not polys.is_irreducible_deg_le4(polys.mul((p, 1, 1), (q, -1, 1)))
+    assert not polys.is_irreducible_deg_le4(polys.mul((-p, 1), (q, 0, 1, 1)))
+    assert not polys.is_irreducible_deg_le4((0, 1, 0, 0, 1))
+    assert calls == []
     polys.is_irreducible_deg_le4.cache_clear()
+
+
+def _has_quadratic_factor_by_divisors(p):
+    # a monic quartic's monic quadratic factors (x^2 + a x + b)(x^2 + c x + d)
+    # with b d = p0: a (d - b) = p1 - p3 b, or for b = d, p1 = b p3 and a, c
+    # the roots of w^2 - p3 w + p2 - 2 b
+    p0, p1, p2, p3 = p[:4]
+    for b in (s * e for e in divisors(p0) for s in (1, -1)):
+        d = p0 // b
+        if b != d:
+            a, r = divmod(p1 - p3 * b, d - b)
+            if r == 0 and b + d + a * (p3 - a) == p2:
+                return True
+        elif p1 == b * p3:
+            disc = p3 * p3 - 4 * (p2 - 2 * b)
+            if disc >= 0 and isqrt(disc) ** 2 == disc:
+                return True
+    return False
+
+
+def test_integer_roots_and_irreducibility_match_the_divisor_oracles():
+    # a seeded differential run over degrees 1..4: integer_roots against
+    # the divisors of the lowest nonzero coefficient, and monic degrees
+    # 2..4 against the same roots and, in degree 4, a quadratic factor
+    # found from the divisors of p0
+    rng = random.Random(38)
+    lead = lambda: rng.choice((1, 1, -1, 2, -3, 7, 50, rng.randint(1, 10**6)))
+    cases = [(9, -45, 50), (6, -5, 1), (2, -3, 1), (1, -2, 1), (0, 0, 1), (1, 0, -10, 0, 1), (1, 0, 1, 0, 1)]
+    for _ in range(4500):
+        # random coefficients up to 10^12, leading ones other than 1
+        bound = 10 ** rng.choice((1, 3, 6, 12))
+        cases.append(tuple(rng.randint(-bound, bound) for _ in range(rng.randint(1, 4))) + (lead(),))
+    for _ in range(1500):
+        # planted rational roots r / t, repeated ones among them
+        p = (lead(),)
+        for _ in range(rng.randint(1, 4)):
+            r = rng.choice((rng.randint(-3, 3), rng.randint(-10**3, 10**3)))
+            p = polys.mul(p, (-r, rng.choice((1, 1, 1, rng.randint(2, 60)))))
+        cases.append(p)
+    for _ in range(1500):
+        # clustered, consecutive and double roots, and two roots in one
+        # unit interval
+        c = rng.randint(-300, 300)
+        p = (1,)
+        for _ in range(rng.randint(1, 4)):
+            t = rng.choice((1, 1, rng.randint(2, 5)))
+            p = polys.mul(p, (-(c * t + rng.randint(0, 2)), t))
+        cases.append(p)
+    for _ in range(2500):
+        # monic quartics: biquadratics, products of two quadratics, random
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+        quadratic = lambda: (rng.randint(-10**4, 10**4), rng.randint(-10**2, 10**2), 1)
+        bound = 10 ** rng.choice((1, 3, 6))
+        cases.append(rng.choice((
+            (b, 0, a, 0, 1),
+            polys.mul(quadratic(), quadratic()),
+            tuple(rng.randint(-bound, bound) for _ in range(4)) + (1,),
+        )))
+    cases = [p for p in map(polys.trim, cases) if polys.degree(p) >= 1]
+    assert len(cases) >= 10_000
+    tally = {"two_roots": 0, "irreducible": 0, "quadratic_factor": 0}
+    for p in cases:
+        roots = _integer_roots_by_divisors(p)
+        assert polys.integer_roots(p) == roots, p
+        tally["two_roots"] += len(roots) >= 2
+        if polys.is_monic(p) and polys.degree(p) >= 2:
+            polys.is_irreducible_deg_le4.cache_clear()
+            factor = not roots and polys.degree(p) == 4 and _has_quadratic_factor_by_divisors(p)
+            assert polys.is_irreducible_deg_le4(p) == (not roots and not factor), p
+            tally["irreducible"] += not roots and not factor
+            tally["quadratic_factor"] += factor
+    polys.is_irreducible_deg_le4.cache_clear()
+    assert tally["two_roots"] > 1500 and tally["irreducible"] > 2000 and tally["quadratic_factor"] > 700
 
 
 def test_parse_and_print_roundtrip():
@@ -246,6 +329,15 @@ def test_parse_rejects_garbage():
     for bad in ["", "x^", "2.5x", "x**2", "y+1", "x^2++1"]:
         with pytest.raises(ValueError):
             polys.parse(bad)
+
+
+def test_parse_refuses_degrees_past_the_cap():
+    # the cap is the degree of x^(k!) - 1 at the largest tower level
+    assert polys.MAX_DEGREE == math.factorial(xl.MAX_FACTORIAL_K)
+    assert polys.degree(polys.parse(f"x^{polys.MAX_DEGREE}-1")) == polys.MAX_DEGREE
+    for text in (f"x^{polys.MAX_DEGREE + 1}", "x^1000000-x^1000000+1", "2-x^100000"):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            polys.parse(text)
 
 
 def test_irreducibility_of_quadratics_and_cubics():

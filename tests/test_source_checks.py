@@ -90,6 +90,19 @@ def test_quotient_tests_membership_with_the_smith_form_only():
     assert not called & {"hnf", "hnf_basis", "lattice_membership"}
 
 
+def test_only_cyclotomic_factors_in_polys():
+    # integer roots and quadratic factors come from bisection and the
+    # resolvent cubic, so irreducibility factors nothing; only the divisors
+    # of d that Phi_d divides out still need a factorization
+    tree = ast.parse((SRC / "polys.py").read_text())
+    factoring = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and _called_names(node) & {"divisors", "factorint"}
+    }
+    assert factoring == {"cyclotomic"}
+
+
 def test_pipeline_does_not_search_the_pair_lattices():
     # classify_delta searches the intertwiner lattice that unimodular_search
     # has already searched with the same bound and shell order, and a level
